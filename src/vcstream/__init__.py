@@ -9,7 +9,7 @@ memory branching solvers is a measured, testable quantity.
 __version__ = "0.1.0"
 
 from .graph import Graph, VertexCover
-from .instances import load_graph, load_instance, write_instance
+from .instances import load_instance, write_instance
 from .meters import MemoryMeter, PassMeter
 from .properties import (
     AdjacencyCharacterization,
@@ -19,7 +19,7 @@ from .properties import (
     is_induced_subgraph,
 )
 from .results import KernelOutput, SolveOutcome
-from .streams import AL, EA, VA, filtered_substream, make_stream, run_pass
+from .streams import AL, EA, VA, filtered_substream, make_stream
 
 __all__ = [
     "AL",
@@ -37,10 +37,8 @@ __all__ = [
     "family_oracle",
     "filtered_substream",
     "is_induced_subgraph",
-    "load_graph",
     "load_instance",
     "make_stream",
-    "run_pass",
     "write_instance",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Command-line entry point: gen | kernelize | solve | verify | bench.
+"""Command-line entry point: gen | kernelize | solve | verify.
 
 Every run prints a machine-parseable report, one key=value per token.
 Exit codes: 0 YES/success, 1 NO (or disagreement under verify), 2 usage
@@ -42,7 +42,7 @@ from .properties import (
     parse_pfun,
 )
 from .solve_cvd import solve_cvd
-from .solve_hfree import solve_hfree_stream, solve_pifree_explicit
+from .solve_hfree import solve_pifree_explicit
 from .solve_oct import solve_oct, solve_oct_cc
 from .solve_oracle import solve_equivclass_enum, solve_with_a1, solve_with_a2
 from .streams import AL, make_stream
@@ -54,9 +54,24 @@ def _instance_hash(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _fresh_meter() -> MemoryMeter:
     budget = os.environ.get(BUDGET_ENV)
-    return MemoryMeter(int(budget) if budget else None)
+    if not budget:
+        return MemoryMeter()
+    try:
+        return MemoryMeter(_non_negative_int(budget))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{BUDGET_ENV} {exc}") from None
 
 
 def _emit(report: dict) -> None:
@@ -190,11 +205,6 @@ def _run_solver(args, inst, handle, meter, family=None):
         return solve_oct(handle, inst.cover, args.ell, meter)
     if problem == "hfree":
         family = family if family is not None else _solver_family(args)
-        if family.q == 1 and args.cpi is None:
-            return solve_hfree_stream(
-                handle, inst.cover, args.ell, family.members[0], meter,
-                strict_induced=args.strict_induced,
-            )
         char = None
         if args.cpi is not None:
             # only the (c_pi + 1) * K member bound is consumed here; p is a
@@ -298,39 +308,6 @@ def _cmd_verify(args) -> int:
     return 0 if agree else 1
 
 
-def _cmd_bench(args) -> int:
-    paths = sorted(Path(args.directory).glob("*.vcs"))
-    if not paths:
-        raise UsageError(f"no *.vcs instances under {args.directory}")
-    rows = []
-    for path in paths:
-        inst = load_instance(path)
-        for alg in ("cvd", "oct", "oct-cc", "kernel-p3"):
-            handle = make_stream(inst.graph, AL)
-            meter = MemoryMeter()
-            started = time.perf_counter()
-            if alg == "cvd":
-                out = solve_cvd(handle, inst.cover, inst.ell, meter)
-                verdict, passes, peak = out.verdict, out.passes, out.peak_words
-            elif alg == "oct":
-                out = solve_oct(handle, inst.cover, inst.ell, meter)
-                verdict, passes, peak = out.verdict, out.passes, out.peak_words
-            elif alg == "oct-cc":
-                out = solve_oct_cc(handle, inst.cover, inst.ell, meter)
-                verdict, passes, peak = out.verdict, out.passes, out.peak_words
-            else:
-                char = AdjacencyCharacterization(2, lambda _k: 3, connected_only=True)
-                out = kernel_pifree(handle, inst.cover, inst.ell, char, meter)
-                verdict, passes, peak = f"kept:{len(out.kept_vertices)}", out.passes, out.peak_words
-            wall_ms = 1000 * (time.perf_counter() - started)
-            rows.append((path.name, alg, verdict, passes, peak, f"{wall_ms:.1f}"))
-    header = ("instance", "alg", "result", "passes", "peak_words", "wall_ms")
-    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
-    for row in [header] + rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcstream",
@@ -375,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance")
         p.add_argument("--problem", required=True,
                        choices=["cvd", "oct", "hfree", "pifree-oracle"])
-        p.add_argument("--ell", type=int)
+        p.add_argument("--ell", type=_non_negative_int)
         p.add_argument("--pattern", help="family file for hfree")
         p.add_argument("--family", help="family file (oracle-backed problems)")
         p.add_argument("--cpi", type=int)
@@ -396,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_args(p_verify)
     p_verify.add_argument("--against", choices=["brute"], default="brute")
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="pass/memory table over an instance directory")
-    p_bench.add_argument("directory")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -413,6 +386,9 @@ def main(argv=None) -> int:
         return 2
     except (VCStreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # exit 1 means NO, so nothing else may reach it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -126,10 +126,6 @@ class VertexCover:
         return cover
 
 
-def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
-    return Graph(n, edges)
-
-
 def empty_graph(n: int) -> Graph:
     return Graph(n)
 

@@ -101,11 +101,6 @@ def load_instance(path: str | Path) -> Instance:
     return parse_instance(Path(path).read_text())
 
 
-def load_graph(path: str | Path) -> tuple[Graph, VertexCover, int]:
-    inst = load_instance(path)
-    return inst.graph, inst.cover, inst.ell
-
-
 def write_instance(g: Graph, cover: VertexCover, ell: int, path: str | Path, comments=()) -> None:
     Path(path).write_text(format_instance(g, cover, ell, comments))
 
@@ -116,6 +111,14 @@ def format_family(f: ExplicitFamily) -> str:
         lines.append(f"h {p.graph.n} {p.graph.m}")
         lines.extend(f"e {u} {v}" for u, v in p.graph.sorted_edges())
     return "\n".join(lines) + "\n"
+
+
+def _int_pair(line: str, rest: str, what: str) -> tuple[int, int]:
+    try:
+        a, b = (int(t) for t in rest.split())  # also ValueError on a wrong count
+    except ValueError as exc:
+        raise ParseError(f"malformed {what}: {line!r}") from exc
+    return a, b
 
 
 def parse_family(text: str) -> ExplicitFamily:
@@ -137,16 +140,12 @@ def parse_family(text: str) -> ExplicitFamily:
         tag, _, rest = ln.partition(" ")
         if tag == "h":
             flush()
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ParseError(f"malformed pattern header: {ln!r}")
-            n, expected = int(parts[0]), int(parts[1])
+            n, expected = _int_pair(ln, rest, "pattern header")
             edges = []
         elif tag == "e":
             if n is None:
                 raise ParseError("edge line before any pattern header")
-            u, v = (int(t) for t in rest.split())
-            edges.append((u, v))
+            edges.append(_int_pair(ln, rest, "edge line"))
         else:
             raise ParseError(f"unknown line tag {tag!r}")
     flush()

@@ -3,12 +3,12 @@ characterizations, and black-box oracles over streamed subgraphs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable
 
 from .errors import BadParams, PreconditionViolated, TooLarge
-from .graph import Graph, VertexCover
+from .graph import Graph
 from .meters import MemoryMeter
 from .streams import EDGE, PASS_END, StreamHandle
 
@@ -145,20 +145,19 @@ class AdjacencyCharacterization:
     p: Callable[[int], int]
     connected_only: bool = False
     p_label: str = ""
-    _seen: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c_pi < 0:
             raise BadParams("c_pi must be non-negative")
 
     def p_of(self, K: int) -> int:
+        """p(K), after checking that p(1..K) is non-decreasing and p(K) >= 1."""
         value = int(self.p(K))
+        values = [int(self.p(k)) for k in range(1, K)] + [value]
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise BadParams(f"p must be non-decreasing on 1..{K}")
         if value < 1:
             raise BadParams(f"p({K}) = {value} must be >= 1")
-        for seen_k, seen_v in self._seen.items():
-            if (K - seen_k) * (value - seen_v) < 0:
-                raise BadParams("p must be non-decreasing on the tested range")
-        self._seen[K] = value
         return value
 
 
@@ -251,11 +250,3 @@ class StreamOracle:
 
 def family_oracle(f: ExplicitFamily, kind: str) -> StreamOracle:
     return StreamOracle(kind, f)
-
-
-def pattern(g: Graph, name: str = "") -> PatternGraph:
-    return PatternGraph(g, name)
-
-
-def cover_of(g: Graph, members: Iterable[int]) -> VertexCover:
-    return VertexCover.validated(g, members)

@@ -17,7 +17,7 @@ from .errors import NotALModel
 from .graph import VertexCover, require_cover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome
-from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle
+from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle, induced_edges
 
 
 def _pair_scan(events, y1: int, y2: int, y_rest: frozenset[int]):
@@ -96,7 +96,7 @@ def _run_branch(h, meter, cover_set, y_set, s_branch, ell, cache_cover):
     cached_words = 0
     try:
         if cache_cover:
-            edge_bits = _collect_cover_edges(h, y_set)
+            edge_bits = induced_edges(h, y_set)
             cached_words = len(edge_bits)
             meter.allocate(cached_words)
             if _p3_within(y_set, edge_bits):
@@ -193,19 +193,6 @@ def _phase2_pass(events, y, cover_set, deletions, ell):
                 else:
                     kept_one = True
             tracked = False
-
-
-def _collect_cover_edges(h, y_set):
-    """Cache the edges inside Y with one pass (the --cache-cover profile)."""
-    edges = set()
-
-    def consume(events):
-        for ev in events:
-            if ev.kind == EDGE and ev.u in y_set and ev.v in y_set:
-                edges.add((ev.u, ev.v))
-
-    h.run_pass(consume)
-    return frozenset(edges)
 
 
 def _p3_within(y_set, edge_bits):

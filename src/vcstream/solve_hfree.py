@@ -1,5 +1,5 @@
-"""Find-and-branch deletion solvers for a single forbidden induced pattern,
-in-memory and streaming, plus the explicit-family generalization.
+"""Find-and-branch deletion solver for an explicit forbidden family, on a
+stream or in memory; a single pattern is the family of one.
 
 A branch fixes the deleted part of the cover; occurrences of the pattern are
 then searched with an escalating number i of vertices outside the cover.
@@ -24,7 +24,7 @@ from .enumeration import (
     subset_next,
 )
 from .errors import BadI, NotALModel, PreconditionViolated
-from .graph import Graph, VertexCover, require_cover
+from .graph import Graph, VertexCover, canonical_edge, require_cover
 from .meters import MemoryMeter, MeteredSet
 from .properties import (
     AdjacencyCharacterization,
@@ -34,7 +34,7 @@ from .properties import (
     vertex_minimal_members,
 )
 from .results import SolveOutcome
-from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle
+from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle, induced_edges
 
 
 def _independent_role_sets(H: PatternGraph, i: int) -> list[tuple[int, ...]]:
@@ -76,39 +76,20 @@ def check_h_in_y(source: StreamHandle | Graph, H: PatternGraph, Y) -> bool:
     h = H.h
     if h > len(y_sorted):
         return False
-    in_memory = isinstance(source, Graph)
+    pairs = _placement_pairs(H, tuple(range(h)))
     subset_cursor = subset_first(y_sorted, h, EXACTLY)
     while not subset_cursor.at_end:
         chosen = subset_cursor.current
         perm_cursor = permutation_first(chosen)
         while not perm_cursor.at_end:
             placement = perm_cursor.current
-            pairs = _placement_pairs(H, tuple(range(h)))
-            if in_memory:
-                if all(source.has_edge(placement[a], placement[b]) == want
-                       for (a, b), want in pairs):
-                    return True
-            else:
-                if source.run_pass(
-                    lambda evs: _placement_pass(evs, placement, pairs)
-                ):
-                    return True
+            observed = induced_edges(source, placement)
+            if all((canonical_edge(placement[a], placement[b]) in observed) == want
+                   for (a, b), want in pairs):
+                return True
             perm_cursor = permutation_next(perm_cursor)
         subset_cursor = subset_next(subset_cursor)
     return False
-
-
-def _placement_pass(events, placement, pairs) -> bool:
-    placed_set = frozenset(placement)
-    observed = set()
-    for ev in events:
-        if ev.kind == EDGE and ev.u in placed_set and ev.v in placed_set:
-            observed.add((ev.u, ev.v))
-    for (a, b), want in pairs:
-        u, v = placement[a], placement[b]
-        if (((min(u, v), max(u, v)) in observed)) != want:
-            return False
-    return True
 
 
 def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
@@ -230,100 +211,37 @@ def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assig
         mapping[role] = placement[idx]
     for v, role_idx in assignment:
         mapping[outside_roles[role_idx]] = v
-    vertices = frozenset(mapping.values())
+    observed = induced_edges(source, mapping.values())
     g = H.graph
-    if isinstance(source, Graph):
-        return all(
-            source.has_edge(mapping[a], mapping[b]) == g.has_edge(a, b)
-            for a, b in combinations(range(g.n), 2)
-        )
-
-    def verify(events):
-        observed = set()
-        for ev in events:
-            if ev.kind == EDGE and ev.u in vertices and ev.v in vertices:
-                observed.add((ev.u, ev.v))
-        for a, b in combinations(range(g.n), 2):
-            u, v = mapping[a], mapping[b]
-            if ((min(u, v), max(u, v)) in observed) != g.has_edge(a, b):
-                return False
-        return True
-
-    return source.run_pass(verify)
+    return all(
+        (canonical_edge(mapping[a], mapping[b]) in observed) == g.has_edge(a, b)
+        for a, b in combinations(range(g.n), 2)
+    )
 
 
-def _branch(source, X, Y, H, deletions, ell, strict, meter) -> bool:
-    """Escalate i from 1 to h; on a found occurrence branch over deleting each
-    of its outside vertices, recomputing the occurrence on return."""
-    h = H.h
-    i = 1
-    while i <= h:
-        witness = find_h(source, X, deletions.snapshot(), Y, i, H, strict, meter)
-        if not witness:
-            i += 1
-            continue
-        if len(deletions) >= ell:
-            return False
-        for idx in range(len(witness)):
-            if idx > 0:
-                witness = find_h(source, X, deletions.snapshot(), Y, i, H, strict, meter)
-            v = witness[idx]
-            deletions.add(v)
-            if _branch(source, X, Y, H, deletions, ell, strict, meter):
-                return True
-            deletions.discard(v)
-        return False
-    return True
-
-
-def _solve_hfree(source, X: VertexCover, ell: int, H: PatternGraph,
-                 meter: MemoryMeter, strict: bool, passes_of) -> SolveOutcome:
+def _require_edge(H: PatternGraph) -> None:
     if H.graph.m < 1:
         raise PreconditionViolated("pattern must contain at least one edge")
-    require_cover(source if isinstance(source, Graph) else source.source, X)
-    passes_before = passes_of()
-    cover_set = X.member_set()
-    K = X.K
-
-    with meter.scope(K), meter.scope(H.h * H.h + H.h), meter.scope(K), meter.scope(K):
-        s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not s_cursor.at_end:
-            s_branch = frozenset(s_cursor.current)
-            y_set = cover_set - s_branch
-            if not check_h_in_y(source, H, y_set):
-                deletions = MeteredSet(meter, s_branch)
-                try:
-                    if _branch(source, X, y_set, H, deletions, ell, strict, meter):
-                        return SolveOutcome(
-                            True,
-                            tuple(sorted(deletions)),
-                            passes_of() - passes_before,
-                            meter.peak_words,
-                        )
-                finally:
-                    deletions.close()
-            s_cursor = subset_next(s_cursor)
-
-    return SolveOutcome(False, (), passes_of() - passes_before, meter.peak_words)
 
 
 def solve_hfree_fpt(g: Graph, X: VertexCover, ell: int, H: PatternGraph,
                     meter: MemoryMeter | None = None,
                     strict_induced: bool = True) -> SolveOutcome:
     """In-memory find-and-branch; the reference for the streaming variant."""
-    meter = meter if meter is not None else MemoryMeter()
-    return _solve_hfree(g, X, ell, H, meter, strict_induced, lambda: 0)
+    _require_edge(H)
+    return solve_pifree_explicit(g, X, ell, ExplicitFamily((H,)), None, meter,
+                                 strict_induced)
 
 
 def solve_hfree_stream(h: StreamHandle, X: VertexCover, ell: int, H: PatternGraph,
                        meter: MemoryMeter | None = None,
                        strict_induced: bool = True) -> SolveOutcome:
+    """The one-member case of `solve_pifree_explicit`."""
     if h.model != AL:
         raise NotALModel("solve_hfree_stream requires an AL stream")
-    meter = meter if meter is not None else MemoryMeter()
-    return _solve_hfree(
-        h, X, ell, H, meter, strict_induced, lambda: h.pass_meter.passes
-    )
+    _require_edge(H)
+    return solve_pifree_explicit(h, X, ell, ExplicitFamily((H,)), None, meter,
+                                 strict_induced)
 
 
 def _branch_family(source, X, Y, members, deletions, ell, strict, meter) -> bool:

@@ -15,7 +15,7 @@ from .errors import NotALModel
 from .graph import VertexCover, require_cover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome
-from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle
+from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle, induced_edges
 
 
 def _colour_pass(events, y_set, y1_set, s_dead, deletions, ell, check_cover):
@@ -105,14 +105,7 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
 def _cached_components(h, meter, y_set):
     """One pass caching G[Y]'s edges, then in-memory components and a base
     2-colouring; returns None when G[Y] is odd (branch rejected)."""
-    edges = set()
-
-    def consume(events):
-        for ev in events:
-            if ev.kind == EDGE and ev.u in y_set and ev.v in y_set:
-                edges.add((ev.u, ev.v))
-
-    h.run_pass(consume)
+    edges = induced_edges(h, y_set)
     meter.allocate(len(edges))
     try:
         adj = {v: set() for v in y_set}

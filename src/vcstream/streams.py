@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BadParams, BadPermutation
-from .graph import Graph, canonical_edge
+from .graph import Edge, Graph, canonical_edge
 from .meters import PassMeter
 
 EA = "EA"
@@ -133,10 +133,24 @@ def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> Str
     return StreamHandle(g, model, order, PassMeter(), _build_events(g, model, order))
 
 
-def run_pass(h: StreamHandle, consumer: Callable[[Iterator[StreamEvent]], object]):
-    return h.run_pass(consumer)
-
-
 def filtered_substream(h: StreamHandle, keep: Callable[[int], bool]) -> StreamHandle:
     """Induced-subgraph view of `h` on {v : keep(v)}; passes charge h's meter."""
     return _FilteredHandle(h, keep)
+
+
+def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int]) -> frozenset[Edge]:
+    """Canonical edge set of G[vertices]: one pass on a handle, none on a Graph."""
+    keep = frozenset(vertices)
+    if isinstance(source, Graph):
+        return frozenset(
+            canonical_edge(u, w) for u in keep for w in source.neighbors(u) & keep
+        )
+    edges = set()
+
+    def consume(events):
+        for ev in events:
+            if ev.kind == EDGE and ev.u in keep and ev.v in keep:
+                edges.add((ev.u, ev.v))
+
+    source.run_pass(consume)
+    return frozenset(edges)

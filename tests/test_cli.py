@@ -1,5 +1,6 @@
 import pytest
 
+from vcstream import cli
 from vcstream.cli import main
 from vcstream.graph import VertexCover, path_graph
 from vcstream.instances import format_family, load_instance, write_instance
@@ -125,14 +126,6 @@ def test_kernelize_lowrank(tmp_path, capsys):
     assert "passes=3" in text
 
 
-def test_bench_table(tmp_path, capsys):
-    write_p3(tmp_path, ell=1)
-    code = main(["bench", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "instance" in out and "cvd" in out and "kernel-p3" in out
-
-
 def test_budget_env_enforced(tmp_path, capsys, monkeypatch):
     inst = write_p3(tmp_path, ell=1)
     monkeypatch.setenv("VCSTREAM_WORD_BUDGET", "1")
@@ -140,3 +133,36 @@ def test_budget_env_enforced(tmp_path, capsys, monkeypatch):
     assert code == 3
     monkeypatch.setenv("VCSTREAM_WORD_BUDGET", "1000")
     assert main(["solve", inst, "--problem", "cvd"]) == 0
+
+
+def test_bad_budget_env_is_usage_error(tmp_path, capsys, monkeypatch):
+    inst = write_p3(tmp_path, ell=1)
+    monkeypatch.setenv("VCSTREAM_WORD_BUDGET", "abc")
+    assert main(["solve", inst, "--problem", "cvd"]) == 2
+    assert "VCSTREAM_WORD_BUDGET" in capsys.readouterr().err
+
+
+def test_non_integer_pattern_token_exit_3(tmp_path, capsys):
+    inst = write_p3(tmp_path, ell=1)
+    fam = tmp_path / "bad.fam"
+    fam.write_text("h 3 2\ne 0 1\ne 1 x\n")
+    assert main(["solve", inst, "--problem", "hfree", "--pattern", str(fam)]) == 3
+    assert "malformed edge line" in capsys.readouterr().err
+
+
+def test_negative_ell_is_usage_error(tmp_path, capsys):
+    inst = write_p3(tmp_path, ell=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", inst, "--problem", "cvd", "--ell", "-1"])
+    assert exc.value.code == 2
+
+
+def test_unexpected_exception_exit_3(tmp_path, capsys, monkeypatch):
+    inst = write_p3(tmp_path, ell=1)
+
+    def broken_solver(*args, **kwargs):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(cli, "solve_cvd", broken_solver)
+    assert main(["solve", inst, "--problem", "cvd"]) == 3
+    assert "RuntimeError" in capsys.readouterr().err

@@ -137,6 +137,8 @@ def test_characterization_validation():
     zero = AdjacencyCharacterization(1, lambda k: 0)
     with pytest.raises(BadParams):
         zero.p_of(2)
+    with pytest.raises(BadParams):
+        AdjacencyCharacterization(1, lambda k: 5 - k).p_of(3)  # no call history
 
 
 def test_parse_pfun():

@@ -17,7 +17,6 @@ from vcstream.streams import (
     VERTEX_END,
     filtered_substream,
     make_stream,
-    run_pass,
 )
 
 
@@ -61,10 +60,10 @@ def test_bad_permutation():
 
 def test_run_pass_returns_consumer_result_and_counts():
     h = make_stream(path_graph(3), AL)
-    total = run_pass(h, lambda evs: sum(1 for e in evs if e.kind == EDGE))
+    total = h.run_pass(lambda evs: sum(1 for e in evs if e.kind == EDGE))
     assert total == 4  # each edge twice in AL
     assert h.pass_meter.passes == 1
-    run_pass(h, lambda evs: None)
+    h.run_pass(lambda evs: None)
     assert h.pass_meter.passes == 2
 
 
@@ -76,7 +75,7 @@ def test_run_pass_counts_even_on_consumer_error():
         raise ValueError("consumer blew up")
 
     with pytest.raises(ValueError):
-        run_pass(h, bad)
+        h.run_pass(bad)
     assert h.pass_meter.passes == 1
 
 
@@ -86,7 +85,7 @@ def test_edgeless_graph_al():
     assert kinds.count(VERTEX_BEGIN) == 5
     assert kinds.count(VERTEX_END) == 5
     assert kinds.count(EDGE) == 0
-    run_pass(h, lambda evs: list(evs))
+    h.run_pass(lambda evs: list(evs))
     assert h.pass_meter.passes == 1
 
 
@@ -162,10 +161,10 @@ def test_filtered_identity_and_example():
 def test_filtered_charges_parent_meter():
     h = make_stream(path_graph(4), AL)
     sub = filtered_substream(h, {0, 1}.__contains__)
-    run_pass(sub, lambda evs: list(evs))
+    sub.run_pass(lambda evs: list(evs))
     assert h.pass_meter.passes == 1
     nested = filtered_substream(sub, {0}.__contains__)
-    run_pass(nested, lambda evs: list(evs))
+    nested.run_pass(lambda evs: list(evs))
     assert h.pass_meter.passes == 2
 
 
