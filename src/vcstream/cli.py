@@ -54,14 +54,24 @@ def _instance_hash(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "positive")
+
+# the --wrap values each kernel algorithm accepts
+KERNEL_WRAPS = {"reduce": ("pifree", "largest", "partition"), "lowrank": ("rankc",)}
 
 
 def _fresh_meter() -> MemoryMeter:
@@ -134,6 +144,8 @@ def _char_from_args(args) -> AdjacencyCharacterization:
 
 
 def _cmd_kernelize(args) -> int:
+    if args.wrap is not None and args.wrap not in KERNEL_WRAPS[args.alg]:
+        raise UsageError(f"--wrap {args.wrap} does not apply to --alg {args.alg}")
     inst, handle = _load(args)
     _require_al(args)
     meter = _fresh_meter()
@@ -335,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern = sub.add_parser("kernelize", help="stream a kernel out of an instance")
     p_kern.add_argument("instance")
     p_kern.add_argument("--alg", choices=["reduce", "lowrank"], default="reduce")
-    p_kern.add_argument("--wrap", choices=["pifree", "largest", "partition", "rankc"])
-    p_kern.add_argument("--r", type=int)
-    p_kern.add_argument("--c", type=int)
-    p_kern.add_argument("--q", type=int, default=1)
-    p_kern.add_argument("--k", type=int)
-    p_kern.add_argument("--p", type=int)
-    p_kern.add_argument("--ell", type=int, default=0)
+    p_kern.add_argument("--wrap", choices=[w for ws in KERNEL_WRAPS.values() for w in ws])
+    p_kern.add_argument("--r", type=_non_negative_int)
+    p_kern.add_argument("--c", type=_non_negative_int)
+    p_kern.add_argument("--q", type=_positive_int, default=1)
+    p_kern.add_argument("--k", type=_non_negative_int)
+    p_kern.add_argument("--p", type=_non_negative_int)
+    p_kern.add_argument("--ell", type=_non_negative_int, default=0)
     p_kern.add_argument("--cpi", type=int)
     p_kern.add_argument("--pfun")
     p_kern.add_argument("--model", choices=["al", "ea", "va"], default="al")

@@ -12,31 +12,22 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParams, InvalidCover, NotALModel
-from .graph import Graph, VertexCover
+from .graph import Graph, VertexCover, canonical_edge
 from .meters import MemoryMeter, MeteredSet, words_for_bits
 from .properties import AdjacencyCharacterization
 from .results import KernelOutput
-from .streams import (
-    AL,
-    EDGE,
-    PASS_END_EVENT,
-    VERTEX_BEGIN,
-    VERTEX_END,
-    StreamHandle,
-    edge_event,
-)
+from .streams import AL, PASS_END_EVENT, StreamHandle, cover_bits, edge_event
 
 
 @dataclass
 class PartitionEntry:
-    """One (Y+, Y-) split of a small cover subset, with its two counters:
-    x_count = vertices marked so far (capped at r), y_count = adjacency
-    progress of the current outside vertex (-1 once disqualified)."""
+    """One (Y+, Y-) split of a small cover subset, with x_count = vertices
+    marked so far (capped at r).  An outside vertex matches the entry when
+    it sees all of Y+ and none of Y-."""
 
     y_plus: frozenset[int]
     y_minus: frozenset[int]
     x_count: int = 0
-    y_count: int = 0
 
 
 def build_mark_table(cover: VertexCover, c: int) -> list[PartitionEntry]:
@@ -61,7 +52,8 @@ def mark_table_size(K: int, c: int) -> int:
 
 
 def _entry_words(K: int) -> int:
-    # Y+ and Y- as K-bit masks, plus the two counters.
+    # Y+ and Y- as K-bit masks, plus x_count and the per-vertex match counter
+    # of the one-pass rule (the mask test below stands in for the latter).
     return 2 * max(1, words_for_bits(K)) + 2
 
 
@@ -78,65 +70,38 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 
-    cover_set = X.member_set()
+    bits = cover_bits(X.members)
     table = build_mark_table(X, c)
+    entry_masks = [
+        (sum(bits[y] for y in e.y_plus), sum(bits[y] for y in e.y_plus | e.y_minus))
+        for e in table
+    ]
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
     with meter.scope(X.K), meter.scope(len(table) * _entry_words(X.K)):
         seen_cover = MeteredSet(meter)
-        buffered = 0
 
-        def pass_fn(events):
-            nonlocal buffered
-            cur = None
-            cur_in_cover = False
-            block_edges: list[tuple[int, int]] = []
-            for ev in events:
-                kind = ev.kind
-                if kind == EDGE:
-                    other = ev.v if ev.u == cur else ev.u
-                    if cur_in_cover:
-                        if other in seen_cover:
-                            out_edges.append((ev.u, ev.v))
-                    else:
-                        for entry in table:
-                            if entry.x_count < r and entry.y_count >= 0:
-                                if other in entry.y_plus:
-                                    entry.y_count += 1
-                                elif other in entry.y_minus:
-                                    entry.y_count = -1
-                        block_edges.append((ev.u, ev.v))
-                        meter.allocate(1)
-                        buffered += 1
-                elif kind == VERTEX_BEGIN:
-                    cur = ev.u
-                    cur_in_cover = cur in cover_set
-                    if not cur_in_cover:
-                        for entry in table:
-                            entry.y_count = 0
-                        block_edges = []
-                elif kind == VERTEX_END:
-                    if cur_in_cover:
-                        seen_cover.add(cur)
-                    else:
-                        hit = False
-                        for entry in table:
-                            if entry.x_count < r and entry.y_count == len(entry.y_plus):
-                                entry.x_count += 1
-                                hit = True
-                        if hit:
-                            marked.append(cur)
-                            out_edges.extend(block_edges)
-                        meter.release(buffered)
-                        buffered = 0
-                        block_edges = []
-                    cur = None
+        def pass_fn(view):
+            for v, bit, m, nbrs in view:
+                if bit:
+                    out_edges.extend(canonical_edge(v, w) for w in nbrs if w in seen_cover)
+                    seen_cover.add(v)
+                    continue
+                meter.allocate(len(nbrs))  # the block's buffered edges
+                hit = False
+                for entry, (plus, split) in zip(table, entry_masks):
+                    if entry.x_count < r and m & split == plus:
+                        entry.x_count += 1
+                        hit = True
+                if hit:
+                    marked.append(v)
+                    out_edges.extend(canonical_edge(v, w) for w in nbrs)
+                meter.release(len(nbrs))
 
         try:
-            h.run_pass(pass_fn)
+            h.run_cover_pass(X.members, pass_fn)
         finally:
-            meter.release(buffered)
             seen_cover.close()
 
     kept = tuple(sorted(set(X.members) | set(marked)))

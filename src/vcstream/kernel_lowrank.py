@@ -23,7 +23,7 @@ from .errors import (
 from .graph import Graph, VertexCover
 from .meters import MemoryMeter, words_for_bits
 from .results import KernelOutput
-from .streams import AL, EDGE, PASS_END, VERTEX_BEGIN, VERTEX_END, StreamHandle
+from .streams import AL, EDGE, StreamHandle, cover_bits, filtered_substream
 
 
 def incidence_pair_index(X: VertexCover, c: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -58,6 +58,16 @@ def incidence_vector(neighbors_in_X: Iterable[int], X: VertexCover, c: int,
         if nbrs.isdisjoint(q_part) and nbrs.issuperset(r_part):
             bits |= 1 << i
     return IncidenceVector(bits, len(pairs))
+
+
+def _mask_vector(mask: int, pair_masks) -> IncidenceVector:
+    """`incidence_vector` of a vertex whose cover neighbours are `mask`, with
+    each (Q, R) pair given as two masks over the same cover bits."""
+    bits = 0
+    for i, (q_mask, r_mask) in enumerate(pair_masks):
+        if not mask & q_mask and mask & r_mask == r_mask:
+            bits |= 1 << i
+    return IncidenceVector(bits, len(pair_masks))
 
 
 @dataclass
@@ -121,6 +131,8 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
     index = incidence_pair_index(X, c)
     dim = len(index)
     vec_words = max(1, words_for_bits(dim))
+    bit_of = cover_bits(X.members)
+    pair_masks = [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
     kept_outside: list[int] = []
 
     with meter.scope(X.K):
@@ -131,68 +143,34 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                 basis_box = [F2Basis(dim)]
                 skip = cover_set | set(kept_outside)
 
-                def scan(events, basis_box=basis_box, skip=skip):
+                def scan(view, basis_box=basis_box, skip=skip):
                     nonlocal charged_a, charged_basis
-                    cur = None
-                    tracked = False
-                    nbrs: list[int] = []
-                    buffered = 0
-                    for ev in events:
-                        kind = ev.kind
-                        if kind == EDGE:
-                            if tracked:
-                                nbrs.append(ev.v if ev.u == cur else ev.u)
-                                meter.allocate(1)
-                                buffered += 1
-                        elif kind == VERTEX_BEGIN:
-                            cur = ev.u
-                            tracked = cur not in skip
-                            nbrs = []
-                        elif kind == VERTEX_END:
-                            if tracked:
-                                with meter.scope(vec_words):
-                                    vec = incidence_vector(nbrs, X, c, index)
-                                    new_basis, independent = basis_insert(
-                                        basis_box[0], vec, cur
-                                    )
-                                if independent:
-                                    meter.release(charged_basis)
-                                    basis_box[0] = new_basis
-                                    charged_basis = _basis_words(new_basis)
-                                    meter.allocate(charged_basis)
-                                    kept_outside.append(cur)
-                                    meter.allocate(1)
-                                    charged_a += 1
-                                meter.release(buffered)
-                                buffered = 0
-                            cur = None
-                            tracked = False
+                    for v, _, m, nbrs in view:
+                        if v in skip:
+                            continue
+                        meter.allocate(len(nbrs))  # the block's buffered neighbours
+                        with meter.scope(vec_words):
+                            vec = _mask_vector(m, pair_masks)
+                            new_basis, independent = basis_insert(basis_box[0], vec, v)
+                        if independent:
+                            meter.release(charged_basis)
+                            basis_box[0] = new_basis
+                            charged_basis = _basis_words(new_basis)
+                            meter.allocate(charged_basis)
+                            kept_outside.append(v)
+                            meter.allocate(1)
+                            charged_a += 1
+                        meter.release(len(nbrs))
 
-                h.run_pass(scan)
+                h.run_cover_pass(X.members, scan)
                 meter.release(charged_basis)
                 charged_basis = 0
 
             kept = cover_set | set(kept_outside)
-            out_events = []
-            out_edges: list[tuple[int, int]] = []
-            seen_edges: set[tuple[int, int]] = set()
-
-            def emit(events):
-                for ev in events:
-                    kind = ev.kind
-                    if kind == EDGE:
-                        if ev.u in kept and ev.v in kept:
-                            out_events.append(ev)
-                            key = (ev.u, ev.v)
-                            if key not in seen_edges:
-                                seen_edges.add(key)
-                                out_edges.append(key)
-                    elif kind == PASS_END:
-                        out_events.append(ev)
-                    elif ev.u in kept:
-                        out_events.append(ev)
-
-            h.run_pass(emit)
+            out_events = filtered_substream(h, kept.__contains__).run_pass(list)
+            out_edges = list(
+                dict.fromkeys((ev.u, ev.v) for ev in out_events if ev.kind == EDGE)
+            )
         finally:
             meter.release(charged_a + charged_basis)
 

@@ -2,7 +2,9 @@
 
 Memory is counted in words: one word per vertex id, edge pair, or counter,
 and ceil(bits/64) words for a bit vector.  Only algorithm working state is
-charged; the instance, the stream machinery, and output sinks are free.
+charged; the instance, the stream machinery, and output sinks are free.  The
+cover view a stream handle caches (`StreamHandle.cover_view`) is stream
+machinery: a consumer pays for what it keeps of a block, not for the view.
 """
 
 from __future__ import annotations

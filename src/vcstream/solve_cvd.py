@@ -17,42 +17,22 @@ from .errors import NotALModel
 from .graph import VertexCover, require_cover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome
-from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle, induced_edges
+from .streams import AL, StreamHandle, cover_bits, induced_edges
 
 
-def _pair_scan(events, y1: int, y2: int, y_rest: frozenset[int]):
-    """One pass: does some v in y_rest form a P3 with the pair, and is the
-    pair itself an edge?"""
-    pair_edge = False
-    both_exists = False
-    one_exists = False
-    cur = None
-    tracked = False
-    a1 = a2 = False
-    for ev in events:
-        kind = ev.kind
-        if kind == EDGE:
-            u, v = ev.u, ev.v
-            if (u == y1 and v == y2) or (u == y2 and v == y1):
-                pair_edge = True
-            elif tracked:
-                other = v if u == cur else u
-                if other == y1:
-                    a1 = True
-                elif other == y2:
-                    a2 = True
-        elif kind == VERTEX_BEGIN:
-            cur = ev.u
-            tracked = cur in y_rest
-            a1 = a2 = False
-        elif kind == VERTEX_END:
-            if tracked:
-                if a1 and a2:
-                    both_exists = True
-                elif a1 or a2:
-                    one_exists = True
-            tracked = False
-    p3_in_y = (pair_edge and one_exists) or (not pair_edge and both_exists)
+def _pair_scan(view, b1: int, b2: int, rest: int):
+    """One pass: does some cover vertex in `rest` form a P3 with the pair
+    (bits b1, b2), and is the pair itself an edge?"""
+    pair_edge = both_exists = one_exists = False
+    for _, bit, m, _ in view:
+        if bit == b1:
+            pair_edge = bool(m & b2)
+        elif bit & rest:
+            if m & b1 and m & b2:
+                both_exists = True
+            elif m & b1 or m & b2:
+                one_exists = True
+    p3_in_y = one_exists if pair_edge else both_exists
     return p3_in_y, pair_edge
 
 
@@ -73,7 +53,7 @@ def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
         while not cursor.at_end:
             s_branch = frozenset(cursor.current)
             y_set = cover_set - s_branch
-            solution = _run_branch(h, meter, cover_set, y_set, s_branch, ell, cache_cover)
+            solution = _run_branch(h, meter, X.members, y_set, s_branch, ell, cache_cover)
             if solution is not None:
                 return SolveOutcome(
                     feasible=True,
@@ -91,7 +71,9 @@ def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
     )
 
 
-def _run_branch(h, meter, cover_set, y_set, s_branch, ell, cache_cover):
+def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
+    bits = cover_bits(members)
+    y_mask = sum(bits[y] for y in y_set)
     deletions = MeteredSet(meter, s_branch)
     cached_words = 0
     try:
@@ -112,19 +94,19 @@ def _run_branch(h, meter, cover_set, y_set, s_branch, ell, cache_cover):
         with meter.scope(2):
             while not pair_cursor.at_end:
                 y1, y2 = pair_cursor.current
+                b1, b2 = bits[y1], bits[y2]
                 if pair_results is None:
-                    p3_in_y, pair_edge = h.run_pass(
-                        lambda evs: _pair_scan(evs, y1, y2, y_set - {y1, y2})
+                    p3_in_y, pair_edge = h.run_cover_pass(
+                        members, lambda view: _pair_scan(view, b1, b2, y_mask & ~(b1 | b2))
                     )
                     if p3_in_y:
                         return None
                 else:
                     pair_edge = (y1, y2) in pair_results
 
-                h.run_pass(
-                    lambda evs: _phase1_pass(
-                        evs, y1, y2, pair_edge, cover_set, deletions, ell
-                    )
+                h.run_cover_pass(
+                    members,
+                    lambda view: _phase1_pass(view, b1, b2, pair_edge, deletions, ell),
                 )
                 if len(deletions) > ell:
                     return None
@@ -132,7 +114,9 @@ def _run_branch(h, meter, cover_set, y_set, s_branch, ell, cache_cover):
 
         # Phase 2: per y, keep the first outside neighbour, delete the rest.
         for y in y_sorted:
-            h.run_pass(lambda evs: _phase2_pass(evs, y, cover_set, deletions, ell))
+            h.run_cover_pass(
+                members, lambda view: _phase2_pass(view, bits[y], deletions, ell)
+            )
             if len(deletions) > ell:
                 return None
 
@@ -144,55 +128,25 @@ def _run_branch(h, meter, cover_set, y_set, s_branch, ell, cache_cover):
         deletions.close()
 
 
-def _phase1_pass(events, y1, y2, pair_edge, cover_set, deletions, ell):
-    cur = None
-    tracked = False
-    a1 = a2 = False
-    for ev in events:
-        kind = ev.kind
-        if kind == EDGE:
-            if tracked:
-                other = ev.v if ev.u == cur else ev.u
-                if other == y1:
-                    a1 = True
-                elif other == y2:
-                    a2 = True
-        elif kind == VERTEX_BEGIN:
-            cur = ev.u
-            tracked = cur not in cover_set and cur not in deletions
-            a1 = a2 = False
-        elif kind == VERTEX_END:
-            if tracked:
-                forced = (a1 != a2) if pair_edge else (a1 and a2)
-                if forced and len(deletions) <= ell:
-                    deletions.add(cur)
-            tracked = False
+def _phase1_pass(view, b1, b2, pair_edge, deletions, ell):
+    pair = b1 | b2
+    for v, bit, m, _ in view:
+        if not bit and v not in deletions:
+            seen = m & pair
+            forced = seen in (b1, b2) if pair_edge else seen == pair
+            if forced and len(deletions) <= ell:
+                deletions.add(v)
 
 
-def _phase2_pass(events, y, cover_set, deletions, ell):
-    cur = None
-    tracked = False
-    hit = False
+def _phase2_pass(view, by, deletions, ell):
     kept_one = False
-    for ev in events:
-        kind = ev.kind
-        if kind == EDGE:
-            if tracked:
-                other = ev.v if ev.u == cur else ev.u
-                if other == y:
-                    hit = True
-        elif kind == VERTEX_BEGIN:
-            cur = ev.u
-            tracked = cur not in cover_set and cur not in deletions
-            hit = False
-        elif kind == VERTEX_END:
-            if tracked and hit:
-                if kept_one:
-                    if len(deletions) <= ell:
-                        deletions.add(cur)
-                else:
-                    kept_one = True
-            tracked = False
+    for v, bit, m, _ in view:
+        if not bit and m & by and v not in deletions:
+            if kept_one:
+                if len(deletions) <= ell:
+                    deletions.add(v)
+            else:
+                kept_one = True
 
 
 def _p3_within(y_set, edge_bits):

@@ -34,7 +34,7 @@ from .properties import (
     vertex_minimal_members,
 )
 from .results import SolveOutcome
-from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle, induced_edges
+from .streams import AL, StreamHandle, cover_bits, induced_edges
 
 
 def _independent_role_sets(H: PatternGraph, i: int) -> list[tuple[int, ...]]:
@@ -103,6 +103,7 @@ def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
     s_set = frozenset(S)
     y_sorted = tuple(sorted(Y))
     cover_set = X.member_set()
+    bits = cover_bits(X.members)
     in_memory = isinstance(source, Graph)
     inside_count = h - i
     meter = meter if meter is not None else MemoryMeter()
@@ -125,10 +126,9 @@ def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
                             source, cover_set, s_set, placement, pairs, reqs
                         )
                     else:
-                        assignment = source.run_pass(
-                            lambda evs: _find_pass(
-                                evs, cover_set, s_set, placement, pairs, reqs
-                            )
+                        assignment = source.run_cover_pass(
+                            X.members,
+                            lambda view: _find_pass(view, bits, s_set, placement, pairs, reqs),
                         )
                     if assignment:
                         if not strict_induced or _witness_is_induced(
@@ -160,44 +160,29 @@ def _find_in_memory(g: Graph, cover_set, s_set, placement, pairs, reqs):
     return ()
 
 
-def _find_pass(events, cover_set, s_set, placement, pairs, reqs):
+def _find_pass(view, bits, s_set, placement, pairs, reqs):
     """Single pass: validate the placement inside the cover and greedily match
     outside vertices to the remaining roles by exact profile."""
-    placed_set = frozenset(placement)
-    observed = set()
+    placed = [bits[v] for v in placement]
+    placed_mask = sum(placed)
+    wanted = [sum(bits[v] for v in req) for req in reqs]
+    placed_nbrs: dict[int, int] = {}  # placed vertex bit -> its cover mask
     unmatched = list(range(len(reqs)))
     assigned: list[tuple[int, int]] = []  # (vertex, outside-role index)
-    cur = None
-    tracked = False
-    profile: set[int] = set()
-    for ev in events:
-        kind = ev.kind
-        if kind == EDGE:
-            u, v = ev.u, ev.v
-            if u in placed_set and v in placed_set:
-                observed.add((u, v))
-            if tracked:
-                other = v if u == cur else u
-                if other in placed_set:
-                    profile.add(other)
-        elif kind == VERTEX_BEGIN:
-            cur = ev.u
-            tracked = cur not in cover_set and cur not in s_set
-            profile = set()
-        elif kind == VERTEX_END:
-            if tracked and unmatched:
-                frozen = frozenset(profile)
-                for pos, role_idx in enumerate(unmatched):
-                    if reqs[role_idx] == frozen:
-                        assigned.append((cur, role_idx))
-                        unmatched.pop(pos)
-                        break
-            tracked = False
+    for v, bit, m, _ in view:
+        if bit & placed_mask:
+            placed_nbrs[bit] = m
+        elif not bit and unmatched and v not in s_set:
+            profile = m & placed_mask
+            for pos, role_idx in enumerate(unmatched):
+                if wanted[role_idx] == profile:
+                    assigned.append((v, role_idx))
+                    unmatched.pop(pos)
+                    break
     if unmatched:
         return ()
     for (a, b), want in pairs:
-        u, v = placement[a], placement[b]
-        if (((min(u, v), max(u, v)) in observed)) != want:
+        if bool(placed_nbrs[placed[a]] & placed[b]) != want:
             return ()
     return tuple(assigned)
 

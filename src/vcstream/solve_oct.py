@@ -15,47 +15,25 @@ from .errors import NotALModel
 from .graph import VertexCover, require_cover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome
-from .streams import AL, EDGE, VERTEX_BEGIN, VERTEX_END, StreamHandle, induced_edges
+from .streams import AL, StreamHandle, cover_bits, induced_edges
 
 
-def _colour_pass(events, y_set, y1_set, s_dead, deletions, ell, check_cover):
-    """One pass: validate the colouring on Y (optional) and force outside
-    deletions; completes the pass regardless of early failure."""
+def _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover):
+    """One pass: validate the colouring y1_mask / y_mask - y1_mask on Y
+    (optional) and force outside deletions; completes the pass regardless of
+    early failure."""
+    y2_mask = y_mask & ~y1_mask
     success = True
-    cur = None
-    kind_of_cur = 0  # 0 skip, 1 cover-kept, 2 outside
-    saw_y1 = saw_y2 = False
-    for ev in events:
-        kind = ev.kind
-        if kind == EDGE:
-            if kind_of_cur:
-                other = ev.v if ev.u == cur else ev.u
-                if other in y_set:
-                    if other in y1_set:
-                        saw_y1 = True
-                    else:
-                        saw_y2 = True
-        elif kind == VERTEX_BEGIN:
-            cur = ev.u
-            if cur in s_dead or cur in deletions:
-                kind_of_cur = 0
-            elif cur in y_set:
-                kind_of_cur = 1 if check_cover else 0
-            else:
-                kind_of_cur = 2
-            saw_y1 = saw_y2 = False
-        elif kind == VERTEX_END:
-            if kind_of_cur == 1:
-                same = saw_y1 if cur in y1_set else saw_y2
-                if same:
+    for v, bit, m, _ in view:
+        if not bit:
+            if m & y1_mask and m & y2_mask:
+                if len(deletions) < ell:
+                    deletions.add(v)
+                else:
                     success = False
-            elif kind_of_cur == 2:
-                if saw_y1 and saw_y2:
-                    if len(deletions) < ell:
-                        deletions.add(cur)
-                    else:
-                        success = False
-            kind_of_cur = 0
+        elif check_cover and bit & y_mask:
+            if m & (y1_mask if bit & y1_mask else y2_mask):
+                success = False
     return success
 
 
@@ -67,23 +45,23 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
     cover_set = X.member_set()
+    bits = cover_bits(X.members)
     K = X.K
 
     with meter.scope(K), meter.scope(K), meter.scope(K), meter.scope(K):
         s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
         while not s_cursor.at_end:
             s_branch = frozenset(s_cursor.current)
-            y_set = cover_set - s_branch
-            y_sorted = tuple(sorted(y_set))
+            y_sorted = tuple(sorted(cover_set - s_branch))
+            y_mask = sum(bits[v] for v in y_sorted)
             colour_cursor = subset_first(y_sorted, len(y_sorted), AT_MOST)
             while not colour_cursor.at_end:
-                y1_set = frozenset(colour_cursor.current)
+                y1_mask = sum(bits[v] for v in colour_cursor.current)
                 deletions = MeteredSet(meter, s_branch)
                 try:
-                    ok = h.run_pass(
-                        lambda evs: _colour_pass(
-                            evs, y_set, y1_set, s_branch, deletions, ell, True
-                        )
+                    ok = h.run_cover_pass(
+                        X.members,
+                        lambda view: _colour_pass(view, y_mask, y1_mask, deletions, ell, True),
                     )
                     if ok and len(deletions) <= ell:
                         return SolveOutcome(
@@ -136,7 +114,7 @@ def _cached_components(h, meter, y_set):
         meter.release(len(edges))
 
 
-def _propagated_components(h, meter, y_set):
+def _propagated_components(h, meter, members, y_set, y_mask):
     """Low-memory variant: one union pass, then colour-propagation passes."""
     parent = {v: v for v in y_set}
 
@@ -146,71 +124,50 @@ def _propagated_components(h, meter, y_set):
             v = parent[v]
         return v
 
-    def union_pass(events):
-        cur = None
-        tracked = False
-        for ev in events:
-            kind = ev.kind
-            if kind == EDGE:
-                if tracked:
-                    other = ev.v if ev.u == cur else ev.u
-                    if other in y_set:
-                        ra, rb = find(cur), find(other)
+    def union_pass(view):
+        for v, bit, _, nbrs in view:
+            if bit & y_mask:
+                for w in nbrs:
+                    if w in y_set:
+                        ra, rb = find(v), find(w)
                         if ra != rb:
                             parent[max(ra, rb)] = min(ra, rb)
-            elif kind == VERTEX_BEGIN:
-                cur = ev.u
-                tracked = cur in y_set
-            elif kind == VERTEX_END:
-                tracked = False
 
     with meter.scope(len(y_set)):
-        h.run_pass(union_pass)
+        h.run_cover_pass(members, union_pass)
         comp = {v: find(v) for v in y_set}
         roots = sorted(set(comp.values()))
 
         colour = {root: 0 for root in roots}
-        conflict = [False]
+        conflict = False
 
-        def propagate(events):
-            progress = [False]
-            cur = None
-            tracked = False
-
-            def relate(a, b):
-                ca, cb = colour.get(a), colour.get(b)
-                if ca is None and cb is not None:
-                    colour[a] = 1 - cb
-                    progress[0] = True
-                elif cb is None and ca is not None:
-                    colour[b] = 1 - ca
-                    progress[0] = True
-                elif ca is not None and ca == cb:
-                    conflict[0] = True
-
-            for ev in events:
-                kind = ev.kind
-                if kind == EDGE:
-                    if tracked:
-                        other = ev.v if ev.u == cur else ev.u
-                        if other in y_set:
-                            relate(cur, other)
-                elif kind == VERTEX_BEGIN:
-                    cur = ev.u
-                    tracked = cur in y_set
-                elif kind == VERTEX_END:
-                    tracked = False
-            return progress[0]
+        def propagate(view):
+            nonlocal conflict
+            progress = False
+            for v, bit, _, nbrs in view:
+                if bit & y_mask:
+                    for w in nbrs:
+                        if w in y_set:
+                            cv, cw = colour.get(v), colour.get(w)
+                            if cv is None and cw is not None:
+                                colour[v] = 1 - cw
+                                progress = True
+                            elif cw is None and cv is not None:
+                                colour[w] = 1 - cv
+                                progress = True
+                            elif cv is not None and cv == cw:
+                                conflict = True
+            return progress
 
         with meter.scope(len(y_set)):
             rounds = 0
             while len(colour) < len(y_set) and rounds <= len(y_set) + 1:
-                if not h.run_pass(propagate):
+                if not h.run_cover_pass(members, propagate):
                     break
                 rounds += 1
             # one verification pass with the final colouring
-            h.run_pass(propagate)
-            if conflict[0]:
+            h.run_cover_pass(members, propagate)
+            if conflict:
                 return None
             return roots, dict(colour), comp
 
@@ -224,6 +181,7 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
     cover_set = X.member_set()
+    bits = cover_bits(X.members)
     K = X.K
 
     with meter.scope(K), meter.scope(K), meter.scope(K):
@@ -231,8 +189,9 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
         while not s_cursor.at_end:
             s_branch = frozenset(s_cursor.current)
             y_set = cover_set - s_branch
+            y_mask = sum(bits[v] for v in y_set)
             found = (
-                _propagated_components(h, meter, y_set)
+                _propagated_components(h, meter, X.members, y_set, y_mask)
                 if low_mem
                 else _cached_components(h, meter, y_set)
             )
@@ -242,16 +201,17 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
                     flip_cursor = subset_first(tuple(roots), len(roots), AT_MOST)
                     while not flip_cursor.at_end:
                         flips = frozenset(flip_cursor.current)
-                        y1_set = frozenset(
-                            v for v in y_set
+                        y1_mask = sum(
+                            bits[v] for v in y_set
                             if colour[v] ^ (1 if comp[v] in flips else 0) == 0
                         )
                         deletions = MeteredSet(meter, s_branch)
                         try:
-                            ok = h.run_pass(
-                                lambda evs: _colour_pass(
-                                    evs, y_set, y1_set, s_branch, deletions, ell, False
-                                )
+                            ok = h.run_cover_pass(
+                                X.members,
+                                lambda view: _colour_pass(
+                                    view, y_mask, y1_mask, deletions, ell, False
+                                ),
                             )
                             if ok and len(deletions) <= ell:
                                 return SolveOutcome(

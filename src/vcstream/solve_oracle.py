@@ -27,11 +27,12 @@ from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
 from .results import SolveOutcome
 from .streams import (
     AL,
-    EDGE,
-    VERTEX_BEGIN,
-    VERTEX_END,
+    PASS_END_EVENT,
     StreamHandle,
+    edge_event,
     filtered_substream,
+    vertex_begin,
+    vertex_end,
 )
 
 
@@ -47,47 +48,21 @@ class EquivalenceClassTable:
         return dict(self.rows)
 
 
-def _block_key(nbrs: set[int], y_index: dict[int, int]) -> int:
-    key = 0
-    for w in nbrs:
-        idx = y_index.get(w)
-        if idx is not None:
-            key |= 1 << idx
-    return key
-
-
 def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
                                 meter: MemoryMeter | None = None) -> EquivalenceClassTable:
     """One pass tallying, for every vertex outside Y and exclude, its
     adjacency bitstring toward Y.  Callers pass the deleted cover part (and
     any deleted outside vertices) via exclude."""
-    if h.model != AL:
-        raise NotALModel("class counting requires an AL stream")
     y_order = tuple(sorted(Y))
-    y_index = {y: i for i, y in enumerate(y_order)}
     skip = frozenset(Y) | frozenset(exclude)
     counts: dict[int, int] = {}
 
-    def tally(events):
-        cur = None
-        tracked = False
-        nbrs: set[int] = set()
-        for ev in events:
-            kind = ev.kind
-            if kind == EDGE:
-                if tracked:
-                    nbrs.add(ev.v if ev.u == cur else ev.u)
-            elif kind == VERTEX_BEGIN:
-                cur = ev.u
-                tracked = cur not in skip
-                nbrs = set()
-            elif kind == VERTEX_END:
-                if tracked:
-                    key = _block_key(nbrs, y_index)
-                    counts[key] = counts.get(key, 0) + 1
-                tracked = False
+    def tally(view):
+        for v, _, key, _ in view:
+            if v not in skip:
+                counts[key] = counts.get(key, 0) + 1
 
-    h.run_pass(tally)
+    h.run_cover_pass(y_order, tally)
     return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
 
 
@@ -95,34 +70,19 @@ def _materialize_from_classes(h: StreamHandle, y_order, picks: dict[int, int],
                               excluded) -> tuple[int, ...]:
     """One pass choosing, per class key, its first `picks[key]` remaining
     members in stream order."""
-    y_index = {y: i for i, y in enumerate(y_order)}
     skip = frozenset(excluded)
     remaining = dict(picks)
     chosen: list[int] = []
 
-    def pick(events):
-        cur = None
-        tracked = False
-        nbrs: set[int] = set()
-        for ev in events:
-            kind = ev.kind
-            if kind == EDGE:
-                if tracked:
-                    nbrs.add(ev.v if ev.u == cur else ev.u)
-            elif kind == VERTEX_BEGIN:
-                cur = ev.u
-                tracked = cur not in skip
-                nbrs = set()
-            elif kind == VERTEX_END:
-                if tracked:
-                    key = _block_key(nbrs, y_index)
-                    want = remaining.get(key, 0)
-                    if want > 0:
-                        chosen.append(cur)
-                        remaining[key] = want - 1
-                tracked = False
+    def pick(view):
+        for v, _, key, _ in view:
+            if v not in skip:
+                want = remaining.get(key, 0)
+                if want > 0:
+                    chosen.append(v)
+                    remaining[key] = want - 1
 
-    h.run_pass(pick)
+    h.run_cover_pass(y_order, pick)
     if any(v > 0 for v in remaining.values()):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
@@ -336,75 +296,42 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 
 class _ClassSkipHandle(StreamHandle):
     """Residual-graph stream: drops a chosen cover subset and, per picked
-    class, its first `count` members in stream order.  Edges are emitted once,
-    from the later-seen endpoint's block, so the decision for an outside
-    vertex can wait until its own block."""
+    class (a key over the whole cover), its first `count` members in stream
+    order.  Each edge is emitted once: a cover-internal edge from the later
+    cover block, any other edge from its outside endpoint's block, so the
+    decision for an outside vertex can wait until its own block."""
 
-    __slots__ = ("parent", "drop_cover", "picks", "y_index", "cover_set")
+    __slots__ = ("parent", "cover", "picks", "drop_cover")
 
-    def __init__(self, parent: StreamHandle, cover_set, y_order, picks, drop_cover):
+    def __init__(self, parent: StreamHandle, cover, picks, drop_cover):
+        super().__init__(parent.source, parent.model, parent.order, parent.pass_meter)
         self.parent = parent
-        self.cover_set = frozenset(cover_set)
-        self.y_index = {y: i for i, y in enumerate(y_order)}
+        self.cover = tuple(cover)
         self.picks = dict(picks)
         self.drop_cover = frozenset(drop_cover)
-        self.source = parent.source
-        self.model = parent.model
-        self.order = parent.order
-        self.pass_meter = parent.pass_meter
 
     def events(self):
         remaining = dict(self.picks)
+        drop = self.drop_cover
         seen_cover: set[int] = set()
-        cur = None
-        buffer: list = []
-        nbrs: set[int] = set()
-        for ev in self.parent.events():
-            kind = ev.kind
-            if kind == EDGE:
-                if cur is None:
-                    continue
-                if cur in self.cover_set:
-                    other = ev.v if ev.u == cur else ev.u
-                    if (
-                        other in self.cover_set
-                        and other in seen_cover
-                        and other not in self.drop_cover
-                        and cur not in self.drop_cover
-                    ):
-                        yield ev
-                else:
-                    nbrs.add(ev.v if ev.u == cur else ev.u)
-                    buffer.append(ev)
-            elif kind == VERTEX_BEGIN:
-                cur = ev.u
-                if cur in self.cover_set:
-                    if cur not in self.drop_cover:
-                        yield ev
-                else:
-                    buffer = [ev]
-                    nbrs = set()
-            elif kind == VERTEX_END:
-                if cur in self.cover_set:
-                    seen_cover.add(cur)
-                    if cur not in self.drop_cover:
-                        yield ev
-                else:
-                    key = _block_key(nbrs, self.y_index)
-                    want = remaining.get(key, 0)
-                    if want > 0:
-                        remaining[key] = want - 1
-                    else:
-                        yield buffer[0]
-                        for edge_ev in buffer[1:]:
-                            other = edge_ev.v if edge_ev.u == cur else edge_ev.u
-                            if other not in self.drop_cover:
-                                yield edge_ev
-                        yield ev
-                    buffer = []
-                cur = None
+        for v, bit, key, nbrs in self.parent.cover_view(self.cover):
+            if bit:
+                if v not in drop:
+                    yield vertex_begin(v)
+                    for w in nbrs:
+                        if w in seen_cover and w not in drop:
+                            yield edge_event(v, w)
+                    yield vertex_end(v)
+                seen_cover.add(v)
+            elif remaining.get(key, 0) > 0:
+                remaining[key] -= 1
             else:
-                yield ev
+                yield vertex_begin(v)
+                for w in nbrs:
+                    if w not in drop:
+                        yield edge_event(v, w)
+                yield vertex_end(v)
+        yield PASS_END_EVENT
 
 
 def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
@@ -439,9 +366,7 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
             while not pick_cursor.at_end:
                 picks = dict(pick_cursor.current)
                 with meter.scope(2 * K + 2):
-                    residual = _ClassSkipHandle(
-                        h, cover_set, table.y_order, picks, drop_cover
-                    )
+                    residual = _ClassSkipHandle(h, table.y_order, picks, drop_cover)
                     before = h.pass_meter.passes
                     free = a2.answer(residual, meter)
                     used = h.pass_meter.passes - before

@@ -4,13 +4,22 @@ A handle replays a byte-identical event sequence for a fixed (graph, model,
 order).  In the AL model every edge is emitted twice per pass (once inside
 each endpoint's block); in EA and VA exactly once.  PassEnd is an explicit
 event so consumers never need to know n in advance.
+
+Given a vertex cover X, an outside vertex is fully described by N(v) & X.  An
+AL handle therefore also offers a cover view: one (v, bit, mask, nbrs) tuple
+per block, where `mask` holds N(v) & members as bits in ascending member
+order.  Consumers that only need per-block neighbourhoods read the view
+through `run_cover_pass`, which charges one pass like `run_pass`.  Raw events
+remain the interface for EA/VA streams, for consumers that must see the
+event sequence itself (edge-only scans, oracles) and for substreams that
+produce events.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import BadParams, BadPermutation
+from .errors import BadParams, BadPermutation, NotALModel
 from .graph import Edge, Graph, canonical_edge
 from .meters import PassMeter
 
@@ -46,19 +55,32 @@ def edge_event(u: int, v: int) -> StreamEvent:
 
 PASS_END_EVENT = StreamEvent(PASS_END)
 
+CoverBlock = tuple[int, int, int, tuple[int, ...]]  # (v, bit, mask, nbrs)
+
+
+def cover_bits(members: Iterable[int]) -> dict[int, int]:
+    """Each member's bit in a cover view of `members`: ascending member order."""
+    return {x: 1 << i for i, x in enumerate(sorted(members))}
+
 
 class StreamHandle:
-    """Replayable, single-consumer view of a graph in one arrival model."""
+    """Replayable, single-consumer view of a graph in one arrival model.
 
-    __slots__ = ("source", "model", "order", "pass_meter", "_events")
+    Subclasses that produce their own events override `events()` and call
+    this `__init__` with their parent's source, model, order and meter."""
+
+    __slots__ = ("source", "model", "order", "pass_meter", "_events",
+                 "_view_members", "_view")
 
     def __init__(self, source: Graph, model: str, order: tuple[int, ...],
-                 pass_meter: PassMeter, events: tuple[StreamEvent, ...]):
+                 pass_meter: PassMeter, events: tuple[StreamEvent, ...] = ()):
         self.source = source
         self.model = model
         self.order = order
         self.pass_meter = pass_meter
         self._events = events
+        self._view_members: tuple[int, ...] | None = None
+        self._view: tuple[CoverBlock, ...] = ()
 
     def events(self) -> Iterable[StreamEvent]:
         """One pass worth of events; does not touch the pass meter."""
@@ -71,6 +93,40 @@ class StreamHandle:
         finally:
             self.pass_meter.increment()
 
+    def cover_view(self, members: Iterable[int]) -> tuple[CoverBlock, ...]:
+        """One (v, bit, mask, nbrs) per AL block of `events()`, in stream
+        order: v's own bit in `members` (0 for a non-member), N(v) & members
+        as bits, and v's neighbours in stream order.  Only the view of the
+        last `members` is kept; building it is not a pass."""
+        if self.model != AL:
+            raise NotALModel("the cover view requires an AL stream")
+        key = tuple(sorted(members))
+        if key != self._view_members:
+            bit_of = cover_bits(key)
+            blocks: list[CoverBlock] = []
+            cur = None
+            nbrs: list[int] = []
+            for ev in self.events():
+                kind = ev.kind
+                if kind == EDGE:
+                    nbrs.append(ev.v if ev.u == cur else ev.u)
+                elif kind == VERTEX_BEGIN:
+                    cur = ev.u
+                    nbrs = []
+                elif kind == VERTEX_END:
+                    mask = 0
+                    for w in nbrs:
+                        mask |= bit_of.get(w, 0)
+                    blocks.append((cur, bit_of.get(cur, 0), mask, tuple(nbrs)))
+            self._view_members, self._view = key, tuple(blocks)
+        return self._view
+
+    def run_cover_pass(self, members: Iterable[int],
+                       consumer: Callable[[tuple[CoverBlock, ...]], object]):
+        """Feed the cover view of `members` to `consumer` as one `run_pass`."""
+        view = self.cover_view(members)
+        return self.run_pass(lambda _events: consumer(view))
+
 
 class _FilteredHandle(StreamHandle):
     """Induced-substream view; every pass is charged to the parent's meter."""
@@ -78,12 +134,9 @@ class _FilteredHandle(StreamHandle):
     __slots__ = ("parent", "keep")
 
     def __init__(self, parent: StreamHandle, keep: Callable[[int], bool]):
+        super().__init__(parent.source, parent.model, parent.order, parent.pass_meter)
         self.parent = parent
         self.keep = keep
-        self.source = parent.source
-        self.model = parent.model
-        self.order = parent.order
-        self.pass_meter = parent.pass_meter
 
     def events(self) -> Iterator[StreamEvent]:
         keep = self.keep

@@ -166,3 +166,30 @@ def test_unexpected_exception_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_cvd", broken_solver)
     assert main(["solve", inst, "--problem", "cvd"]) == 3
     assert "RuntimeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alg", "lowrank", "--ell", "-1", "--c", "1"],
+    ["--wrap", "pifree", "--ell", "-1", "--cpi", "2", "--pfun", "3"],
+    ["--r", "-1", "--c", "1"],
+    ["--r", "1", "--c", "-1"],
+    ["--wrap", "partition", "--q", "0", "--cpi", "2", "--pfun", "3"],
+    ["--alg", "lowrank", "--wrap", "rankc", "--k", "-1", "--p", "1", "--c", "1"],
+    ["--alg", "lowrank", "--wrap", "rankc", "--k", "1", "--p", "-1", "--c", "1"],
+])
+def test_kernelize_bad_number_is_usage_error(tmp_path, capsys, flags):
+    inst = write_p3(tmp_path, ell=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["kernelize", inst, *flags])
+    assert exc.value.code == 2
+
+
+def test_kernelize_wrap_must_belong_to_alg(tmp_path, capsys):
+    inst = write_p3(tmp_path, ell=1)
+    assert main(["kernelize", inst, "--alg", "lowrank", "--wrap", "pifree",
+                 "--ell", "1", "--c", "1", "--cpi", "2", "--pfun", "3"]) == 2
+    assert main(["kernelize", inst, "--alg", "reduce", "--wrap", "rankc",
+                 "--r", "1", "--c", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--wrap pifree does not apply to --alg lowrank" in err
+    assert "--wrap rankc does not apply to --alg reduce" in err

@@ -6,7 +6,7 @@ from vcstream.errors import NotALModel
 from vcstream.graph import Graph, VertexCover, cycle_graph
 from vcstream.meters import MemoryMeter, MeteredSet
 from vcstream.solve_oct import _colour_pass, solve_oct, solve_oct_cc
-from vcstream.streams import AL, VA, make_stream
+from vcstream.streams import AL, VA, cover_bits, make_stream
 
 
 def stream(g, order=None):
@@ -103,6 +103,8 @@ def test_colour_symmetry():
         X = VertexCover.validated(g, covers[-1])
         y_set = X.member_set()
         y_sorted = sorted(y_set)
+        bits = cover_bits(X.members)
+        full = sum(bits.values())
         for mask in range(1 << len(y_sorted)):
             y1 = frozenset(v for i, v in enumerate(y_sorted) if mask >> i & 1)
             y2 = frozenset(y_set - y1)
@@ -111,10 +113,11 @@ def test_colour_symmetry():
                 meter = MemoryMeter()
                 dels = MeteredSet(meter)
                 h = stream(g)
-                h.run_pass(
-                    lambda evs, c=colouring: _colour_pass(
-                        evs, y_set, c, frozenset(), dels, g.n, True
-                    )
+                h.run_cover_pass(
+                    X.members,
+                    lambda view, c=colouring: _colour_pass(
+                        view, full, sum(bits[v] for v in c), dels, g.n, True
+                    ),
                 )
                 outs.append(frozenset(dels))
             assert outs[0] == outs[1]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import atlas_graphs
-from vcstream.errors import BadPermutation
+from vcstream.errors import BadPermutation, NotALModel
 from vcstream.graph import Graph, complete_graph, empty_graph, path_graph
 from vcstream.streams import (
     AL,
@@ -15,6 +15,7 @@ from vcstream.streams import (
     VA,
     VERTEX_BEGIN,
     VERTEX_END,
+    cover_bits,
     filtered_substream,
     make_stream,
 )
@@ -182,3 +183,78 @@ def test_stream_laws_random(data):
         assert set(counts) == set(g.edges)
         assert all(c == mult for c in counts.values())
         assert list(h.events())[-1].kind == PASS_END
+
+
+def _reference_view(g, order, members):
+    """The cover view recomputed from the graph: blocks in `order`, masks
+    over the sorted members, neighbours by stream position."""
+    pos = {v: i for i, v in enumerate(order)}
+    ranked = sorted(members)
+    out = []
+    for v in order:
+        mask = sum(1 << i for i, x in enumerate(ranked) if x in g.neighbors(v))
+        bit = 1 << ranked.index(v) if v in members else 0
+        out.append((v, bit, mask, tuple(sorted(g.neighbors(v), key=pos.__getitem__))))
+    return tuple(out)
+
+
+def test_cover_view_matches_graph():
+    rng = random.Random(5)
+    for g in atlas_graphs(2, 6)[::4]:
+        for _ in range(3):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            h = make_stream(g, AL, order)
+            for _ in range(3):
+                members = rng.sample(range(g.n), rng.randint(0, g.n))
+                assert h.cover_view(members) == _reference_view(g, order, members)
+            assert h.pass_meter.passes == 0
+
+
+def test_cover_view_keeps_only_last_members():
+    h = make_stream(path_graph(4), AL)
+    first = h.cover_view([1, 2])
+    assert h.cover_view((2, 1)) is first
+    assert h.cover_view([0]) is not first
+    assert h.cover_view([1, 2]) == first
+    assert cover_bits([2, 1]) == {1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("model", [EA, VA])
+def test_cover_view_requires_al(model):
+    h = make_stream(path_graph(3), model)
+    with pytest.raises(NotALModel):
+        h.cover_view([1])
+    with pytest.raises(NotALModel):
+        h.run_cover_pass([1], lambda view: None)
+    assert h.pass_meter.passes == 0
+
+
+def test_run_cover_pass_charges_one_pass():
+    h = make_stream(path_graph(3), AL)
+    assert h.run_cover_pass([1], lambda view: [m for _, _, m, _ in view]) == [1, 0, 1]
+    assert h.pass_meter.passes == 1
+
+    def bad(view):
+        raise ValueError("consumer blew up")
+
+    with pytest.raises(ValueError):
+        h.run_cover_pass([1], bad)
+    assert h.pass_meter.passes == 2
+
+
+def test_cover_view_of_filtered_substream():
+    rng = random.Random(3)
+    for g in atlas_graphs(2, 5)[::3]:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        h = make_stream(g, AL, order)
+        keep = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+        sub = filtered_substream(h, keep.__contains__)
+        members = [v for v in range(g.n) if v % 2 == 0]
+        sub_g, old = g.induced(keep)
+        induced = Graph(g.n, [(old[u], old[v]) for u, v in sub_g.edges])
+        expected = _reference_view(induced, [v for v in order if v in keep], members)
+        assert sub.cover_view(members) == expected
+        sub.run_cover_pass(members, lambda view: None)
+        assert h.pass_meter.passes == 1
