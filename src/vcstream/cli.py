@@ -167,8 +167,8 @@ def _cmd_kernelize(args) -> int:
                 raise UsageError("--wrap rankc needs --k, --p and --c")
             out = kernel_by_rank(handle, inst.cover, args.k, args.p, args.c, meter)
         else:
-            if args.ell is None or args.c is None:
-                raise UsageError("--alg lowrank needs --ell and --c")
+            if not args.ell or args.c is None:
+                raise UsageError("--alg lowrank needs --ell (at least 1) and --c")
             out = low_rank_reduce_str(handle, inst.cover, args.ell, args.c, meter)
     wall_ms = 1000 * (time.perf_counter() - started)
 

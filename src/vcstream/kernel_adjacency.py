@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BadParams, InvalidCover, NotALModel
-from .graph import Graph, VertexCover, canonical_edge
+from .errors import BadParams, NotALModel
+from .graph import Graph, VertexCover, canonical_edge, require_cover
 from .meters import MemoryMeter, MeteredSet, words_for_bits
 from .properties import AdjacencyCharacterization
 from .results import KernelOutput
@@ -65,8 +65,7 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
         raise NotALModel("reduce_str requires an AL stream")
     if r < 0 or c < 0:
         raise BadParams("r and c must be non-negative")
-    if not h.source.is_cover(X.members):
-        raise InvalidCover("X does not cover the streamed graph")
+    require_cover(h.source, X)
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 
@@ -121,8 +120,7 @@ def reduce_in_memory(g: Graph, X: VertexCover, r: int, c: int,
     mark the first r matching outside vertices in candidate order."""
     if r < 0 or c < 0:
         raise BadParams("r and c must be non-negative")
-    if not g.is_cover(X.members):
-        raise InvalidCover("X does not cover g")
+    require_cover(g, X)
     cover_set = X.member_set()
     order = candidate_order if candidate_order is not None else tuple(range(g.n))
     outside = [v for v in order if v not in cover_set]

@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    InvalidCover,
-    NeighborOutsideCover,
-    NotALModel,
-)
-from .graph import Graph, VertexCover
+from .errors import BadParams, DimensionMismatch, NeighborOutsideCover, NotALModel
+from .graph import Graph, VertexCover, require_cover
 from .meters import MemoryMeter, words_for_bits
 from .results import KernelOutput
 from .streams import AL, EDGE, StreamHandle, cover_bits, filtered_substream
@@ -122,8 +116,7 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
         raise NotALModel("low_rank_reduce_str requires an AL stream")
     if ell < 1:
         raise BadParams("ell must be at least 1")
-    if not h.source.is_cover(X.members):
-        raise InvalidCover("X does not cover the streamed graph")
+    require_cover(h.source, X)
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 
@@ -149,18 +142,20 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                         if v in skip:
                             continue
                         meter.allocate(len(nbrs))  # the block's buffered neighbours
-                        with meter.scope(vec_words):
-                            vec = _mask_vector(m, pair_masks)
-                            new_basis, independent = basis_insert(basis_box[0], vec, v)
-                        if independent:
-                            meter.release(charged_basis)
-                            basis_box[0] = new_basis
-                            charged_basis = _basis_words(new_basis)
-                            meter.allocate(charged_basis)
-                            kept_outside.append(v)
-                            meter.allocate(1)
-                            charged_a += 1
-                        meter.release(len(nbrs))
+                        try:
+                            with meter.scope(vec_words):
+                                vec = _mask_vector(m, pair_masks)
+                                new_basis, independent = basis_insert(basis_box[0], vec, v)
+                            if independent:
+                                basis_box[0] = new_basis
+                                grown = _basis_words(new_basis)
+                                meter.allocate(grown - charged_basis)
+                                charged_basis = grown
+                                kept_outside.append(v)
+                                meter.allocate(1)
+                                charged_a += 1
+                        finally:
+                            meter.release(len(nbrs))
 
                 h.run_cover_pass(X.members, scan)
                 meter.release(charged_basis)
@@ -188,8 +183,7 @@ def low_rank_reduce_in_memory(g: Graph, X: VertexCover, ell: int, c: int,
     """Reference rounds on an in-memory graph, greedy in candidate order."""
     if ell < 1:
         raise BadParams("ell must be at least 1")
-    if not g.is_cover(X.members):
-        raise InvalidCover("X does not cover g")
+    require_cover(g, X)
     cover_set = X.member_set()
     order = candidate_order if candidate_order is not None else tuple(range(g.n))
     index = incidence_pair_index(X, c)

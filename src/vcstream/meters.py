@@ -46,13 +46,12 @@ class MemoryMeter:
     def allocate(self, words: int = 1) -> None:
         if words < 0:
             raise ValueError("cannot allocate a negative word count")
-        self.live_words += words
-        if self.live_words > self.peak_words:
-            self.peak_words = self.live_words
-        if self.budget_words is not None and self.live_words > self.budget_words:
-            raise MemoryBudgetExceeded(
-                f"live {self.live_words} words exceeds budget {self.budget_words}"
-            )
+        live = self.live_words + words
+        if self.budget_words is not None and live > self.budget_words:
+            raise MemoryBudgetExceeded(f"live {live} words exceeds budget {self.budget_words}")
+        self.live_words = live
+        if live > self.peak_words:
+            self.peak_words = live
 
     def release(self, words: int = 1) -> None:
         if words < 0:
@@ -82,8 +81,12 @@ class MeteredSet:
         self._meter = meter
         self._items: set = set()
         self._wpi = words_per_item
-        for x in items:
-            self.add(x)
+        try:
+            for x in items:
+                self.add(x)
+        except MemoryBudgetExceeded:
+            self.close()
+            raise
 
     def add(self, x) -> None:
         if x not in self._items:

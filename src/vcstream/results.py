@@ -1,11 +1,16 @@
-"""Result records shared by kernels and solvers."""
+"""Result records shared by kernels and solvers, and the solvers' common
+outer search over the deleted cover part."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .graph import Graph
-from .streams import StreamEvent
+from .enumeration import AT_MOST, subset_first, subset_next
+from .errors import NotALModel
+from .graph import Graph, VertexCover, require_cover
+from .meters import MemoryMeter
+from .streams import AL, StreamEvent, StreamHandle
 
 
 @dataclass(frozen=True)
@@ -20,6 +25,38 @@ class SolveOutcome:
     @property
     def verdict(self) -> str:
         return "YES" if self.feasible else "NO"
+
+
+def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str,
+                    words: int,
+                    branch: Callable[[frozenset, frozenset, MemoryMeter], Iterable[int] | None],
+                    meter: MemoryMeter | None = None) -> SolveOutcome:
+    """Guess the deleted cover part S, |S| <= min(ell, K), in cursor order
+    (S = {} first), and return the first `branch(S, X - S, meter)` that is
+    not None as the solution.  `words` is the solver's fixed state, held for
+    the whole search.  Passes count from this call; a `Graph` is the
+    in-memory reference and is charged none.  Raises NotALModel on an EA or
+    VA stream and InvalidCover when X does not cover the graph."""
+    if isinstance(h, Graph):
+        g, passes_of = h, (lambda: 0)
+    elif h.model != AL:
+        raise NotALModel(f"{name} requires an AL stream")
+    else:
+        g, passes_of = h.source, (lambda: h.pass_meter.passes)
+    require_cover(g, X)
+    meter = meter if meter is not None else MemoryMeter()
+    passes_before = passes_of()
+    cover_set = X.member_set()
+    with meter.scope(words):
+        cursor = subset_first(X.members, min(ell, X.K), AT_MOST)
+        while not cursor.at_end:
+            s_branch = frozenset(cursor.current)
+            solution = branch(s_branch, cover_set - s_branch, meter)
+            if solution is not None:
+                return SolveOutcome(True, tuple(sorted(solution)),
+                                    passes_of() - passes_before, meter.peak_words)
+            cursor = subset_next(cursor)
+    return SolveOutcome(False, (), passes_of() - passes_before, meter.peak_words)
 
 
 @dataclass(frozen=True)

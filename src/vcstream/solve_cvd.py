@@ -12,12 +12,11 @@ records whether the pair is an edge, which is the single bit Phase 1 needs.
 
 from __future__ import annotations
 
-from .enumeration import AT_MOST, EXACTLY, subset_first, subset_next
-from .errors import NotALModel
-from .graph import VertexCover, require_cover
+from .enumeration import EXACTLY, subset_first, subset_next
+from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
-from .results import SolveOutcome
-from .streams import AL, StreamHandle, cover_bits, induced_edges
+from .results import SolveOutcome, branch_on_cover
+from .streams import StreamHandle, cover_bits, induced_edges
 
 
 def _pair_scan(view, b1: int, b2: int, rest: int):
@@ -39,36 +38,11 @@ def _pair_scan(view, b1: int, b2: int, rest: int):
 def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
               meter: MemoryMeter | None = None,
               cache_cover: bool = False) -> SolveOutcome:
-    if h.model != AL:
-        raise NotALModel("solve_cvd requires an AL stream")
-    require_cover(h.source, X)
-    meter = meter if meter is not None else MemoryMeter()
-    passes_before = h.pass_meter.passes
+    def branch(s_branch, y_set, meter):
+        return _run_branch(h, meter, X.members, y_set, s_branch, ell, cache_cover)
 
-    cover_set = X.member_set()
-    K = X.K
-
-    with meter.scope(K), meter.scope(K), meter.scope(K):  # X, S cursor, Y
-        cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not cursor.at_end:
-            s_branch = frozenset(cursor.current)
-            y_set = cover_set - s_branch
-            solution = _run_branch(h, meter, X.members, y_set, s_branch, ell, cache_cover)
-            if solution is not None:
-                return SolveOutcome(
-                    feasible=True,
-                    solution=tuple(sorted(solution)),
-                    passes=h.pass_meter.passes - passes_before,
-                    peak_words=meter.peak_words,
-                )
-            cursor = subset_next(cursor)
-
-    return SolveOutcome(
-        feasible=False,
-        solution=(),
-        passes=h.pass_meter.passes - passes_before,
-        peak_words=meter.peak_words,
-    )
+    # X, S cursor, Y
+    return branch_on_cover(h, X, ell, "solve_cvd", 3 * X.K, branch, meter)
 
 
 def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
@@ -79,8 +53,8 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
     try:
         if cache_cover:
             edge_bits = induced_edges(h, y_set)
+            meter.allocate(len(edge_bits))
             cached_words = len(edge_bits)
-            meter.allocate(cached_words)
             if _p3_within(y_set, edge_bits):
                 return None
             pair_results = edge_bits

@@ -16,7 +16,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .enumeration import (
-    AT_MOST,
     EXACTLY,
     permutation_first,
     permutation_next,
@@ -24,7 +23,7 @@ from .enumeration import (
     subset_next,
 )
 from .errors import BadI, NotALModel, PreconditionViolated
-from .graph import Graph, VertexCover, canonical_edge, require_cover
+from .graph import Graph, VertexCover, canonical_edge
 from .meters import MemoryMeter, MeteredSet
 from .properties import (
     AdjacencyCharacterization,
@@ -33,7 +32,7 @@ from .properties import (
     bounded_members,
     vertex_minimal_members,
 )
-from .results import SolveOutcome
+from .results import SolveOutcome, branch_on_cover
 from .streams import AL, StreamHandle, cover_bits, induced_edges
 
 
@@ -261,42 +260,24 @@ def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
     """Family solver: prune to vertex-minimal members (and to members small
     enough for the cover when a characterization is supplied), then search
     every surviving member inside each branch."""
-    if isinstance(h, StreamHandle) and h.model != AL:
-        raise NotALModel("solve_pifree_explicit requires an AL stream")
     for p in f.members:
         if p.graph.m < 1:
             raise PreconditionViolated("every member must contain at least one edge")
-    require_cover(h if isinstance(h, Graph) else h.source, X)
-    meter = meter if meter is not None else MemoryMeter()
     members = vertex_minimal_members(f)
     if char is not None:
         members = bounded_members(members, char, X.K)
     ordered = tuple(sorted(members.members, key=lambda p: p.h))
 
-    passes_of = (lambda: 0) if isinstance(h, Graph) else (lambda: h.pass_meter.passes)
-    passes_before = passes_of()
-    cover_set = X.member_set()
-    K = X.K
-    pattern_words = sum(p.h * p.h + p.h for p in ordered)
+    def branch(s_branch, y_set, meter):
+        if any(check_h_in_y(h, H, y_set) for H in ordered):
+            return None
+        deletions = MeteredSet(meter, s_branch)
+        try:
+            found = _branch_family(h, X, y_set, ordered, deletions, ell, strict_induced, meter)
+            return deletions.snapshot() if found else None
+        finally:
+            deletions.close()
 
-    with meter.scope(K), meter.scope(pattern_words), meter.scope(K), meter.scope(K):
-        s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not s_cursor.at_end:
-            s_branch = frozenset(s_cursor.current)
-            y_set = cover_set - s_branch
-            if not any(check_h_in_y(h, H, y_set) for H in ordered):
-                deletions = MeteredSet(meter, s_branch)
-                try:
-                    if _branch_family(h, X, y_set, ordered, deletions, ell,
-                                      strict_induced, meter):
-                        return SolveOutcome(
-                            True,
-                            tuple(sorted(deletions)),
-                            passes_of() - passes_before,
-                            meter.peak_words,
-                        )
-                finally:
-                    deletions.close()
-            s_cursor = subset_next(s_cursor)
-
-    return SolveOutcome(False, (), passes_of() - passes_before, meter.peak_words)
+    # X, the patterns, S cursor, Y
+    words = 3 * X.K + sum(p.h * p.h + p.h for p in ordered)
+    return branch_on_cover(h, X, ell, "solve_pifree_explicit", words, branch, meter)

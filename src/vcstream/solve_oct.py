@@ -11,11 +11,10 @@ staying at O(K) words.
 from __future__ import annotations
 
 from .enumeration import AT_MOST, subset_first, subset_next
-from .errors import NotALModel
-from .graph import VertexCover, require_cover
+from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
-from .results import SolveOutcome
-from .streams import AL, StreamHandle, cover_bits, induced_edges
+from .results import SolveOutcome, branch_on_cover
+from .streams import StreamHandle, cover_bits, induced_edges
 
 
 def _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover):
@@ -37,47 +36,42 @@ def _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover):
     return success
 
 
+def _subsets(universe):
+    """Every subset of `universe`, in cursor order."""
+    cursor = subset_first(universe, len(universe), AT_MOST)
+    while not cursor.at_end:
+        yield cursor.current
+        cursor = subset_next(cursor)
+
+
+def _first_colouring(h, members, s_branch, y_mask, y1_masks, ell, check_cover, meter):
+    """One colour pass per candidate Y1 in `y1_masks`; the deletions of the
+    first that succeeds, or None."""
+    for y1_mask in y1_masks:
+        deletions = MeteredSet(meter, s_branch)
+        try:
+            ok = h.run_cover_pass(
+                members,
+                lambda view: _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover),
+            )
+            if ok and len(deletions) <= ell:
+                return deletions.snapshot()
+        finally:
+            deletions.close()
+    return None
+
+
 def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
               meter: MemoryMeter | None = None) -> SolveOutcome:
-    if h.model != AL:
-        raise NotALModel("solve_oct requires an AL stream")
-    require_cover(h.source, X)
-    meter = meter if meter is not None else MemoryMeter()
-    passes_before = h.pass_meter.passes
-    cover_set = X.member_set()
     bits = cover_bits(X.members)
-    K = X.K
 
-    with meter.scope(K), meter.scope(K), meter.scope(K), meter.scope(K):
-        s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not s_cursor.at_end:
-            s_branch = frozenset(s_cursor.current)
-            y_sorted = tuple(sorted(cover_set - s_branch))
-            y_mask = sum(bits[v] for v in y_sorted)
-            colour_cursor = subset_first(y_sorted, len(y_sorted), AT_MOST)
-            while not colour_cursor.at_end:
-                y1_mask = sum(bits[v] for v in colour_cursor.current)
-                deletions = MeteredSet(meter, s_branch)
-                try:
-                    ok = h.run_cover_pass(
-                        X.members,
-                        lambda view: _colour_pass(view, y_mask, y1_mask, deletions, ell, True),
-                    )
-                    if ok and len(deletions) <= ell:
-                        return SolveOutcome(
-                            True,
-                            tuple(sorted(deletions)),
-                            h.pass_meter.passes - passes_before,
-                            meter.peak_words,
-                        )
-                finally:
-                    deletions.close()
-                colour_cursor = subset_next(colour_cursor)
-            s_cursor = subset_next(s_cursor)
+    def branch(s_branch, y_set, meter):
+        y_sorted = tuple(sorted(y_set))
+        y_mask = sum(bits[v] for v in y_sorted)
+        y1_masks = (sum(bits[v] for v in y1) for y1 in _subsets(y_sorted))
+        return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, True, meter)
 
-    return SolveOutcome(
-        False, (), h.pass_meter.passes - passes_before, meter.peak_words
-    )
+    return branch_on_cover(h, X, ell, "solve_oct", 4 * X.K, branch, meter)
 
 
 def _cached_components(h, meter, y_set):
@@ -175,56 +169,23 @@ def _propagated_components(h, meter, members, y_set, y_mask):
 def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
                  meter: MemoryMeter | None = None,
                  low_mem: bool = False) -> SolveOutcome:
-    if h.model != AL:
-        raise NotALModel("solve_oct_cc requires an AL stream")
-    require_cover(h.source, X)
-    meter = meter if meter is not None else MemoryMeter()
-    passes_before = h.pass_meter.passes
-    cover_set = X.member_set()
     bits = cover_bits(X.members)
-    K = X.K
 
-    with meter.scope(K), meter.scope(K), meter.scope(K):
-        s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not s_cursor.at_end:
-            s_branch = frozenset(s_cursor.current)
-            y_set = cover_set - s_branch
-            y_mask = sum(bits[v] for v in y_set)
-            found = (
-                _propagated_components(h, meter, X.members, y_set, y_mask)
-                if low_mem
-                else _cached_components(h, meter, y_set)
-            )
-            if found is not None:
-                roots, colour, comp = found
-                with meter.scope(2 * len(y_set) + len(roots)):
-                    flip_cursor = subset_first(tuple(roots), len(roots), AT_MOST)
-                    while not flip_cursor.at_end:
-                        flips = frozenset(flip_cursor.current)
-                        y1_mask = sum(
-                            bits[v] for v in y_set
-                            if colour[v] ^ (1 if comp[v] in flips else 0) == 0
-                        )
-                        deletions = MeteredSet(meter, s_branch)
-                        try:
-                            ok = h.run_cover_pass(
-                                X.members,
-                                lambda view: _colour_pass(
-                                    view, y_mask, y1_mask, deletions, ell, False
-                                ),
-                            )
-                            if ok and len(deletions) <= ell:
-                                return SolveOutcome(
-                                    True,
-                                    tuple(sorted(deletions)),
-                                    h.pass_meter.passes - passes_before,
-                                    meter.peak_words,
-                                )
-                        finally:
-                            deletions.close()
-                        flip_cursor = subset_next(flip_cursor)
-            s_cursor = subset_next(s_cursor)
+    def branch(s_branch, y_set, meter):
+        y_mask = sum(bits[v] for v in y_set)
+        found = (
+            _propagated_components(h, meter, X.members, y_set, y_mask)
+            if low_mem
+            else _cached_components(h, meter, y_set)
+        )
+        if found is None:
+            return None
+        roots, colour, comp = found
+        y1_masks = (
+            sum(bits[v] for v in y_set if colour[v] ^ (1 if comp[v] in flips else 0) == 0)
+            for flips in map(frozenset, _subsets(tuple(roots)))
+        )
+        with meter.scope(2 * len(y_set) + len(roots)):
+            return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)
 
-    return SolveOutcome(
-        False, (), h.pass_meter.passes - passes_before, meter.peak_words
-    )
+    return branch_on_cover(h, X, ell, "solve_oct_cc", 3 * X.K, branch, meter)

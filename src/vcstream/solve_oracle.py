@@ -20,13 +20,12 @@ from .enumeration import (
     subset_first,
     subset_next,
 )
-from .errors import BadParams, NotALModel, OracleFault
-from .graph import VertexCover, require_cover
+from .errors import BadParams, OracleFault
+from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
-from .results import SolveOutcome
+from .results import SolveOutcome, branch_on_cover
 from .streams import (
-    AL,
     PASS_END_EVENT,
     StreamHandle,
     edge_event,
@@ -88,14 +87,13 @@ def _materialize_from_classes(h: StreamHandle, y_order, picks: dict[int, int],
     return tuple(chosen)
 
 
-def _call_oracle(h: StreamHandle, oracle: StreamOracle, keep: frozenset[int],
-                 meter: MemoryMeter | None) -> bool:
-    """Run the oracle on the induced substream of `keep`, verifying that it
-    consumed exactly its declared pass count."""
-    sub = filtered_substream(h, keep.__contains__)
-    before = h.pass_meter.passes
+def _checked_answer(oracle: StreamOracle, sub: StreamHandle,
+                    meter: MemoryMeter | None) -> bool:
+    """Ask the oracle about substream `sub`, verifying that it used exactly
+    its declared passes (on the pass meter `sub` shares with its parent)."""
+    before = sub.pass_meter.passes
     answer = oracle.answer(sub, meter)
-    used = h.pass_meter.passes - before
+    used = sub.pass_meter.passes - before
     if used != oracle.declared_passes:
         raise OracleFault(
             f"oracle consumed {used} passes, declared {oracle.declared_passes}"
@@ -103,52 +101,36 @@ def _call_oracle(h: StreamHandle, oracle: StreamOracle, keep: frozenset[int],
     return answer
 
 
+def _call_oracle(h: StreamHandle, oracle: StreamOracle, keep: frozenset[int],
+                 meter: MemoryMeter | None) -> bool:
+    """Run the oracle on the induced substream of `keep`."""
+    return _checked_answer(oracle, filtered_substream(h, keep.__contains__), meter)
+
+
 def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
                   a1: StreamOracle, meter: MemoryMeter | None = None) -> SolveOutcome:
     """Branch on the deleted cover part; inside a branch, enumerate candidate
     occurrences as a cover subset J plus a class multiset I and ask the
     membership oracle about the induced subgraph on J plus picked twins."""
-    if h.model != AL:
-        raise NotALModel("solve_with_a1 requires an AL stream")
-    require_cover(h.source, X)
     if nu < 1:
         raise BadParams("nu must be at least 1")
     if a1.kind != ORACLE_MEMBERSHIP:
         raise BadParams("solve_with_a1 needs a membership (a1) oracle")
-    meter = meter if meter is not None else MemoryMeter()
-    passes_before = h.pass_meter.passes
     cover_set = X.member_set()
-    K = X.K
 
-    with meter.scope(K), meter.scope(K), meter.scope(K):
-        s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not s_cursor.at_end:
-            s_branch = frozenset(s_cursor.current)
-            y_order = tuple(sorted(cover_set - s_branch))
+    def branch(s_branch, y_set, meter):
+        y_order = tuple(sorted(y_set))
+        if _cover_part_hits(h, a1, y_order, meter):
+            return None
+        ec = compute_equivalence_classes(h, y_order, s_branch, meter).as_dict()
+        with meter.scope(2 * len(ec)):
+            deletions = MeteredSet(meter, s_branch)
+            try:
+                return _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter)
+            finally:
+                deletions.close()
 
-            if not _cover_part_hits(h, a1, y_order, meter):
-                table = compute_equivalence_classes(h, y_order, s_branch, meter)
-                ec = table.as_dict()
-                rows_words = 2 * len(ec)
-                meter.allocate(rows_words)
-                deletions = MeteredSet(meter, s_branch)
-                try:
-                    solution = _search_a1(
-                        h, a1, cover_set, y_order, deletions, ec, ell, nu, meter
-                    )
-                    if solution is not None:
-                        return SolveOutcome(
-                            True,
-                            tuple(sorted(solution)),
-                            h.pass_meter.passes - passes_before,
-                            meter.peak_words,
-                        )
-                finally:
-                    deletions.close()
-                    meter.release(rows_words)
-            s_cursor = subset_next(s_cursor)
-
-    return SolveOutcome(False, (), h.pass_meter.passes - passes_before, meter.peak_words)
+    return branch_on_cover(h, X, ell, "solve_with_a1", 3 * X.K, branch, meter)
 
 
 def _cover_part_hits(h, a1, y_order, meter) -> bool:
@@ -216,9 +198,6 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     """Grow candidate outside sets in dictionary order; the first set whose
     union with Y is not family-free pinpoints occurrences that each single
     deletion inside it repairs, so branch on those deletions and resume."""
-    if h.model != AL:
-        raise NotALModel("solve_with_a2 requires an AL stream")
-    require_cover(h.source, X)
     if nu < 1:
         raise BadParams("nu must be at least 1")
     if variant not in ("plain", "a1_subsets"):
@@ -226,72 +205,58 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     want_kind = ORACLE_FREENESS if variant == "plain" else ORACLE_MEMBERSHIP
     if oracle.kind != want_kind:
         raise BadParams(f"variant {variant!r} needs a {want_kind} oracle")
-    meter = meter if meter is not None else MemoryMeter()
-    passes_before = h.pass_meter.passes
     cover_set = X.member_set()
-    K = X.K
     outside = tuple(v for v in range(h.source.n) if v not in cover_set)
 
-    def is_free(y_set: frozenset[int], i_part: tuple[int, ...]) -> bool:
-        if variant == "plain":
-            return _call_oracle(h, oracle, y_set | set(i_part), meter)
-        bound = max(0, nu - len(i_part))
-        j_cursor = subset_first(tuple(sorted(y_set)), min(bound, len(y_set)), AT_MOST)
-        while not j_cursor.at_end:
-            if _call_oracle(h, oracle, frozenset(j_cursor.current) | set(i_part), meter):
-                return False
-            j_cursor = subset_next(j_cursor)
-        return True
+    def branch(s_branch, y_set, meter):
+        def is_free(i_part: tuple[int, ...]) -> bool:
+            if variant == "plain":
+                return _call_oracle(h, oracle, y_set | set(i_part), meter)
+            bound = max(0, nu - len(i_part))
+            j_cursor = subset_first(tuple(sorted(y_set)), min(bound, len(y_set)), AT_MOST)
+            while not j_cursor.at_end:
+                if _call_oracle(h, oracle, frozenset(j_cursor.current) | set(i_part), meter):
+                    return False
+                j_cursor = subset_next(j_cursor)
+            return True
 
-    def search(deletions: MeteredSet, y_set: frozenset[int], cursor):
-        cursor = (
-            subset_first(outside, min(nu, len(outside)), AT_MOST)
-            if cursor is None
-            else subset_next(cursor)
-        )
-        while not cursor.at_end:
-            i_part = cursor.current
-            if any(v in deletions for v in i_part):
-                cursor = subset_next(cursor)
-                continue
-            with meter.scope(nu):
-                free = is_free(y_set, i_part)
-            if free:
-                cursor = subset_next(cursor)
-                continue
-            if len(deletions) >= ell:
+        def search(deletions: MeteredSet, cursor):
+            cursor = (
+                subset_first(outside, min(nu, len(outside)), AT_MOST)
+                if cursor is None
+                else subset_next(cursor)
+            )
+            while not cursor.at_end:
+                i_part = cursor.current
+                if any(v in deletions for v in i_part):
+                    cursor = subset_next(cursor)
+                    continue
+                with meter.scope(nu):
+                    free = is_free(i_part)
+                if free:
+                    cursor = subset_next(cursor)
+                    continue
+                if len(deletions) >= ell:
+                    return None
+                for v in i_part:
+                    deletions.add(v)
+                    with meter.scope(nu + 1):  # saved branch set along the path
+                        found = search(deletions, cursor)
+                    if found is not None:
+                        return found
+                    deletions.discard(v)
                 return None
-            for v in i_part:
-                deletions.add(v)
-                with meter.scope(nu + 1):  # saved branch set along the path
-                    found = search(deletions, y_set, cursor)
-                if found is not None:
-                    return found
-                deletions.discard(v)
+            return deletions.snapshot()
+
+        if not is_free(()):
             return None
-        return deletions.snapshot()
+        deletions = MeteredSet(meter, s_branch)
+        try:
+            return search(deletions, None)
+        finally:
+            deletions.close()
 
-    with meter.scope(K), meter.scope(K), meter.scope(K):
-        s_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not s_cursor.at_end:
-            s_branch = frozenset(s_cursor.current)
-            y_set = cover_set - s_branch
-            if is_free(y_set, ()):
-                deletions = MeteredSet(meter, s_branch)
-                try:
-                    solution = search(deletions, y_set, None)
-                    if solution is not None:
-                        return SolveOutcome(
-                            True,
-                            tuple(sorted(solution)),
-                            h.pass_meter.passes - passes_before,
-                            meter.peak_words,
-                        )
-                finally:
-                    deletions.close()
-            s_cursor = subset_next(s_cursor)
-
-    return SolveOutcome(False, (), h.pass_meter.passes - passes_before, meter.peak_words)
+    return branch_on_cover(h, X, ell, "solve_with_a2", 3 * X.K, branch, meter)
 
 
 class _ClassSkipHandle(StreamHandle):
@@ -339,54 +304,41 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
     """Enumerate candidate solutions as cover deletions plus per-class
     deletion counts (classes toward the full cover), streaming each residual
     graph through the freeness oracle."""
-    if h.model != AL:
-        raise NotALModel("solve_equivclass_enum requires an AL stream")
-    require_cover(h.source, X)
     if a2.kind != ORACLE_FREENESS:
         raise BadParams("solve_equivclass_enum needs a freeness (a2) oracle")
     if ell > X.K:
         raise BadParams("budget above the cover size is trivial; require ell <= K")
     meter = meter if meter is not None else MemoryMeter()
-    passes_before = h.pass_meter.passes
     cover_set = X.member_set()
     K = X.K
+    tables: list[EquivalenceClassTable] = []  # built once, by the first branch
 
-    table = compute_equivalence_classes(h, X.members, frozenset(), meter)
-    rows_words = 2 * len(table.rows)
+    def branch(drop_cover, _, meter):
+        if not tables:
+            table = compute_equivalence_classes(h, X.members, frozenset(), meter)
+            meter.allocate(2 * len(table.rows))
+            tables.append(table)
+        table = tables[0]
+        remaining_budget = ell - len(drop_cover)
+        classes = tuple((key, min(count, remaining_budget)) for key, count in table.rows)
+        pick_cursor = multiset_first(classes, remaining_budget)
+        while not pick_cursor.at_end:
+            picks = dict(pick_cursor.current)
+            with meter.scope(2 * K + 2):
+                residual = _ClassSkipHandle(h, table.y_order, picks, drop_cover)
+                free = _checked_answer(a2, residual, meter)
+            if free:
+                chosen = (
+                    _materialize_from_classes(h, table.y_order, picks, cover_set)
+                    if picks
+                    else ()
+                )
+                return drop_cover | set(chosen)
+            pick_cursor = multiset_next(pick_cursor)
+        return None
 
-    with meter.scope(K), meter.scope(rows_words), meter.scope(K):
-        sx_cursor = subset_first(X.members, min(ell, K), AT_MOST)
-        while not sx_cursor.at_end:
-            drop_cover = frozenset(sx_cursor.current)
-            remaining_budget = ell - len(drop_cover)
-            classes = tuple(
-                (key, min(count, remaining_budget)) for key, count in table.rows
-            )
-            pick_cursor = multiset_first(classes, remaining_budget)
-            while not pick_cursor.at_end:
-                picks = dict(pick_cursor.current)
-                with meter.scope(2 * K + 2):
-                    residual = _ClassSkipHandle(h, table.y_order, picks, drop_cover)
-                    before = h.pass_meter.passes
-                    free = a2.answer(residual, meter)
-                    used = h.pass_meter.passes - before
-                    if used != a2.declared_passes:
-                        raise OracleFault(
-                            f"oracle consumed {used} passes, declared {a2.declared_passes}"
-                        )
-                if free:
-                    chosen = (
-                        _materialize_from_classes(h, table.y_order, picks, cover_set)
-                        if picks
-                        else ()
-                    )
-                    return SolveOutcome(
-                        True,
-                        tuple(sorted(drop_cover | set(chosen))),
-                        h.pass_meter.passes - passes_before,
-                        meter.peak_words,
-                    )
-                pick_cursor = multiset_next(pick_cursor)
-            sx_cursor = subset_next(sx_cursor)
-
-    return SolveOutcome(False, (), h.pass_meter.passes - passes_before, meter.peak_words)
+    try:
+        # X and the S cursor
+        return branch_on_cover(h, X, ell, "solve_equivclass_enum", 2 * K, branch, meter)
+    finally:
+        meter.release(sum(2 * len(t.rows) for t in tables))

@@ -193,3 +193,11 @@ def test_kernelize_wrap_must_belong_to_alg(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--wrap pifree does not apply to --alg lowrank" in err
     assert "--wrap rankc does not apply to --alg reduce" in err
+
+
+@pytest.mark.parametrize("ell", [[], ["--ell", "0"]])
+def test_kernelize_lowrank_needs_positive_ell(tmp_path, capsys, ell):
+    inst = write_p3(tmp_path, ell=1)
+    assert main(["kernelize", inst, "--alg", "lowrank", *ell, "--c", "1"]) == 2
+    assert "--alg lowrank needs --ell" in capsys.readouterr().err
+    assert main(["kernelize", inst, "--wrap", "pifree", "--cpi", "2", "--pfun", "3"]) == 0

@@ -1,7 +1,18 @@
+import random
+
 import pytest
 
 from vcstream.errors import MemoryBudgetExceeded, MeterUnderflow
+from vcstream.graph import Graph, VertexCover, cycle_graph, path_graph
+from vcstream.kernel_adjacency import reduce_str
+from vcstream.kernel_lowrank import low_rank_reduce_str
 from vcstream.meters import MemoryMeter, MeteredSet, PassMeter, words_for_bits
+from vcstream.properties import ExplicitFamily, family_oracle
+from vcstream.solve_cvd import solve_cvd
+from vcstream.solve_hfree import solve_pifree_explicit
+from vcstream.solve_oct import solve_oct, solve_oct_cc
+from vcstream.solve_oracle import solve_equivclass_enum, solve_with_a1, solve_with_a2
+from vcstream.streams import AL, make_stream
 
 
 def test_pass_meter_counts():
@@ -27,6 +38,7 @@ def test_budget_enforced():
     m.allocate(4)
     with pytest.raises(MemoryBudgetExceeded):
         m.allocate(1)
+    assert (m.live_words, m.peak_words) == (4, 4)
 
 
 def test_underflow_detected():
@@ -56,6 +68,10 @@ def test_metered_set():
     assert m.live_words == 2
     s.close()
     assert m.live_words == 0
+    tight = MemoryMeter(budget_words=1)
+    with pytest.raises(MemoryBudgetExceeded):
+        MeteredSet(tight, [1, 2])
+    assert tight.live_words == 0
 
 
 def test_words_for_bits():
@@ -63,3 +79,38 @@ def test_words_for_bits():
     assert words_for_bits(1) == 1
     assert words_for_bits(64) == 1
     assert words_for_bits(65) == 2
+
+
+P3_FAM = ExplicitFamily.from_graphs([path_graph(3)])
+P4C4_FAM = ExplicitFamily.from_graphs([path_graph(4), cycle_graph(4)])
+
+RUNS = {
+    "solve_cvd": lambda h, X, m: solve_cvd(h, X, 1, m),
+    "solve_cvd_cache_cover": lambda h, X, m: solve_cvd(h, X, 1, m, cache_cover=True),
+    "solve_oct": lambda h, X, m: solve_oct(h, X, 2, m),
+    "solve_oct_cc": lambda h, X, m: solve_oct_cc(h, X, 2, m),
+    "solve_pifree_explicit": lambda h, X, m: solve_pifree_explicit(h, X, 2, P4C4_FAM, None, m),
+    "solve_with_a1": lambda h, X, m: solve_with_a1(h, X, 1, 3, family_oracle(P3_FAM, "a1"), m),
+    "solve_with_a2":
+        lambda h, X, m: solve_with_a2(h, X, 1, 3, family_oracle(P3_FAM, "a2"), "plain", m),
+    "solve_equivclass_enum":
+        lambda h, X, m: solve_equivclass_enum(h, X, family_oracle(P3_FAM, "a2"), 2, m),
+    "reduce_str": lambda h, X, m: reduce_str(h, X, 2, 2, m),
+    "low_rank_reduce_str": lambda h, X, m: low_rank_reduce_str(h, X, 2, 2, m),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_budget_trip_leaves_nothing_live(name):
+    """Under budget peak_words - 1 the run trips, and every word it charged
+    is released on the way out."""
+    rng = random.Random(3)
+    k, n = 4, 12
+    g = Graph(n, [(u, v) for u in range(k) for v in range(u + 1, n) if rng.random() < 0.5])
+    X = VertexCover.validated(g, range(k))
+    run = RUNS[name]
+    peak = run(make_stream(g, AL), X, MemoryMeter()).peak_words
+    meter = MemoryMeter(budget_words=peak - 1)
+    with pytest.raises(MemoryBudgetExceeded):
+        run(make_stream(g, AL), X, meter)
+    assert meter.live_words == 0

@@ -1,15 +1,12 @@
 from itertools import combinations
 
-import pytest
-
 from corpus import all_covers, atlas_graphs, disconnected_sample
 from vcstream.brute import brute_is_pi_free, brute_min_deletion
-from vcstream.errors import NotALModel
 from vcstream.graph import VertexCover, complete_graph, path_graph
 from vcstream.meters import MemoryMeter
 from vcstream.properties import ExplicitFamily
 from vcstream.solve_cvd import solve_cvd
-from vcstream.streams import AL, EA, make_stream
+from vcstream.streams import AL, make_stream
 
 P3_FAMILY = ExplicitFamily.from_graphs([path_graph(3)])
 
@@ -38,13 +35,6 @@ def test_p4_budget_zero():
     g = path_graph(4)
     X = VertexCover.validated(g, [1, 2])
     assert not solve_cvd(stream(g), X, 0).feasible
-
-
-def test_not_al_model():
-    g = path_graph(3)
-    X = VertexCover.validated(g, [1])
-    with pytest.raises(NotALModel):
-        solve_cvd(make_stream(g, EA), X, 1)
 
 
 def corpus_graphs():

@@ -1,12 +1,9 @@
-import pytest
-
 from corpus import all_covers, atlas_graphs, disconnected_sample
 from vcstream.brute import brute_min_oct, _is_bipartite
-from vcstream.errors import NotALModel
 from vcstream.graph import Graph, VertexCover, cycle_graph
 from vcstream.meters import MemoryMeter, MeteredSet
 from vcstream.solve_oct import _colour_pass, solve_oct, solve_oct_cc
-from vcstream.streams import AL, VA, cover_bits, make_stream
+from vcstream.streams import AL, cover_bits, make_stream
 
 
 def stream(g, order=None):
@@ -25,15 +22,6 @@ def test_c5_needs_one():
     assert not solve_oct(stream(g), X, 0).feasible
     out = solve_oct(stream(g), X, 1)
     assert out.feasible and len(out.solution) == 1
-
-
-def test_not_al():
-    g = cycle_graph(4)
-    X = VertexCover.validated(g, [0, 2])
-    with pytest.raises(NotALModel):
-        solve_oct(make_stream(g, VA), X, 0)
-    with pytest.raises(NotALModel):
-        solve_oct_cc(make_stream(g, VA), X, 0)
 
 
 def corpus_graphs():
