@@ -352,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--c", type=_non_negative_int)
     p_kern.add_argument("--q", type=_positive_int, default=1)
     p_kern.add_argument("--k", type=_non_negative_int)
-    p_kern.add_argument("--p", type=_non_negative_int)
+    p_kern.add_argument("--p", type=_positive_int)
     p_kern.add_argument("--ell", type=_non_negative_int, default=0)
-    p_kern.add_argument("--cpi", type=int)
+    p_kern.add_argument("--cpi", type=_non_negative_int)
     p_kern.add_argument("--pfun")
     p_kern.add_argument("--model", choices=["al", "ea", "va"], default="al")
     p_kern.add_argument("-o", "--output")
@@ -367,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=_non_negative_int)
         p.add_argument("--pattern", help="family file for hfree")
         p.add_argument("--family", help="family file (oracle-backed problems)")
-        p.add_argument("--cpi", type=int)
+        p.add_argument("--cpi", type=_non_negative_int)
         p.add_argument("--pfun")
-        p.add_argument("--nu", type=int)
+        p.add_argument("--nu", type=_positive_int)
         p.add_argument("--oracle", choices=["a1", "a2", "a1sub", "ecenum"], default="a2")
         p.add_argument("--cc", action="store_true")
         p.add_argument("--low-mem", action="store_true", dest="low_mem")

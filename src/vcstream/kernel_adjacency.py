@@ -57,6 +57,21 @@ def _entry_words(K: int) -> int:
     return 2 * max(1, words_for_bits(K)) + 2
 
 
+def _entry_masks(table: list[PartitionEntry], bits: dict[int, int]) -> list[tuple[int, int]]:
+    """Each entry as (Y+ mask, Y+|Y- mask) over cover-view `bits`."""
+    return [
+        (sum(bits[y] for y in e.y_plus), sum(bits[y] for y in e.y_plus | e.y_minus))
+        for e in table
+    ]
+
+
+def _matching_entries(mask: int, table: list[PartitionEntry],
+                      entry_masks: list[tuple[int, int]]) -> list[PartitionEntry]:
+    """The entries, in table order, that a vertex with cover neighbours
+    `mask` matches: it sees all of Y+ and none of Y-."""
+    return [e for e, (plus, split) in zip(table, entry_masks) if mask & split == plus]
+
+
 def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                meter: MemoryMeter | None = None) -> KernelOutput:
     """Single-pass kernel; output could equally be produced by the in-memory
@@ -69,12 +84,11 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 
-    bits = cover_bits(X.members)
     table = build_mark_table(X, c)
-    entry_masks = [
-        (sum(bits[y] for y in e.y_plus), sum(bits[y] for y in e.y_plus | e.y_minus))
-        for e in table
-    ]
+    entry_masks = _entry_masks(table, cover_bits(X.members))
+    # mask -> the entries it matches, a pure function of the mask (stream
+    # machinery like the cover view, not algorithm state)
+    matches: dict[int, list[PartitionEntry]] = {}
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
@@ -88,9 +102,12 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                     seen_cover.add(v)
                     continue
                 meter.allocate(len(nbrs))  # the block's buffered edges
+                entries = matches.get(m)
+                if entries is None:
+                    entries = matches[m] = _matching_entries(m, table, entry_masks)
                 hit = False
-                for entry, (plus, split) in zip(table, entry_masks):
-                    if entry.x_count < r and m & split == plus:
+                for entry in entries:
+                    if entry.x_count < r:
                         entry.x_count += 1
                         hit = True
                 if hit:

@@ -54,6 +54,12 @@ def incidence_vector(neighbors_in_X: Iterable[int], X: VertexCover, c: int,
     return IncidenceVector(bits, len(pairs))
 
 
+def _pair_masks(X: VertexCover, index) -> list[tuple[int, int]]:
+    """Each (Q, R) pair of `index` as two masks over `X`'s cover-view bits."""
+    bit_of = cover_bits(X.members)
+    return [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
+
+
 def _mask_vector(mask: int, pair_masks) -> IncidenceVector:
     """`incidence_vector` of a vertex whose cover neighbours are `mask`, with
     each (Q, R) pair given as two masks over the same cover bits."""
@@ -124,8 +130,10 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
     index = incidence_pair_index(X, c)
     dim = len(index)
     vec_words = max(1, words_for_bits(dim))
-    bit_of = cover_bits(X.members)
-    pair_masks = [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
+    pair_masks = _pair_masks(X, index)
+    # mask -> its incidence vector, a pure function of the mask (stream
+    # machinery like the cover view, not algorithm state)
+    vectors: dict[int, IncidenceVector] = {}
     kept_outside: list[int] = []
 
     with meter.scope(X.K):
@@ -135,17 +143,29 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
             for _ in range(ell):
                 basis_box = [F2Basis(dim)]
                 skip = cover_set | set(kept_outside)
+                # masks met this round: a repeat's vector was inserted or
+                # reduced to 0 then, and the round's span only grows, so a
+                # repeat is dependent
+                scanned: set[int] = set()
 
-                def scan(view, basis_box=basis_box, skip=skip):
+                def scan(view, basis_box=basis_box, skip=skip, scanned=scanned):
                     nonlocal charged_a, charged_basis
                     for v, _, m, nbrs in view:
                         if v in skip:
                             continue
                         meter.allocate(len(nbrs))  # the block's buffered neighbours
                         try:
-                            with meter.scope(vec_words):
-                                vec = _mask_vector(m, pair_masks)
-                                new_basis, independent = basis_insert(basis_box[0], vec, v)
+                            meter.allocate(vec_words)
+                            try:
+                                independent = False
+                                if m not in scanned:
+                                    scanned.add(m)
+                                    vec = vectors.get(m)
+                                    if vec is None:
+                                        vec = vectors[m] = _mask_vector(m, pair_masks)
+                                    new_basis, independent = basis_insert(basis_box[0], vec, v)
+                            finally:
+                                meter.release(vec_words)
                             if independent:
                                 basis_box[0] = new_basis
                                 grown = _basis_words(new_basis)

@@ -5,6 +5,8 @@ and ceil(bits/64) words for a bit vector.  Only algorithm working state is
 charged; the instance, the stream machinery, and output sinks are free.  The
 cover view a stream handle caches (`StreamHandle.cover_view`) is stream
 machinery: a consumer pays for what it keeps of a block, not for the view.
+So are the kernels' per-mask memos (a pure function of a block's cover mask):
+each block is still charged what the algorithm holds for it.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .enumeration import (
     subset_first,
     subset_next,
 )
-from .errors import BadParams, OracleFault
+from .errors import BadParams, MemoryBudgetExceeded, OracleFault
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
@@ -51,7 +51,9 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
                                 meter: MemoryMeter | None = None) -> EquivalenceClassTable:
     """One pass tallying, for every vertex outside Y and exclude, its
     adjacency bitstring toward Y.  Callers pass the deleted cover part (and
-    any deleted outside vertices) via exclude."""
+    any deleted outside vertices) via exclude.  Each row (key and count) is
+    charged 2 words as it appears; the caller releases `2 * len(rows)`."""
+    meter = meter if meter is not None else MemoryMeter()
     y_order = tuple(sorted(Y))
     skip = frozenset(Y) | frozenset(exclude)
     counts: dict[int, int] = {}
@@ -59,9 +61,17 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
     def tally(view):
         for v, _, key, _ in view:
             if v not in skip:
-                counts[key] = counts.get(key, 0) + 1
+                if key in counts:
+                    counts[key] += 1
+                else:
+                    meter.allocate(2)
+                    counts[key] = 1
 
-    h.run_cover_pass(y_order, tally)
+    try:
+        h.run_cover_pass(y_order, tally)
+    except MemoryBudgetExceeded:
+        meter.release(2 * len(counts))
+        raise
     return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
 
 
@@ -123,12 +133,14 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         if _cover_part_hits(h, a1, y_order, meter):
             return None
         ec = compute_equivalence_classes(h, y_order, s_branch, meter).as_dict()
-        with meter.scope(2 * len(ec)):
+        try:
             deletions = MeteredSet(meter, s_branch)
             try:
                 return _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter)
             finally:
                 deletions.close()
+        finally:
+            meter.release(2 * len(ec))
 
     return branch_on_cover(h, X, ell, "solve_with_a1", 3 * X.K, branch, meter)
 
@@ -315,9 +327,7 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
 
     def branch(drop_cover, _, meter):
         if not tables:
-            table = compute_equivalence_classes(h, X.members, frozenset(), meter)
-            meter.allocate(2 * len(table.rows))
-            tables.append(table)
+            tables.append(compute_equivalence_classes(h, X.members, frozenset(), meter))
         table = tables[0]
         remaining_budget = ell - len(drop_cover)
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.rows)

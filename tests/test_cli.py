@@ -201,3 +201,28 @@ def test_kernelize_lowrank_needs_positive_ell(tmp_path, capsys, ell):
     assert main(["kernelize", inst, "--alg", "lowrank", *ell, "--c", "1"]) == 2
     assert "--alg lowrank needs --ell" in capsys.readouterr().err
     assert main(["kernelize", inst, "--wrap", "pifree", "--cpi", "2", "--pfun", "3"]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alg", "lowrank", "--wrap", "rankc", "--k", "1", "--p", "0", "--c", "1"],
+    ["--wrap", "pifree", "--ell", "1", "--cpi", "-1", "--pfun", "3"],
+])
+def test_kernelize_bad_p_or_cpi_is_usage_error(tmp_path, capsys, flags):
+    inst = write_p3(tmp_path, ell=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["kernelize", inst, *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("flags", [
+    ["--problem", "hfree", "--cpi", "-1"],
+    ["--problem", "pifree-oracle", "--oracle", "a1", "--nu", "0"],
+    ["--problem", "pifree-oracle", "--oracle", "a1", "--nu", "-1"],
+])
+def test_solver_bad_cpi_or_nu_is_usage_error(tmp_path, capsys, command, flags):
+    inst = write_p3(tmp_path, ell=1)
+    family = write_family(tmp_path, path_graph(3))
+    with pytest.raises(SystemExit) as exc:
+        main([command, inst, *flags, "--family", family])
+    assert exc.value.code == 2

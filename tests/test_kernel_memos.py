@@ -1,0 +1,113 @@
+"""The streaming kernels decide an outside vertex from its cover mask alone and
+memoise that per mask: the memo keys must agree with the set-based rules, and
+the memoised scans must keep what the in-memory references keep."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vcstream.errors import MemoryBudgetExceeded
+from vcstream.graph import Graph, VertexCover
+from vcstream.kernel_adjacency import (
+    _entry_masks,
+    _matching_entries,
+    build_mark_table,
+    reduce_in_memory,
+    reduce_str,
+)
+from vcstream.kernel_lowrank import (
+    _mask_vector,
+    _pair_masks,
+    incidence_pair_index,
+    incidence_vector,
+    low_rank_reduce_in_memory,
+    low_rank_reduce_str,
+)
+from vcstream.meters import MemoryMeter
+from vcstream.streams import AL, cover_bits, make_stream
+
+
+def spread_cover(K):
+    # non-contiguous ids, so a member's bit is not its id
+    return VertexCover(tuple(range(3, 3 + 2 * K, 2)))
+
+
+def neighbours_of(mask, X):
+    bit_of = cover_bits(X.members)
+    return {v for v in X.members if mask & bit_of[v]}
+
+
+@pytest.mark.parametrize("K", range(6))
+@pytest.mark.parametrize("c", range(4))
+def test_mask_vector_equals_incidence_vector(K, c):
+    X = spread_cover(K)
+    index = incidence_pair_index(X, c)
+    pair_masks = _pair_masks(X, index)
+    for mask in range(1 << K):
+        expected = incidence_vector(neighbours_of(mask, X), X, c, index)
+        assert _mask_vector(mask, pair_masks) == expected
+
+
+@pytest.mark.parametrize("K", range(6))
+@pytest.mark.parametrize("c", range(4))
+def test_matching_entries_equal_set_rule(K, c):
+    X = spread_cover(K)
+    table = build_mark_table(X, c)
+    entry_masks = _entry_masks(table, cover_bits(X.members))
+    for mask in range(1 << K):
+        nbrs = neighbours_of(mask, X)
+        expected = [e for e in table if e.y_plus <= nbrs and not e.y_minus & nbrs]
+        got = _matching_entries(mask, table, entry_masks)
+        assert [id(e) for e in got] == [id(e) for e in expected]
+
+
+@st.composite
+def covered_graphs(draw):
+    """n <= 40, K <= 5; outside vertices draw their cover masks from a pool of
+    at most four, so repeated masks are the norm.  Returns (g, X, order)."""
+    K = draw(st.integers(0, 5))
+    n = draw(st.integers(max(K, 1), 40))
+    cover = draw(st.lists(st.integers(0, n - 1), min_size=K, max_size=K, unique=True))
+    X = VertexCover(tuple(cover))
+    pool = draw(st.lists(st.integers(0, (1 << K) - 1), min_size=1, max_size=4))
+    outside = [v for v in range(n) if v not in set(cover)]
+    picks = draw(st.lists(st.sampled_from(pool), min_size=len(outside), max_size=len(outside)))
+    edges = [(v, w) for v, mask in zip(outside, picks) for w in neighbours_of(mask, X)]
+    members = X.members
+    inner = [(members[i], members[j]) for i in range(K) for j in range(i + 1, K)]
+    keep = draw(st.lists(st.booleans(), min_size=len(inner), max_size=len(inner)))
+    edges += [e for e, k in zip(inner, keep) if k]
+    order = draw(st.permutations(range(n)))
+    g = Graph(n, edges)
+    return g, VertexCover.validated(g, cover), tuple(order)
+
+
+def assert_trips_clean(run, peak):
+    meter = MemoryMeter(budget_words=peak - 1)
+    with pytest.raises(MemoryBudgetExceeded):
+        run(meter)
+    assert meter.live_words == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(covered_graphs(), st.integers(0, 3), st.integers(0, 3))
+def test_reduce_str_matches_in_memory(instance, r, c):
+    g, X, order = instance
+    out = reduce_str(make_stream(g, AL, order), X, r, c)
+    assert out.kept_vertices == reduce_in_memory(g, X, r, c, order)
+    assert out.passes == 1
+    assert_trips_clean(lambda m: reduce_str(make_stream(g, AL, order), X, r, c, m),
+                       out.peak_words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(covered_graphs(), st.integers(1, 3), st.integers(0, 3))
+def test_low_rank_reduce_str_matches_in_memory(instance, ell, c):
+    g, X, order = instance
+    out = low_rank_reduce_str(make_stream(g, AL, order), X, ell, c)
+    assert out.kept_vertices == low_rank_reduce_in_memory(g, X, ell, c, order)
+    assert out.passes == ell + 1
+    assert_trips_clean(
+        lambda m: low_rank_reduce_str(make_stream(g, AL, order), X, ell, c, m),
+        out.peak_words,
+    )

@@ -2,7 +2,7 @@ import pytest
 
 from corpus import all_covers, atlas_graphs, disconnected_sample
 from vcstream.brute import brute_is_pi_free, brute_min_deletion
-from vcstream.errors import BadParams, NotALModel, OracleFault
+from vcstream.errors import BadParams, MemoryBudgetExceeded, NotALModel, OracleFault
 from vcstream.graph import (
     Graph,
     VertexCover,
@@ -53,6 +53,23 @@ def test_equivalence_classes_examples():
 
     with pytest.raises(NotALModel):
         compute_equivalence_classes(make_stream(g, EA), [1])
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_equivalence_classes_charge_rows_as_they_grow(budget):
+    # P3 plus an isolated vertex has classes {0: 1, 1: 2} toward Y = {1}: the
+    # first row's 2 words trip budget 1, the second row's trip budget 3
+    g = Graph(4, [(0, 1), (1, 2)])
+    h = stream(g, (3, 0, 1, 2))
+    meter = MemoryMeter(budget_words=budget)
+    with pytest.raises(MemoryBudgetExceeded):
+        compute_equivalence_classes(h, [1], meter=meter)
+    assert meter.live_words == 0
+    assert h.pass_meter.passes == 1
+
+    meter = MemoryMeter()
+    t = compute_equivalence_classes(stream(g), [1], meter=meter)
+    assert (meter.live_words, meter.peak_words) == (2 * len(t.rows), 2 * len(t.rows))
 
 
 def test_equivalence_classes_match_in_memory():
