@@ -70,6 +70,17 @@ def _int_at_least(low: int, what: str):
 _non_negative_int = _int_at_least(0, "non-negative")
 _positive_int = _int_at_least(1, "positive")
 
+
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text!r}")
+    return value
+
+
 # the --wrap values each kernel algorithm accepts
 KERNEL_WRAPS = {"reduce": ("pifree", "largest", "partition"), "lowrank": ("rankc",)}
 
@@ -92,12 +103,6 @@ def _fmt_ids(ids) -> str:
     return ",".join(str(v) for v in ids) if ids else "-"
 
 
-def _require_al(args) -> None:
-    model = getattr(args, "model", "al")
-    if model != "al":
-        raise UsageError("only the AL model is supported here; solvers reject EA/VA")
-
-
 class UsageError(Exception):
     pass
 
@@ -115,6 +120,8 @@ def _cmd_gen(args) -> int:
         comments = [f"seed={args.seed}", f"gen=planted p={args.p}"]
         text = format_instance(g, cover, args.ell, comments)
     else:
+        if args.family is None:
+            raise UsageError("gen doublefan needs --family")
         family = load_family(args.family)
         pattern = family.members[0]
         spec = DoubleFanSpec(
@@ -147,7 +154,6 @@ def _cmd_kernelize(args) -> int:
     if args.wrap is not None and args.wrap not in KERNEL_WRAPS[args.alg]:
         raise UsageError(f"--wrap {args.wrap} does not apply to --alg {args.alg}")
     inst, handle = _load(args)
-    _require_al(args)
     meter = _fresh_meter()
     started = time.perf_counter()
     if args.alg == "reduce":
@@ -254,7 +260,6 @@ def _run_solver(args, inst, handle, meter, family=None):
 
 def _cmd_solve(args) -> int:
     inst, handle = _load(args)
-    _require_al(args)
     meter = _fresh_meter()
     ell = args.ell if args.ell is not None else inst.ell
     args.ell = ell
@@ -296,7 +301,6 @@ def _brute_reference(args, inst, family):
 
 def _cmd_verify(args) -> int:
     inst, handle = _load(args)
-    _require_al(args)
     meter = _fresh_meter()
     ell = args.ell if args.ell is not None else inst.ell
     args.ell = ell
@@ -330,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("kind", choices=["planted", "doublefan"])
-    p_gen.add_argument("--n", type=int, default=20)
-    p_gen.add_argument("--k", type=int, default=4)
-    p_gen.add_argument("--p", type=float, default=0.3)
+    p_gen.add_argument("--n", type=_non_negative_int, default=20)
+    p_gen.add_argument("--k", type=_non_negative_int, default=4)
+    p_gen.add_argument("--p", type=_probability, default=0.3)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--ell", type=int, default=1)
+    p_gen.add_argument("--ell", type=_non_negative_int, default=1)
     p_gen.add_argument("--family", help="pattern file (doublefan: first member is split)")
     p_gen.add_argument("--split", type=int, default=1, help="degree-2 vertex to expand")
     p_gen.add_argument("--centers", type=int, default=3)
@@ -356,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--ell", type=_non_negative_int, default=0)
     p_kern.add_argument("--cpi", type=_non_negative_int)
     p_kern.add_argument("--pfun")
-    p_kern.add_argument("--model", choices=["al", "ea", "va"], default="al")
     p_kern.add_argument("-o", "--output")
     p_kern.set_defaults(func=_cmd_kernelize)
 
@@ -375,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--low-mem", action="store_true", dest="low_mem")
         p.add_argument("--cache-cover", action="store_true", dest="cache_cover")
         p.add_argument("--no-strict-induced", action="store_false", dest="strict_induced")
-        p.add_argument("--model", choices=["al", "ea", "va"], default="al")
 
     p_solve = sub.add_parser("solve", help="run a streaming solver")
     add_solver_args(p_solve)

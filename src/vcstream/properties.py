@@ -202,14 +202,15 @@ ORACLE_FREENESS = "a2"
 
 
 class StreamOracle:
-    """Family-backed reference oracle; buffers one pass of its input stream.
+    """Family-backed reference oracle; buffers one pass of its input stream,
+    charging each vertex and edge one word on first sight.
 
     Kind 'a1' answers whether the streamed graph is isomorphic to some family
     member; kind 'a2' answers whether it is free of induced occurrences of
     every member.
     """
 
-    __slots__ = ("kind", "family", "declared_passes", "last_buffered_words")
+    __slots__ = ("kind", "family", "declared_passes")
 
     def __init__(self, kind: str, family: ExplicitFamily):
         if kind not in (ORACLE_MEMBERSHIP, ORACLE_FREENESS):
@@ -217,26 +218,29 @@ class StreamOracle:
         self.kind = kind
         self.family = family
         self.declared_passes = 1
-        self.last_buffered_words = 0
 
     def answer(self, handle: StreamHandle, meter: MemoryMeter | None = None) -> bool:
+        meter = meter if meter is not None else MemoryMeter()
         vertices: set[int] = set()
         edges: set[tuple[int, int]] = set()
 
         def consume(events):
-            for ev in events:
-                if ev.kind == EDGE:
-                    vertices.add(ev.u)
-                    vertices.add(ev.v)
-                    edges.add((ev.u, ev.v))
-                elif ev.kind != PASS_END:
-                    vertices.add(ev.u)
+            for kind, u, v in events:
+                if kind == PASS_END:
+                    continue
+                if u not in vertices:
+                    meter.allocate(1)
+                    vertices.add(u)
+                if kind == EDGE:
+                    if v not in vertices:
+                        meter.allocate(1)
+                        vertices.add(v)
+                    if (u, v) not in edges:
+                        meter.allocate(1)
+                        edges.add((u, v))
 
-        handle.run_pass(consume)
-        self.last_buffered_words = len(vertices) + len(edges)
-        if meter is not None:
-            meter.allocate(self.last_buffered_words)
         try:
+            handle.run_pass(consume)
             labels = sorted(vertices)
             index = {v: i for i, v in enumerate(labels)}
             g = Graph(len(labels), [(index[u], index[v]) for u, v in edges])
@@ -244,8 +248,7 @@ class StreamOracle:
                 return any(are_isomorphic(g, p.graph) for p in self.family.members)
             return not any(is_induced_subgraph(g, p) for p in self.family.members)
         finally:
-            if meter is not None:
-                meter.release(self.last_buffered_words)
+            meter.release(len(vertices) + len(edges))
 
 
 def family_oracle(f: ExplicitFamily, kind: str) -> StreamOracle:

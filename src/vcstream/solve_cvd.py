@@ -52,8 +52,7 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
     cached_words = 0
     try:
         if cache_cover:
-            edge_bits = induced_edges(h, y_set)
-            meter.allocate(len(edge_bits))
+            edge_bits = induced_edges(h, y_set, meter)
             cached_words = len(edge_bits)
             if _p3_within(y_set, edge_bits):
                 return None

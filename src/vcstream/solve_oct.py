@@ -77,8 +77,7 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
 def _cached_components(h, meter, y_set):
     """One pass caching G[Y]'s edges, then in-memory components and a base
     2-colouring; returns None when G[Y] is odd (branch rejected)."""
-    edges = induced_edges(h, y_set)
-    meter.allocate(len(edges))
+    edges = induced_edges(h, y_set, meter)
     try:
         adj = {v: set() for v in y_set}
         for u, v in edges:

@@ -25,14 +25,7 @@ from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
 from .results import SolveOutcome, branch_on_cover
-from .streams import (
-    PASS_END_EVENT,
-    StreamHandle,
-    edge_event,
-    filtered_substream,
-    vertex_begin,
-    vertex_end,
-)
+from .streams import StreamHandle, filtered_substream
 
 
 @dataclass(frozen=True)
@@ -75,24 +68,27 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
     return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
 
 
+def _first_members(view, picks: dict[int, int], skip) -> list[int]:
+    """Per class key, its first `picks[key]` members of `view` outside
+    `skip`, in stream order."""
+    remaining = dict(picks)
+    chosen: list[int] = []
+    for v, _, key, _ in view:
+        if v not in skip:
+            want = remaining.get(key, 0)
+            if want > 0:
+                chosen.append(v)
+                remaining[key] = want - 1
+    return chosen
+
+
 def _materialize_from_classes(h: StreamHandle, y_order, picks: dict[int, int],
                               excluded) -> tuple[int, ...]:
     """One pass choosing, per class key, its first `picks[key]` remaining
     members in stream order."""
     skip = frozenset(excluded)
-    remaining = dict(picks)
-    chosen: list[int] = []
-
-    def pick(view):
-        for v, _, key, _ in view:
-            if v not in skip:
-                want = remaining.get(key, 0)
-                if want > 0:
-                    chosen.append(v)
-                    remaining[key] = want - 1
-
-    h.run_cover_pass(y_order, pick)
-    if any(v > 0 for v in remaining.values()):
+    chosen = h.run_cover_pass(y_order, lambda view: _first_members(view, picks, skip))
+    if len(chosen) < sum(picks.values()):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
 
@@ -271,44 +267,14 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     return branch_on_cover(h, X, ell, "solve_with_a2", 3 * X.K, branch, meter)
 
 
-class _ClassSkipHandle(StreamHandle):
-    """Residual-graph stream: drops a chosen cover subset and, per picked
+def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> StreamHandle:
+    """Residual-graph substream: drops a chosen cover subset and, per picked
     class (a key over the whole cover), its first `count` members in stream
-    order.  Each edge is emitted once: a cover-internal edge from the later
-    cover block, any other edge from its outside endpoint's block, so the
-    decision for an outside vertex can wait until its own block."""
-
-    __slots__ = ("parent", "cover", "picks", "drop_cover")
-
-    def __init__(self, parent: StreamHandle, cover, picks, drop_cover):
-        super().__init__(parent.source, parent.model, parent.order, parent.pass_meter)
-        self.parent = parent
-        self.cover = tuple(cover)
-        self.picks = dict(picks)
-        self.drop_cover = frozenset(drop_cover)
-
-    def events(self):
-        remaining = dict(self.picks)
-        drop = self.drop_cover
-        seen_cover: set[int] = set()
-        for v, bit, key, nbrs in self.parent.cover_view(self.cover):
-            if bit:
-                if v not in drop:
-                    yield vertex_begin(v)
-                    for w in nbrs:
-                        if w in seen_cover and w not in drop:
-                            yield edge_event(v, w)
-                    yield vertex_end(v)
-                seen_cover.add(v)
-            elif remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-            else:
-                yield vertex_begin(v)
-                for w in nbrs:
-                    if w not in drop:
-                        yield edge_event(v, w)
-                yield vertex_end(v)
-        yield PASS_END_EVENT
+    order.  The members are read off the cover view that the oracle's own
+    pass over the substream is charged for."""
+    cover_set = frozenset(cover)
+    gone = frozenset(drop_cover).union(_first_members(h.cover_view(cover), picks, cover_set))
+    return filtered_substream(h, lambda v: v not in gone)
 
 
 def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
@@ -335,7 +301,7 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         while not pick_cursor.at_end:
             picks = dict(pick_cursor.current)
             with meter.scope(2 * K + 2):
-                residual = _ClassSkipHandle(h, table.y_order, picks, drop_cover)
+                residual = _residual(h, table.y_order, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
             if free:
                 chosen = (

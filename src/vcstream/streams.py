@@ -1,27 +1,33 @@
 """Deterministic EA/VA/AL event streams over a graph, with pass metering.
 
-A handle replays a byte-identical event sequence for a fixed (graph, model,
-order).  In the AL model every edge is emitted twice per pass (once inside
-each endpoint's block); in EA and VA exactly once.  PassEnd is an explicit
-event so consumers never need to know n in advance.
+A handle stores one block per vertex: the vertex's neighbours in stream
+order, with the blocks themselves in stream order.  That is the AL model's
+unit of arrival, and every pass is derived from it.  `events()` replays a
+byte-identical event sequence for a fixed (graph, model, order): in AL every
+edge is emitted twice per pass (once inside each endpoint's block); VA keeps
+an edge only in its later endpoint's block, and EA emits it alone, at its
+earlier endpoint, with no vertex events.  PassEnd is an explicit event so
+consumers never need to know n in advance.  An induced substream is a handle
+over the kept blocks, charging its passes to the parent's meter.
 
-Given a vertex cover X, an outside vertex is fully described by N(v) & X.  An
-AL handle therefore also offers a cover view: one (v, bit, mask, nbrs) tuple
-per block, where `mask` holds N(v) & members as bits in ascending member
-order.  Consumers that only need per-block neighbourhoods read the view
-through `run_cover_pass`, which charges one pass like `run_pass`.  Raw events
-remain the interface for EA/VA streams, for consumers that must see the
-event sequence itself (edge-only scans, oracles) and for substreams that
-produce events.
+A pass may be answered from the blocks instead of the events only when the
+answer is a pure function of one pass's events, and the pass is still
+charged through `run_pass`.  Two such passes exist.  Given a vertex cover X,
+an outside vertex is fully described by N(v) & X, so an AL handle offers a
+cover view: one (v, bit, mask, nbrs) tuple per block, where `mask` holds
+N(v) & members as bits in ascending member order, read through
+`run_cover_pass`.  And `induced_edges` reads only the blocks of the vertices
+it keeps.  Raw events remain the interface for EA/VA streams and for
+consumers that must see the event sequence itself (oracles, kernel output).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import BadParams, BadPermutation, NotALModel
+from .errors import BadParams, BadPermutation, MemoryBudgetExceeded, NotALModel
 from .graph import Edge, Graph, canonical_edge
-from .meters import PassMeter
+from .meters import MemoryMeter, PassMeter
 
 EA = "EA"
 VA = "VA"
@@ -55,6 +61,7 @@ def edge_event(u: int, v: int) -> StreamEvent:
 
 PASS_END_EVENT = StreamEvent(PASS_END)
 
+Blocks = dict[int, tuple[int, ...]]  # v -> neighbours in stream order, in stream order
 CoverBlock = tuple[int, int, int, tuple[int, ...]]  # (v, bit, mask, nbrs)
 
 
@@ -64,27 +71,34 @@ def cover_bits(members: Iterable[int]) -> dict[int, int]:
 
 
 class StreamHandle:
-    """Replayable, single-consumer view of a graph in one arrival model.
+    """Replayable, single-consumer view of a graph in one arrival model."""
 
-    Subclasses that produce their own events override `events()` and call
-    this `__init__` with their parent's source, model, order and meter."""
+    __slots__ = ("source", "model", "blocks", "pass_meter", "_view_members", "_view")
 
-    __slots__ = ("source", "model", "order", "pass_meter", "_events",
-                 "_view_members", "_view")
-
-    def __init__(self, source: Graph, model: str, order: tuple[int, ...],
-                 pass_meter: PassMeter, events: tuple[StreamEvent, ...] = ()):
+    def __init__(self, source: Graph, model: str, blocks: Blocks, pass_meter: PassMeter):
         self.source = source
         self.model = model
-        self.order = order
+        self.blocks = blocks
         self.pass_meter = pass_meter
-        self._events = events
         self._view_members: tuple[int, ...] | None = None
         self._view: tuple[CoverBlock, ...] = ()
 
-    def events(self) -> Iterable[StreamEvent]:
+    def events(self) -> Iterator[StreamEvent]:
         """One pass worth of events; does not touch the pass meter."""
-        return self._events
+        model = self.model
+        seen: set[int] = set()
+        for v, nbrs in self.blocks.items():
+            if model != AL:
+                # VA: earlier neighbours, EA: later ones
+                nbrs = [w for w in nbrs if (w in seen) == (model == VA)]
+                seen.add(v)
+            if model != EA:
+                yield vertex_begin(v)
+            for w in nbrs:
+                yield edge_event(v, w)
+            if model != EA:
+                yield vertex_end(v)
+        yield PASS_END_EVENT
 
     def run_pass(self, consumer: Callable[[Iterator[StreamEvent]], object]):
         """Feed one full pass to `consumer`; the pass is counted even on failure."""
@@ -94,31 +108,22 @@ class StreamHandle:
             self.pass_meter.increment()
 
     def cover_view(self, members: Iterable[int]) -> tuple[CoverBlock, ...]:
-        """One (v, bit, mask, nbrs) per AL block of `events()`, in stream
-        order: v's own bit in `members` (0 for a non-member), N(v) & members
-        as bits, and v's neighbours in stream order.  Only the view of the
-        last `members` is kept; building it is not a pass."""
+        """One (v, bit, mask, nbrs) per block, in stream order: v's own bit in
+        `members` (0 for a non-member), N(v) & members as bits, and v's
+        neighbours in stream order.  Only the view of the last `members` is
+        kept; building it is not a pass."""
         if self.model != AL:
             raise NotALModel("the cover view requires an AL stream")
         key = tuple(sorted(members))
         if key != self._view_members:
             bit_of = cover_bits(key)
-            blocks: list[CoverBlock] = []
-            cur = None
-            nbrs: list[int] = []
-            for ev in self.events():
-                kind = ev.kind
-                if kind == EDGE:
-                    nbrs.append(ev.v if ev.u == cur else ev.u)
-                elif kind == VERTEX_BEGIN:
-                    cur = ev.u
-                    nbrs = []
-                elif kind == VERTEX_END:
-                    mask = 0
-                    for w in nbrs:
-                        mask |= bit_of.get(w, 0)
-                    blocks.append((cur, bit_of.get(cur, 0), mask, tuple(nbrs)))
-            self._view_members, self._view = key, tuple(blocks)
+            view: list[CoverBlock] = []
+            for v, nbrs in self.blocks.items():
+                mask = 0
+                for w in nbrs:
+                    mask |= bit_of.get(w, 0)
+                view.append((v, bit_of.get(v, 0), mask, nbrs))
+            self._view_members, self._view = key, tuple(view)
         return self._view
 
     def run_cover_pass(self, members: Iterable[int],
@@ -128,82 +133,49 @@ class StreamHandle:
         return self.run_pass(lambda _events: consumer(view))
 
 
-class _FilteredHandle(StreamHandle):
-    """Induced-substream view; every pass is charged to the parent's meter."""
-
-    __slots__ = ("parent", "keep")
-
-    def __init__(self, parent: StreamHandle, keep: Callable[[int], bool]):
-        super().__init__(parent.source, parent.model, parent.order, parent.pass_meter)
-        self.parent = parent
-        self.keep = keep
-
-    def events(self) -> Iterator[StreamEvent]:
-        keep = self.keep
-        for ev in self.parent.events():
-            kind = ev.kind
-            if kind == EDGE:
-                if keep(ev.u) and keep(ev.v):
-                    yield ev
-            elif kind == PASS_END:
-                yield ev
-            elif keep(ev.u):
-                yield ev
-
-
-def _build_events(g: Graph, model: str, order: tuple[int, ...]) -> tuple[StreamEvent, ...]:
-    pos = {v: i for i, v in enumerate(order)}
-    events: list[StreamEvent] = []
-    if model == AL:
-        for v in order:
-            events.append(vertex_begin(v))
-            for w in sorted(g.neighbors(v), key=pos.__getitem__):
-                events.append(edge_event(v, w))
-            events.append(vertex_end(v))
-    elif model == VA:
-        for v in order:
-            events.append(vertex_begin(v))
-            seen_earlier = [w for w in g.neighbors(v) if pos[w] < pos[v]]
-            for w in sorted(seen_earlier, key=pos.__getitem__):
-                events.append(edge_event(v, w))
-            events.append(vertex_end(v))
-    elif model == EA:
-        ranked = sorted(
-            g.edges, key=lambda e: (min(pos[e[0]], pos[e[1]]), max(pos[e[0]], pos[e[1]]))
-        )
-        events.extend(edge_event(u, v) for u, v in ranked)
-    else:
-        raise BadParams(f"unknown stream model {model!r}")
-    events.append(PASS_END_EVENT)
-    return tuple(events)
-
-
 def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> StreamHandle:
     """Build a replayable stream of `g` in the given model and vertex order."""
     order = tuple(order) if order is not None else tuple(range(g.n))
     if sorted(order) != list(range(g.n)):
         raise BadPermutation(f"order is not a permutation of 0..{g.n - 1}")
-    return StreamHandle(g, model, order, PassMeter(), _build_events(g, model, order))
+    if model not in MODELS:
+        raise BadParams(f"unknown stream model {model!r}")
+    pos = {v: i for i, v in enumerate(order)}
+    blocks = {v: tuple(sorted(g.neighbors(v), key=pos.__getitem__)) for v in order}
+    return StreamHandle(g, model, blocks, PassMeter())
 
 
 def filtered_substream(h: StreamHandle, keep: Callable[[int], bool]) -> StreamHandle:
     """Induced-subgraph view of `h` on {v : keep(v)}; passes charge h's meter."""
-    return _FilteredHandle(h, keep)
+    blocks = {v: tuple(filter(keep, nbrs)) for v, nbrs in h.blocks.items() if keep(v)}
+    return StreamHandle(h.source, h.model, blocks, h.pass_meter)
 
 
-def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int]) -> frozenset[Edge]:
-    """Canonical edge set of G[vertices]: one pass on a handle, none on a Graph."""
+def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int],
+                  meter: MemoryMeter | None = None) -> frozenset[Edge]:
+    """Canonical edge set of G[vertices]: one pass on a handle, none on a
+    Graph.  With a meter, each edge is charged one word as it is found; if
+    the budget trips, the call releases what it charged."""
     keep = frozenset(vertices)
     if isinstance(source, Graph):
-        return frozenset(
-            canonical_edge(u, w) for u in keep for w in source.neighbors(u) & keep
-        )
-    edges = set()
+        return _edges_among(keep, source.neighbors, meter)
+    blocks = source.blocks
+    return source.run_pass(
+        lambda _events: _edges_among(keep, lambda v: blocks.get(v, ()), meter)
+    )
 
-    def consume(events):
-        for ev in events:
-            if ev.kind == EDGE and ev.u in keep and ev.v in keep:
-                edges.add((ev.u, ev.v))
 
-    source.run_pass(consume)
+def _edges_among(keep: frozenset[int], nbrs_of: Callable[[int], Iterable[int]],
+                 meter: MemoryMeter | None) -> frozenset[Edge]:
+    edges: set[Edge] = set()
+    try:
+        for u in keep:
+            for w in nbrs_of(u):
+                if u < w and w in keep:
+                    if meter is not None:
+                        meter.allocate(1)
+                    edges.add((u, w))
+    except MemoryBudgetExceeded:
+        meter.release(len(edges))
+        raise
     return frozenset(edges)

@@ -52,8 +52,9 @@ def test_usage_error_exit_2(tmp_path, capsys):
 
 def test_non_al_model_rejected(tmp_path, capsys):
     inst = write_p3(tmp_path)
-    code = main(["solve", inst, "--problem", "cvd", "--model", "ea"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", inst, "--problem", "cvd", "--model", "ea"])
+    assert exc.value.code == 2
 
 
 def test_missing_instance_exit_3(capsys):
@@ -102,6 +103,22 @@ def test_gen_doublefan(tmp_path, capsys):
     inst = load_instance(out)
     assert inst.ell == 0
     assert any("expected=YES" in c for c in inst.comments)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--ell", "-1"], ["--n", "-1"], ["--k", "-2"], ["--p", "1.5"], ["--p", "-0.1"],
+    ["--p", "nan"],
+])
+def test_gen_planted_bad_number_is_usage_error(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "planted", *flags, "-o", str(tmp_path / "bad.vcs")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bad.vcs").exists()
+
+
+def test_gen_doublefan_needs_family(tmp_path, capsys):
+    assert main(["gen", "doublefan", "-o", str(tmp_path / "fan.vcs")]) == 2
+    assert "--family" in capsys.readouterr().err
 
 
 def test_kernelize_report_and_output(tmp_path, capsys):

@@ -1,0 +1,203 @@
+"""Block-derived streams: events, substreams, induced edges and the
+equivalence-class residual all agree with event-level references."""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import atlas_graphs
+from vcstream.errors import MemoryBudgetExceeded
+from vcstream.graph import Graph, VertexCover, canonical_edge, complete_graph
+from vcstream.meters import MemoryMeter
+from vcstream.properties import ExplicitFamily, family_oracle
+from vcstream.solve_cvd import solve_cvd
+from vcstream.solve_oct import solve_oct_cc
+from vcstream.solve_oracle import _residual
+from vcstream.streams import (
+    AL,
+    EA,
+    EDGE,
+    MODELS,
+    PASS_END,
+    PASS_END_EVENT,
+    VA,
+    cover_bits,
+    edge_event,
+    filtered_substream,
+    induced_edges,
+    make_stream,
+    vertex_begin,
+    vertex_end,
+)
+
+
+def stored_events(g, model, order):
+    """Frozen copy of the event builder whose tuples a handle stored before
+    it kept blocks; the reference every derived pass must reproduce."""
+    pos = {v: i for i, v in enumerate(order)}
+    events = []
+    if model == AL:
+        for v in order:
+            events.append(vertex_begin(v))
+            for w in sorted(g.neighbors(v), key=pos.__getitem__):
+                events.append(edge_event(v, w))
+            events.append(vertex_end(v))
+    elif model == VA:
+        for v in order:
+            events.append(vertex_begin(v))
+            seen_earlier = [w for w in g.neighbors(v) if pos[w] < pos[v]]
+            for w in sorted(seen_earlier, key=pos.__getitem__):
+                events.append(edge_event(v, w))
+            events.append(vertex_end(v))
+    elif model == EA:
+        ranked = sorted(
+            g.edges, key=lambda e: (min(pos[e[0]], pos[e[1]]), max(pos[e[0]], pos[e[1]]))
+        )
+        events.extend(edge_event(u, v) for u, v in ranked)
+    events.append(PASS_END_EVENT)
+    return [tuple(e) for e in events]
+
+
+def filter_events(events, keep):
+    """Event-level reference filter: vertex events of kept vertices, edges
+    with both endpoints kept, and the pass end."""
+    out = []
+    for kind, u, v in events:
+        if kind == PASS_END or (keep(u) and (kind != EDGE or keep(v))):
+            out.append((kind, u, v))
+    return out
+
+
+def shuffled_orders(g, count, seed):
+    rng = random.Random(seed)
+    orders = []
+    for _ in range(count):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        orders.append(order)
+    return orders
+
+
+def test_events_match_stored_events_on_atlas():
+    for gi, g in enumerate(atlas_graphs(1, 6, connected=False)):
+        for order in shuffled_orders(g, 3, gi):
+            for model in MODELS:
+                got = [tuple(e) for e in make_stream(g, model, order).events()]
+                assert got == stored_events(g, model, order), (g.edges, model, order)
+
+
+def test_filtered_events_match_filtered_stored_events_on_atlas():
+    for gi, g in enumerate(atlas_graphs(1, 6, connected=False)):
+        order = shuffled_orders(g, 1, gi)[0]
+        for model in MODELS:
+            h = make_stream(g, model, order)
+            full = stored_events(g, model, order)
+            for mask in range(1 << g.n):
+                keep = (lambda v, mask=mask: bool(mask >> v & 1))
+                got = [tuple(e) for e in filtered_substream(h, keep).events()]
+                assert got == filter_events(full, keep), (g.edges, model, order, mask)
+
+
+def graph_edges_among(g, keep):
+    return frozenset(e for e in g.edges if e[0] in keep and e[1] in keep)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_induced_edges_agree_on_handles_substreams_and_graph(n, data):
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda e: e[0] < e[1]), max_size=30))
+    g = Graph(n, edges)
+    order = data.draw(st.permutations(range(n)))
+    keep = data.draw(st.frozensets(st.integers(0, n - 1)))
+    outer = data.draw(st.frozensets(st.integers(0, n - 1)))
+    expected = graph_edges_among(g, keep)
+    assert induced_edges(g, keep) == expected
+    for model in MODELS:
+        h = make_stream(g, model, order)
+        before = h.pass_meter.passes
+        assert induced_edges(h, keep) == expected
+        sub = filtered_substream(h, outer.__contains__)
+        assert induced_edges(sub, keep) == graph_edges_among(g, keep & outer)
+        assert h.pass_meter.passes - before == 2
+
+
+def test_induced_edges_charge_each_edge_as_found():
+    g = complete_graph(5)
+    h = make_stream(g, AL)
+    meter = MemoryMeter(6)
+    with pytest.raises(MemoryBudgetExceeded, match="live 7 words exceeds budget 6"):
+        induced_edges(h, range(5), meter)
+    assert meter.live_words == 0
+    assert h.pass_meter.passes == 1
+    meter = MemoryMeter()
+    assert len(induced_edges(h, range(5), meter)) == 10
+    assert (meter.live_words, meter.peak_words) == (10, 10)
+
+
+def test_residual_equals_induced_graph_on_survivors():
+    rng = random.Random(5)
+    for trial in range(120):
+        n = rng.randint(2, 12)
+        members = sorted(rng.sample(range(n), rng.randint(1, min(4, n))))
+        in_cover = set(members)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if (u in in_cover or v in in_cover) and rng.random() < 0.5])
+        order = list(range(n))
+        rng.shuffle(order)
+        h = make_stream(g, AL, order)
+        bits = cover_bits(members)
+
+        def key_of(v):
+            return sum(bits[w] for w in g.neighbors(v))
+
+        outside = [v for v in order if v not in in_cover]
+        keys = sorted({key_of(v) for v in outside})
+        picks = {k: rng.randint(1, 2) for k in keys if rng.random() < 0.5}
+        drop = frozenset(x for x in members if rng.random() < 0.3)
+        taken = Counter()
+        gone = set(drop)
+        for v in outside:  # stream order
+            k = key_of(v)
+            if taken[k] < picks.get(k, 0):
+                taken[k] += 1
+                gone.add(v)
+        survivors = [v for v in range(n) if v not in gone]
+        sub_graph, old = g.induced(survivors)
+        expected = frozenset(canonical_edge(old[u], old[v]) for u, v in sub_graph.edges)
+        residual = _residual(h, members, picks, drop)
+        assert list(residual.blocks) == [v for v in order if v not in gone], trial
+        assert induced_edges(residual, range(n)) == expected, trial
+
+
+K6 = complete_graph(6)
+K6_COVER = VertexCover.validated(K6, range(5))
+
+
+@pytest.mark.parametrize("run", [
+    lambda h, m: solve_cvd(h, K6_COVER, 0, m, cache_cover=True),
+    lambda h, m: solve_oct_cc(h, K6_COVER, 0, m),
+], ids=["cvd-cached", "oct-cc"])
+def test_cached_cover_edges_trip_at_first_word_past_budget(run):
+    meter = MemoryMeter(3 * K6_COVER.K + 2)
+    with pytest.raises(MemoryBudgetExceeded, match="live 18 words exceeds budget 17"):
+        run(make_stream(K6, AL), meter)
+    assert meter.live_words == 0
+
+
+@pytest.mark.parametrize("kind", ["a1", "a2"])
+def test_oracle_buffer_trips_at_first_word_past_budget(kind):
+    oracle = family_oracle(ExplicitFamily.from_graphs([complete_graph(3)]), kind)
+    h = make_stream(complete_graph(4), AL)  # 4 vertices + 6 edges buffered
+    meter = MemoryMeter()
+    oracle.answer(h, meter)
+    assert (meter.live_words, meter.peak_words) == (0, 10)
+    for budget in range(10):
+        meter = MemoryMeter(budget)
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=f"live {budget + 1} words exceeds budget {budget}"):
+            oracle.answer(h, meter)
+        assert meter.live_words == 0
