@@ -340,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--ell", type=_non_negative_int, default=1)
     p_gen.add_argument("--family", help="pattern file (doublefan: first member is split)")
-    p_gen.add_argument("--split", type=int, default=1, help="degree-2 vertex to expand")
-    p_gen.add_argument("--centers", type=int, default=3)
+    p_gen.add_argument("--split", type=_non_negative_int, default=1,
+                       help="degree-2 vertex to expand")
+    p_gen.add_argument("--centers", type=_positive_int, default=3)
     p_gen.add_argument("--x", default="101", help="fan-A bit string")
     p_gen.add_argument("--y", default="010", help="fan-B bit string")
     p_gen.add_argument("--attach-all", action="store_true", dest="attach_all")

@@ -8,7 +8,8 @@ sentinel END, reached after exactly the closed-form number of productions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable
 
 from .errors import AdvancePastEnd, BadParams
@@ -25,19 +26,6 @@ class _End:
 
 
 END = _End()
-
-
-def _next_combination(pos: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """Successor of an ascending position tuple among same-size combinations."""
-    out = list(pos)
-    size = len(out)
-    for j in reversed(range(size)):
-        if out[j] < n - (size - j):
-            out[j] += 1
-            for t in range(j + 1, size):
-                out[t] = out[t - 1] + 1
-            return tuple(out)
-    return None
 
 
 @dataclass(frozen=True)
@@ -69,19 +57,23 @@ def subset_first(universe, k: int, mode: str = AT_MOST) -> SubsetCursor:
 
 
 def subset_next(c: SubsetCursor) -> SubsetCursor:
+    """Advance the rightmost element that is not at its last position and
+    pack the rest right after it; else start the next size (AT_MOST)."""
     if c.current is END:
         raise AdvancePastEnd("subset cursor already at END")
-    index = {x: i for i, x in enumerate(c.universe)}
-    pos = tuple(index[x] for x in c.current)
-    n = len(c.universe)
-    nxt = _next_combination(pos, n)
-    if nxt is None:
-        size = len(pos)
-        if c.mode == AT_MOST and size < c.k and size < n:
-            nxt = tuple(range(size + 1))
-        else:
-            return replace(c, current=END)
-    return replace(c, current=tuple(c.universe[i] for i in nxt))
+    u, cur = c.universe, c.current
+    n, size = len(u), len(cur)
+    j = size - 1
+    while j >= 0 and cur[j] == u[n - size + j]:
+        j -= 1
+    if j >= 0:
+        p = u.index(cur[j]) + 1
+        nxt: object = cur[:j] + u[p:p + size - j]
+    elif c.mode == AT_MOST and size < min(c.k, n):
+        nxt = u[:size + 1]
+    else:
+        nxt = END
+    return SubsetCursor(u, c.k, c.mode, nxt)
 
 
 @dataclass(frozen=True)
@@ -106,48 +98,6 @@ class MultisetCursor:
         return multiset_next(self)
 
 
-def _suffix_caps(caps: list[int]) -> list[int]:
-    out = [0] * (len(caps) + 1)
-    for i in reversed(range(len(caps))):
-        out[i] = out[i + 1] + caps[i]
-    return out
-
-
-def _first_exact(caps: list[int], total: int, start: int) -> tuple[tuple[int, int], ...] | None:
-    """Lex-smallest (position, count) sequence over positions >= start summing to total."""
-    if total == 0:
-        return ()
-    suffix = _suffix_caps(caps)
-    for p in range(start, len(caps)):
-        if caps[p] == 0:
-            continue
-        for cnt in range(1, min(caps[p], total) + 1):
-            if total - cnt <= suffix[p + 1]:
-                tail = _first_exact(caps, total - cnt, p + 1)
-                if tail is not None:
-                    return ((p, cnt),) + tail
-    return None
-
-
-def _next_exact(caps: list[int], seq: tuple[tuple[int, int], ...], total: int):
-    """Successor among exact-total sequences, or None when exhausted."""
-    suffix = _suffix_caps(caps)
-    for j in reversed(range(len(seq))):
-        prefix = seq[:j]
-        used = sum(c for _, c in prefix)
-        budget = total - used
-        p, c = seq[j]
-        candidates = [(p, c2) for c2 in range(c + 1, caps[p] + 1)]
-        for p2 in range(p + 1, len(caps)):
-            candidates.extend((p2, c2) for c2 in range(1, caps[p2] + 1))
-        for p2, c2 in candidates:
-            if c2 <= budget and budget - c2 <= suffix[p2 + 1]:
-                tail = _first_exact(caps, budget - c2, p2 + 1)
-                if tail is not None:
-                    return prefix + ((p2, c2),) + tail
-    return None
-
-
 def multiset_first(classes, k: int) -> MultisetCursor:
     classes = tuple((key, int(cap)) for key, cap in classes)
     keys = [key for key, _ in classes]
@@ -159,25 +109,39 @@ def multiset_first(classes, k: int) -> MultisetCursor:
 
 
 def multiset_next(c: MultisetCursor) -> MultisetCursor:
+    """Raise the rightmost pair's count, or move it to a later class, when the
+    rest of its total still fits in the classes after it; else start the next
+    total.  The tail is filled greedily, each non-empty class taking the least
+    count that leaves the remainder within the capacity after it."""
     if c.current is END:
         raise AdvancePastEnd("multiset cursor already at END")
     caps = [cap for _, cap in c.classes]
-    index = {key: i for i, (key, _) in enumerate(c.classes)}
-    seq = tuple((index[key], cnt) for key, cnt in c.current)
-    total = sum(cnt for _, cnt in seq)
-    nxt = _next_exact(caps, seq, total)
-    if nxt is None:
-        cap_sum = sum(caps)
-        for t in range(total + 1, c.k + 1):
-            if t > cap_sum:
-                break
-            first = _first_exact(caps, t, 0)
-            if first is not None:
-                nxt = first
-                break
-    if nxt is None:
-        return replace(c, current=END)
-    return replace(c, current=tuple((c.classes[p][0], cnt) for p, cnt in nxt))
+    room = list(accumulate(reversed(caps), initial=0))[::-1]  # room[p]: caps from p on
+    index = {key: p for p, (key, _) in enumerate(c.classes)}
+    cur = c.current
+    rest = 0  # the total of cur[j:]
+    for j in reversed(range(len(cur))):
+        key, cnt = cur[j]
+        p = index[key]
+        rest += cnt
+        if cnt < min(caps[p], rest):
+            head, rest, p = cur[:j] + ((key, cnt + 1),), rest - cnt - 1, p + 1
+            break
+        if rest <= room[p + 1]:
+            head, p = cur[:j], p + 1
+            break
+    else:
+        if rest >= min(c.k, room[0]):
+            return MultisetCursor(c.classes, c.k, END)
+        head, rest, p = (), rest + 1, 0
+    tail = []
+    while rest:
+        if caps[p]:
+            cnt = max(1, rest - room[p + 1])
+            tail.append((c.classes[p][0], cnt))
+            rest -= cnt
+        p += 1
+    return MultisetCursor(c.classes, c.k, head + tuple(tail))
 
 
 @dataclass(frozen=True)
@@ -203,20 +167,19 @@ def permutation_first(items) -> PermutationCursor:
 def permutation_next(c: PermutationCursor) -> PermutationCursor:
     if c.current is END:
         raise AdvancePastEnd("permutation cursor already at END")
-    index = {x: i for i, x in enumerate(c.items)}
-    seq = [index[x] for x in c.current]
-    n = len(seq)
-    j = n - 2
-    while j >= 0 and seq[j] >= seq[j + 1]:
+    rank = {x: i for i, x in enumerate(c.items)}
+    seq = list(c.current)
+    j = len(seq) - 2
+    while j >= 0 and rank[seq[j]] > rank[seq[j + 1]]:
         j -= 1
     if j < 0:
-        return replace(c, current=END)
-    t = n - 1
-    while seq[t] <= seq[j]:
+        return PermutationCursor(c.items, END)
+    t = len(seq) - 1
+    while rank[seq[t]] < rank[seq[j]]:
         t -= 1
     seq[j], seq[t] = seq[t], seq[j]
     seq[j + 1:] = reversed(seq[j + 1:])
-    return replace(c, current=tuple(c.items[i] for i in seq))
+    return PermutationCursor(c.items, tuple(seq))
 
 
 def cursor_values(cursor):

@@ -8,41 +8,15 @@ differential testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParams, NotALModel
 from .graph import Graph, VertexCover, canonical_edge, require_cover
+from .kernel_lowrank import incidence_pair_index, matching_splits, pair_masks
 from .meters import MemoryMeter, MeteredSet, words_for_bits
 from .properties import AdjacencyCharacterization
 from .results import KernelOutput
-from .streams import AL, PASS_END_EVENT, StreamHandle, cover_bits, edge_event
-
-
-@dataclass
-class PartitionEntry:
-    """One (Y+, Y-) split of a small cover subset, with x_count = vertices
-    marked so far (capped at r).  An outside vertex matches the entry when
-    it sees all of Y+ and none of Y-."""
-
-    y_plus: frozenset[int]
-    y_minus: frozenset[int]
-    x_count: int = 0
-
-
-def build_mark_table(cover: VertexCover, c: int) -> list[PartitionEntry]:
-    """All partitioned subsets of the cover with at most c elements."""
-    if c < 0:
-        raise BadParams("c must be non-negative")
-    entries = []
-    members = cover.members
-    for size in range(min(c, len(members)) + 1):
-        for subset in combinations(members, size):
-            for bits in range(1 << size):
-                plus = frozenset(subset[i] for i in range(size) if bits >> i & 1)
-                minus = frozenset(subset) - plus
-                entries.append(PartitionEntry(plus, minus))
-    return entries
+from .streams import AL, PASS_END_EVENT, StreamHandle, edge_event
 
 
 def mark_table_size(K: int, c: int) -> int:
@@ -52,24 +26,9 @@ def mark_table_size(K: int, c: int) -> int:
 
 
 def _entry_words(K: int) -> int:
-    # Y+ and Y- as K-bit masks, plus x_count and the per-vertex match counter
-    # of the one-pass rule (the mask test below stands in for the latter).
+    # Q and R as K-bit masks, plus the split's mark count and the per-vertex
+    # match counter of the one-pass rule (the mask test stands in for the latter).
     return 2 * max(1, words_for_bits(K)) + 2
-
-
-def _entry_masks(table: list[PartitionEntry], bits: dict[int, int]) -> list[tuple[int, int]]:
-    """Each entry as (Y+ mask, Y+|Y- mask) over cover-view `bits`."""
-    return [
-        (sum(bits[y] for y in e.y_plus), sum(bits[y] for y in e.y_plus | e.y_minus))
-        for e in table
-    ]
-
-
-def _matching_entries(mask: int, table: list[PartitionEntry],
-                      entry_masks: list[tuple[int, int]]) -> list[PartitionEntry]:
-    """The entries, in table order, that a vertex with cover neighbours
-    `mask` matches: it sees all of Y+ and none of Y-."""
-    return [e for e, (plus, split) in zip(table, entry_masks) if mask & split == plus]
 
 
 def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
@@ -84,15 +43,18 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 
-    table = build_mark_table(X, c)
-    entry_masks = _entry_masks(table, cover_bits(X.members))
-    # mask -> the entries it matches, a pure function of the mask (stream
-    # machinery like the cover view, not algorithm state)
-    matches: dict[int, list[PartitionEntry]] = {}
+    # the mark table: one (Q, R) split per entry, marked by a vertex that sees
+    # none of Q and all of R; counts[i] is split i's marks so far (capped at r)
+    splits = pair_masks(X, incidence_pair_index(X, c))
+    counts = [0] * len(splits)
+    # mask -> the splits it matches, a pure function of the mask (stream
+    # machinery like the cover view, not algorithm state); a mask whose splits
+    # all hold r marks maps to none, as counts never fall
+    matches: dict[int, list[int]] = {}
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
-    with meter.scope(X.K), meter.scope(len(table) * _entry_words(X.K)):
+    with meter.scope(X.K), meter.scope(len(splits) * _entry_words(X.K)):
         seen_cover = MeteredSet(meter)
 
         def pass_fn(view):
@@ -102,17 +64,19 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                     seen_cover.add(v)
                     continue
                 meter.allocate(len(nbrs))  # the block's buffered edges
-                entries = matches.get(m)
-                if entries is None:
-                    entries = matches[m] = _matching_entries(m, table, entry_masks)
+                hits = matches.get(m)
+                if hits is None:
+                    hits = matches[m] = matching_splits(m, splits)
                 hit = False
-                for entry in entries:
-                    if entry.x_count < r:
-                        entry.x_count += 1
+                for i in hits:
+                    if counts[i] < r:
+                        counts[i] += 1
                         hit = True
                 if hit:
                     marked.append(v)
                     out_edges.extend(canonical_edge(v, w) for w in nbrs)
+                else:
+                    matches[m] = []
                 meter.release(len(nbrs))
 
         try:

@@ -54,20 +54,23 @@ def incidence_vector(neighbors_in_X: Iterable[int], X: VertexCover, c: int,
     return IncidenceVector(bits, len(pairs))
 
 
-def _pair_masks(X: VertexCover, index) -> list[tuple[int, int]]:
-    """Each (Q, R) pair of `index` as two masks over `X`'s cover-view bits."""
+def pair_masks(X: VertexCover, index) -> list[tuple[int, int]]:
+    """Each (Q, R) pair of `index` as two masks over `X`'s cover-view bits:
+    the split table both streaming kernels match cover masks against."""
     bit_of = cover_bits(X.members)
     return [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
 
 
-def _mask_vector(mask: int, pair_masks) -> IncidenceVector:
-    """`incidence_vector` of a vertex whose cover neighbours are `mask`, with
-    each (Q, R) pair given as two masks over the same cover bits."""
-    bits = 0
-    for i, (q_mask, r_mask) in enumerate(pair_masks):
-        if not mask & q_mask and mask & r_mask == r_mask:
-            bits |= 1 << i
-    return IncidenceVector(bits, len(pair_masks))
+def matching_splits(mask: int, splits) -> list[int]:
+    """The indices of the splits (`pair_masks`) that a vertex whose cover
+    neighbours are `mask` matches: it sees none of Q and all of R."""
+    return [i for i, (q_mask, r_mask) in enumerate(splits)
+            if not mask & q_mask and mask & r_mask == r_mask]
+
+
+def mask_vector(mask: int, splits) -> IncidenceVector:
+    """`incidence_vector` of a vertex whose cover neighbours are `mask`."""
+    return IncidenceVector(sum(1 << i for i in matching_splits(mask, splits)), len(splits))
 
 
 @dataclass
@@ -130,7 +133,7 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
     index = incidence_pair_index(X, c)
     dim = len(index)
     vec_words = max(1, words_for_bits(dim))
-    pair_masks = _pair_masks(X, index)
+    splits = pair_masks(X, index)
     # mask -> its incidence vector, a pure function of the mask (stream
     # machinery like the cover view, not algorithm state)
     vectors: dict[int, IncidenceVector] = {}
@@ -162,7 +165,7 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                                     scanned.add(m)
                                     vec = vectors.get(m)
                                     if vec is None:
-                                        vec = vectors[m] = _mask_vector(m, pair_masks)
+                                        vec = vectors[m] = mask_vector(m, splits)
                                     new_basis, independent = basis_insert(basis_box[0], vec, v)
                             finally:
                                 meter.release(vec_words)

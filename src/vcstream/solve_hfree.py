@@ -203,16 +203,10 @@ def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assig
     )
 
 
-def _require_edge(H: PatternGraph) -> None:
-    if H.graph.m < 1:
-        raise PreconditionViolated("pattern must contain at least one edge")
-
-
 def solve_hfree_fpt(g: Graph, X: VertexCover, ell: int, H: PatternGraph,
                     meter: MemoryMeter | None = None,
                     strict_induced: bool = True) -> SolveOutcome:
     """In-memory find-and-branch; the reference for the streaming variant."""
-    _require_edge(H)
     return solve_pifree_explicit(g, X, ell, ExplicitFamily((H,)), None, meter,
                                  strict_induced)
 
@@ -223,7 +217,6 @@ def solve_hfree_stream(h: StreamHandle, X: VertexCover, ell: int, H: PatternGrap
     """The one-member case of `solve_pifree_explicit`."""
     if h.model != AL:
         raise NotALModel("solve_hfree_stream requires an AL stream")
-    _require_edge(H)
     return solve_pifree_explicit(h, X, ell, ExplicitFamily((H,)), None, meter,
                                  strict_induced)
 

@@ -126,7 +126,8 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 
     def branch(s_branch, y_set, meter):
         y_order = tuple(sorted(y_set))
-        if _cover_part_hits(h, a1, y_order, meter):
+        # literal rejection step: one membership call per subset of Y
+        if _any_subset_hit(h, a1, y_order, len(y_order), frozenset(), meter):
             return None
         ec = compute_equivalence_classes(h, y_order, s_branch, meter).as_dict()
         try:
@@ -141,13 +142,14 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     return branch_on_cover(h, X, ell, "solve_with_a1", 3 * X.K, branch, meter)
 
 
-def _cover_part_hits(h, a1, y_order, meter) -> bool:
-    """Literal rejection step: one membership call per subset of Y."""
-    yp_cursor = subset_first(y_order, len(y_order), AT_MOST)
-    while not yp_cursor.at_end:
-        if _call_oracle(h, a1, frozenset(yp_cursor.current), meter):
+def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
+    """Ask the oracle about J | fixed for each J of at most `bound` members of
+    Y, in subset-cursor order, up to the first yes."""
+    cursor = subset_first(y_order, min(bound, len(y_order)), AT_MOST)
+    while not cursor.at_end:
+        if _call_oracle(h, oracle, frozenset(cursor.current) | fixed, meter):
             return True
-        yp_cursor = subset_next(yp_cursor)
+        cursor = subset_next(cursor)
     return False
 
 
@@ -220,13 +222,8 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         def is_free(i_part: tuple[int, ...]) -> bool:
             if variant == "plain":
                 return _call_oracle(h, oracle, y_set | set(i_part), meter)
-            bound = max(0, nu - len(i_part))
-            j_cursor = subset_first(tuple(sorted(y_set)), min(bound, len(y_set)), AT_MOST)
-            while not j_cursor.at_end:
-                if _call_oracle(h, oracle, frozenset(j_cursor.current) | set(i_part), meter):
-                    return False
-                j_cursor = subset_next(j_cursor)
-            return True
+            return not _any_subset_hit(h, oracle, tuple(sorted(y_set)),
+                                       max(0, nu - len(i_part)), frozenset(i_part), meter)
 
         def search(deletions: MeteredSet, cursor):
             cursor = (

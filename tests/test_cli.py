@@ -121,6 +121,25 @@ def test_gen_doublefan_needs_family(tmp_path, capsys):
     assert "--family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--centers", "-1"], ["--centers", "0"], ["--split", "-1"]])
+def test_gen_doublefan_bad_number_is_usage_error(tmp_path, capsys, flags):
+    fam = write_family(tmp_path, path_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "doublefan", "--family", fam, *flags, "-o", str(tmp_path / "bad.vcs")])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "bad.vcs").exists()
+
+
+def test_gen_doublefan_split_out_of_range(tmp_path, capsys):
+    # whether a split vertex exists depends on the family file, so not usage
+    fam = write_family(tmp_path, path_graph(4))
+    out = tmp_path / "bad.vcs"
+    assert main(["gen", "doublefan", "--family", fam, "--split", "7", "-o", str(out)]) == 3
+    assert "split vertex 7 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernelize_report_and_output(tmp_path, capsys):
     inst = write_p3(tmp_path, ell=1)
     out = str(tmp_path / "kernel.vcs")

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from vcstream.enumeration import (
     AT_MOST,
     EXACTLY,
+    MultisetCursor,
+    PermutationCursor,
+    SubsetCursor,
     cursor_values,
     multiset_first,
+    multiset_next,
     permutation_first,
     permutation_next,
     subset_first,
@@ -56,14 +60,35 @@ def test_subset_matches_itertools_order_free():
         assert set(got) == expected
 
 
+def rest_of(cursor, step):
+    out = []
+    while not cursor.at_end:
+        out.append(cursor.current)
+        cursor = step(cursor)
+    return out
+
+
 def test_subset_statelessness():
-    c = subset_first(tuple(range(5)), 3)
-    for _ in range(4):
-        c = subset_next(c)
-    clone = subset_first(tuple(range(5)), 3)
-    # rebuild a cursor holding only `current`; successor chain must agree
-    rebuilt = type(c)(c.universe, c.k, c.mode, c.current)
-    assert subset_next(rebuilt).current == subset_next(c).current
+    """A cursor rebuilt from its fields at any point finishes the sequence
+    the same way; for subset, multiset and permutation cursors."""
+    cases = [
+        (subset_first(tuple(range(5)), 3, mode), subset_next,
+         lambda c: SubsetCursor(c.universe, c.k, c.mode, c.current))
+        for mode in (AT_MOST, EXACTLY)
+    ] + [
+        (multiset_first(tuple(zip("ABCD", caps)), k), multiset_next,
+         lambda c: MultisetCursor(c.classes, c.k, c.current))
+        for caps, k in (((1, 2), 2), ((2, 0, 3, 1), 5), ((3, 1, 2), 6))
+    ] + [
+        (permutation_first(tuple("wxyz")), permutation_next,
+         lambda c: PermutationCursor(c.items, c.current)),
+    ]
+    for cursor, step, rebuild in cases:
+        steps = 0
+        while not cursor.at_end:
+            assert rest_of(rebuild(cursor), step) == rest_of(cursor, step), cursor.current
+            cursor, steps = step(cursor), steps + 1
+        assert steps > 1
 
 
 def test_multiset_spec_examples():

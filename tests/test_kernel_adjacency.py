@@ -9,7 +9,6 @@ from vcstream.errors import BadParams, InvalidCover, NotALModel
 from vcstream.graph import VertexCover, path_graph, star_graph
 from vcstream.instances import PlantedSpec, gen_planted
 from vcstream.kernel_adjacency import (
-    build_mark_table,
     kernel_largest_induced,
     kernel_partition_q,
     kernel_pifree,
@@ -17,6 +16,7 @@ from vcstream.kernel_adjacency import (
     reduce_in_memory,
     reduce_str,
 )
+from vcstream.kernel_lowrank import incidence_pair_index
 from vcstream.meters import MemoryMeter
 from vcstream.properties import AdjacencyCharacterization, ExplicitFamily
 from vcstream.streams import AL, EA, make_stream
@@ -61,7 +61,7 @@ def test_mark_table_size_formula():
     for K in range(5):
         for c in range(4):
             X = VertexCover(tuple(range(K)))
-            assert len(build_mark_table(X, c)) == mark_table_size(K, c)
+            assert len(incidence_pair_index(X, c)) == mark_table_size(K, c)
             assert mark_table_size(K, c) == sum(
                 comb(K, i) * 2 ** i for i in range(c + 1)
             )

@@ -2,26 +2,23 @@
 memoise that per mask: the memo keys must agree with the set-based rules, and
 the memoised scans must keep what the in-memory references keep."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcstream.errors import MemoryBudgetExceeded
 from vcstream.graph import Graph, VertexCover
-from vcstream.kernel_adjacency import (
-    _entry_masks,
-    _matching_entries,
-    build_mark_table,
-    reduce_in_memory,
-    reduce_str,
-)
+from vcstream.kernel_adjacency import reduce_in_memory, reduce_str
 from vcstream.kernel_lowrank import (
-    _mask_vector,
-    _pair_masks,
     incidence_pair_index,
     incidence_vector,
     low_rank_reduce_in_memory,
     low_rank_reduce_str,
+    mask_vector,
+    matching_splits,
+    pair_masks,
 )
 from vcstream.meters import MemoryMeter
 from vcstream.streams import AL, cover_bits, make_stream
@@ -40,25 +37,39 @@ def neighbours_of(mask, X):
 @pytest.mark.parametrize("K", range(6))
 @pytest.mark.parametrize("c", range(4))
 def test_mask_vector_equals_incidence_vector(K, c):
+    """The shared matcher against low_rank_reduce_str's set rule."""
     X = spread_cover(K)
     index = incidence_pair_index(X, c)
-    pair_masks = _pair_masks(X, index)
+    splits = pair_masks(X, index)
     for mask in range(1 << K):
         expected = incidence_vector(neighbours_of(mask, X), X, c, index)
-        assert _mask_vector(mask, pair_masks) == expected
+        assert mask_vector(mask, splits) == expected
 
 
 @pytest.mark.parametrize("K", range(6))
 @pytest.mark.parametrize("c", range(4))
 def test_matching_entries_equal_set_rule(K, c):
+    """The shared matcher against reduce_str's rule, as reduce_in_memory
+    reads it: the table holds every (Y+, Y-) split of a cover subset of size
+    at most c once, and a vertex matches a split when it sees all of Y+ and
+    none of Y-."""
     X = spread_cover(K)
-    table = build_mark_table(X, c)
-    entry_masks = _entry_masks(table, cover_bits(X.members))
+    index = incidence_pair_index(X, c)
+    splits = pair_masks(X, index)
+    reference = {
+        (frozenset(plus), frozenset(subset) - frozenset(plus))
+        for size in range(min(c, K) + 1)
+        for subset in combinations(X.members, size)
+        for plus_size in range(size + 1)
+        for plus in combinations(subset, plus_size)
+    }
+    table = [(frozenset(r_part), frozenset(q_part)) for q_part, r_part in index]
+    assert len(table) == len(reference) and set(table) == reference
     for mask in range(1 << K):
         nbrs = neighbours_of(mask, X)
-        expected = [e for e in table if e.y_plus <= nbrs and not e.y_minus & nbrs]
-        got = _matching_entries(mask, table, entry_masks)
-        assert [id(e) for e in got] == [id(e) for e in expected]
+        expected = [i for i, (plus, minus) in enumerate(table)
+                    if plus <= nbrs and not minus & nbrs]
+        assert matching_splits(mask, splits) == expected
 
 
 @st.composite
