@@ -10,7 +10,7 @@ from typing import Callable, Iterable
 from .errors import BadParams, PreconditionViolated, TooLarge
 from .graph import Graph
 from .meters import MemoryMeter
-from .streams import EDGE, PASS_END, StreamHandle
+from .streams import EA, StreamHandle
 
 CANONICAL_LIMIT = 8
 
@@ -52,12 +52,6 @@ def _dedup_key(g: Graph) -> tuple:
     return (g.n, tuple(g.sorted_edges()))
 
 
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 @dataclass(frozen=True)
 class ExplicitFamily:
     """Finite forbidden family, deduplicated up to isomorphism."""
@@ -90,39 +84,59 @@ class ExplicitFamily:
         return ExplicitFamily(tuple(ordered))
 
 
+Plan = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _placement_plan(h: Graph) -> Plan:
+    """Pattern vertices by decreasing degree, each with a (depth, flip) pair
+    per already-placed vertex: flip 0 for a neighbour, -1 (which complements
+    a mask under xor) for a non-neighbour."""
+    order = sorted(range(h.n), key=lambda v: -h.degree(v))
+    return tuple(
+        tuple((d, 0 if h.has_edge(v, order[d]) else -1) for d in range(i))
+        for i, v in enumerate(order)
+    )
+
+
+def _embeds(adj: list[int], plan: Plan) -> bool:
+    """Bitset search for an induced embedding of the planned pattern into the
+    graph whose vertex i has neighbour mask adj[i].  A pattern vertex's
+    candidates are the unused vertices adjacent to the images of its placed
+    neighbours and non-adjacent to the images of its placed non-neighbours;
+    the lowest one is tried first."""
+    k = len(plan)
+    if k > len(adj):
+        return False
+    image_adj = [0] * k
+
+    def place(depth: int, unused: int) -> bool:
+        if depth == k:
+            return True
+        cand = unused
+        for d, flip in plan[depth]:
+            cand &= image_adj[d] ^ flip
+        while cand:
+            low = cand & -cand
+            image_adj[depth] = adj[low.bit_length() - 1]
+            if place(depth + 1, unused ^ low):
+                return True
+            cand ^= low
+        return False
+
+    return place(0, (1 << len(adj)) - 1)
+
+
 def is_induced_subgraph(g: Graph, pattern: PatternGraph | Graph) -> bool:
     """True iff some injective map embeds the pattern into g preserving both
     edges and non-edges."""
     h = pattern.graph if isinstance(pattern, PatternGraph) else pattern
-    if h.n > g.n:
-        return False
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    return _embeds(adj, _placement_plan(h))
 
-    order = sorted(range(h.n), key=lambda v: -h.degree(v))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
 
-    def extend(depth: int) -> bool:
-        if depth == h.n:
-            return True
-        hv = order[depth]
-        for gv in range(g.n):
-            if gv in used:
-                continue
-            ok = True
-            for prev in order[:depth]:
-                if h.has_edge(hv, prev) != g.has_edge(gv, assigned[prev]):
-                    ok = False
-                    break
-            if ok:
-                assigned[hv] = gv
-                used.add(gv)
-                if extend(depth + 1):
-                    return True
-                used.discard(gv)
-                del assigned[hv]
-        return False
-
-    return extend(0)
+def are_isomorphic(a: Graph, b: Graph) -> bool:
+    """Between graphs of equal order, an induced embedding is an isomorphism."""
+    return a.n == b.n and a.m == b.m and is_induced_subgraph(a, b)
 
 
 def vertex_minimal_members(f: ExplicitFamily) -> ExplicitFamily:
@@ -207,10 +221,11 @@ class StreamOracle:
 
     Kind 'a1' answers whether the streamed graph is isomorphic to some family
     member; kind 'a2' answers whether it is free of induced occurrences of
-    every member.
+    every member.  It reads the handle's blocks inside its one pass and keeps
+    exactly what that pass's events show: on EA, no vertex without an edge.
     """
 
-    __slots__ = ("kind", "family", "declared_passes")
+    __slots__ = ("kind", "family", "declared_passes", "_plans")
 
     def __init__(self, kind: str, family: ExplicitFamily):
         if kind not in (ORACLE_MEMBERSHIP, ORACLE_FREENESS):
@@ -218,37 +233,42 @@ class StreamOracle:
         self.kind = kind
         self.family = family
         self.declared_passes = 1
+        self._plans = tuple((p.graph.n, p.graph.m, _placement_plan(p.graph))
+                            for p in family.members)
 
     def answer(self, handle: StreamHandle, meter: MemoryMeter | None = None) -> bool:
         meter = meter if meter is not None else MemoryMeter()
-        vertices: set[int] = set()
-        edges: set[tuple[int, int]] = set()
+        adj: list[int] = []
+        charged = 0
 
-        def consume(events):
-            for kind, u, v in events:
-                if kind == PASS_END:
-                    continue
-                if u not in vertices:
+        def buffer(_events):
+            nonlocal charged
+            bit_of: dict[int, int] = {}
+            isolated_shown = handle.model != EA
+            for v, nbrs in handle.blocks.items():
+                if nbrs or isolated_shown:
                     meter.allocate(1)
-                    vertices.add(u)
-                if kind == EDGE:
-                    if v not in vertices:
-                        meter.allocate(1)
-                        vertices.add(v)
-                    if (u, v) not in edges:
-                        meter.allocate(1)
-                        edges.add((u, v))
+                    charged += 1
+                    bit_of[v] = len(adj)
+                    mask = 0
+                    for w in nbrs:  # each edge is found at its later endpoint
+                        if w in bit_of:
+                            meter.allocate(1)
+                            charged += 1
+                            i = bit_of[w]
+                            mask |= 1 << i
+                            adj[i] |= 1 << len(adj)
+                    adj.append(mask)
 
         try:
-            handle.run_pass(consume)
-            labels = sorted(vertices)
-            index = {v: i for i, v in enumerate(labels)}
-            g = Graph(len(labels), [(index[u], index[v]) for u, v in edges])
+            handle.run_pass(buffer)
+            n, m = len(adj), charged - len(adj)
             if self.kind == ORACLE_MEMBERSHIP:
-                return any(are_isomorphic(g, p.graph) for p in self.family.members)
-            return not any(is_induced_subgraph(g, p) for p in self.family.members)
+                return any(pn == n and pm == m and _embeds(adj, plan)
+                           for pn, pm, plan in self._plans)
+            return not any(_embeds(adj, plan) for _, _, plan in self._plans)
         finally:
-            meter.release(len(vertices) + len(edges))
+            meter.release(charged)
 
 
 def family_oracle(f: ExplicitFamily, kind: str) -> StreamOracle:

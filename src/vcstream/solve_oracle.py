@@ -12,6 +12,7 @@ substream is re-generated on the fly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .enumeration import (
     AT_MOST,
@@ -68,26 +69,35 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
     return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
 
 
-def _first_members(view, picks: dict[int, int], skip) -> list[int]:
-    """Per class key, its first `picks[key]` members of `view` outside
-    `skip`, in stream order."""
-    remaining = dict(picks)
-    chosen: list[int] = []
-    for v, _, key, _ in view:
+ClassMembers = dict[int, list[tuple[int, int]]]  # key -> (stream position, vertex)
+
+
+def _class_members(view, skip) -> ClassMembers:
+    """Per class key, the (stream position, vertex) of each block of a cover
+    view outside `skip`, in stream order.  A pure function of the view, so a
+    free index over it, like the kernels' per-mask memos."""
+    members: ClassMembers = {}
+    for pos, (v, _, key, _) in enumerate(view):
         if v not in skip:
-            want = remaining.get(key, 0)
-            if want > 0:
-                chosen.append(v)
-                remaining[key] = want - 1
-    return chosen
+            members.setdefault(key, []).append((pos, v))
+    return members
 
 
-def _materialize_from_classes(h: StreamHandle, y_order, picks: dict[int, int],
-                              excluded) -> tuple[int, ...]:
-    """One pass choosing, per class key, its first `picks[key]` remaining
-    members in stream order."""
-    skip = frozenset(excluded)
-    chosen = h.run_cover_pass(y_order, lambda view: _first_members(view, picks, skip))
+def _first_members(members: ClassMembers, picks: dict[int, int], skip) -> list[int]:
+    """Per class key, its first `picks[key]` members outside `skip`, all in
+    stream order."""
+    chosen: list[tuple[int, int]] = []
+    for key, want in picks.items():
+        chosen += islice((e for e in members.get(key, ()) if e[1] not in skip), want)
+    return [v for _, v in sorted(chosen)]
+
+
+def _materialize_from_classes(h: StreamHandle, y_order, members: ClassMembers,
+                              picks: dict[int, int], excluded) -> tuple[int, ...]:
+    """One pass choosing, per class key, its first `picks[key]` members
+    outside `excluded`, in stream order; `members` indexes the cover view of
+    `y_order` that the pass is charged for."""
+    chosen = h.run_cover_pass(y_order, lambda _view: _first_members(members, picks, excluded))
     if len(chosen) < sum(picks.values()):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
@@ -130,10 +140,11 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         if _any_subset_hit(h, a1, y_order, len(y_order), frozenset(), meter):
             return None
         ec = compute_equivalence_classes(h, y_order, s_branch, meter).as_dict()
+        members = _class_members(h.cover_view(y_order), cover_set)
         try:
             deletions = MeteredSet(meter, s_branch)
             try:
-                return _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter)
+                return _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter)
             finally:
                 deletions.close()
         finally:
@@ -153,7 +164,7 @@ def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
     return False
 
 
-def _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter):
+def _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter):
     """Returns the completed deletion set on success, None on failure."""
     j_cursor = subset_first(y_order, min(nu, len(y_order)), AT_MOST)
     while not j_cursor.at_end:
@@ -164,9 +175,7 @@ def _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter):
             picks = dict(i_cursor.current)
             with meter.scope(3 * nu + 2):
                 if picks:
-                    chosen = _materialize_from_classes(
-                        h, y_order, picks, cover_set | set(deletions)
-                    )
+                    chosen = _materialize_from_classes(h, y_order, members, picks, deletions)
                 else:
                     chosen = ()
                 hit = _call_oracle(h, a1, j_part | set(chosen), meter)
@@ -180,7 +189,7 @@ def _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter):
                         continue
                     with meter.scope(nu + 1):
                         removed = _materialize_from_classes(
-                            h, y_order, {key: need}, cover_set | set(deletions)
+                            h, y_order, members, {key: need}, deletions
                         )
                     ec_next = dict(ec)
                     if count - 1 > 0:
@@ -190,7 +199,7 @@ def _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter):
                     for v in removed:
                         deletions.add(v)
                     found = _search_a1(
-                        h, a1, cover_set, y_order, deletions, ec_next, ell, nu, meter
+                        h, a1, members, y_order, deletions, ec_next, ell, nu, meter
                     )
                     if found is not None:
                         return found
@@ -264,13 +273,13 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     return branch_on_cover(h, X, ell, "solve_with_a2", 3 * X.K, branch, meter)
 
 
-def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> StreamHandle:
+def _residual(h: StreamHandle, members: ClassMembers, picks: dict[int, int],
+              drop_cover) -> StreamHandle:
     """Residual-graph substream: drops a chosen cover subset and, per picked
     class (a key over the whole cover), its first `count` members in stream
-    order.  The members are read off the cover view that the oracle's own
-    pass over the substream is charged for."""
-    cover_set = frozenset(cover)
-    gone = frozenset(drop_cover).union(_first_members(h.cover_view(cover), picks, cover_set))
+    order.  `members` indexes the outside members of the cover view that the
+    oracle's own pass over the substream is charged for."""
+    gone = frozenset(drop_cover).union(_first_members(members, picks, ()))
     return filtered_substream(h, lambda v: v not in gone)
 
 
@@ -286,23 +295,24 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
     meter = meter if meter is not None else MemoryMeter()
     cover_set = X.member_set()
     K = X.K
-    tables: list[EquivalenceClassTable] = []  # built once, by the first branch
+    tables: list[tuple[EquivalenceClassTable, ClassMembers]] = []  # built by the first branch
 
     def branch(drop_cover, _, meter):
         if not tables:
-            tables.append(compute_equivalence_classes(h, X.members, frozenset(), meter))
-        table = tables[0]
+            table = compute_equivalence_classes(h, X.members, frozenset(), meter)
+            tables.append((table, _class_members(h.cover_view(X.members), cover_set)))
+        table, members = tables[0]
         remaining_budget = ell - len(drop_cover)
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.rows)
         pick_cursor = multiset_first(classes, remaining_budget)
         while not pick_cursor.at_end:
             picks = dict(pick_cursor.current)
             with meter.scope(2 * K + 2):
-                residual = _residual(h, table.y_order, picks, drop_cover)
+                residual = _residual(h, members, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
             if free:
                 chosen = (
-                    _materialize_from_classes(h, table.y_order, picks, cover_set)
+                    _materialize_from_classes(h, table.y_order, members, picks, ())
                     if picks
                     else ()
                 )
@@ -314,4 +324,4 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         # X and the S cursor
         return branch_on_cover(h, X, ell, "solve_equivclass_enum", 2 * K, branch, meter)
     finally:
-        meter.release(sum(2 * len(t.rows) for t in tables))
+        meter.release(sum(2 * len(t.rows) for t, _ in tables))

@@ -12,13 +12,15 @@ over the kept blocks, charging its passes to the parent's meter.
 
 A pass may be answered from the blocks instead of the events only when the
 answer is a pure function of one pass's events, and the pass is still
-charged through `run_pass`.  Two such passes exist.  Given a vertex cover X,
-an outside vertex is fully described by N(v) & X, so an AL handle offers a
-cover view: one (v, bit, mask, nbrs) tuple per block, where `mask` holds
+charged through `run_pass`.  Three such passes exist.  Given a vertex cover
+X, an outside vertex is fully described by N(v) & X, so an AL handle offers
+a cover view: one (v, bit, mask, nbrs) tuple per block, where `mask` holds
 N(v) & members as bits in ascending member order, read through
-`run_cover_pass`.  And `induced_edges` reads only the blocks of the vertices
-it keeps.  Raw events remain the interface for EA/VA streams and for
-consumers that must see the event sequence itself (oracles, kernel output).
+`run_cover_pass`.  `induced_edges` reads only the blocks of the vertices it
+keeps.  And the family oracle buffers the graph a pass shows, in any model,
+from the blocks (an EA pass shows no vertex without an edge).  Raw events
+remain the interface for EA/VA consumers and for those that must see the
+event sequence itself (kernel output).
 """
 
 from __future__ import annotations

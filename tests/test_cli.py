@@ -83,6 +83,19 @@ def test_verify_oct_and_hfree(tmp_path, capsys):
     ) == 0
 
 
+@pytest.mark.parametrize("oracle", ["a1", "a1sub"])
+def test_verify_oracle_member_above_canonical_limit(tmp_path, capsys, oracle):
+    g = path_graph(10)
+    inst = tmp_path / "p10.vcs"
+    write_instance(g, VertexCover.validated(g, [1, 3, 5, 7, 9]), 1, inst)
+    fam = write_family(tmp_path, path_graph(9))
+    code = main(["verify", str(inst), "--problem", "pifree-oracle", "--family", fam,
+                 "--oracle", oracle])
+    report = parse_report(capsys.readouterr().out.strip())
+    assert code == 0
+    assert (report["verdict"], report["agreement"]) == ("YES", "true")
+
+
 def test_gen_solve_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "gen.vcs")
     assert main(["gen", "planted", "--n", "14", "--k", "3", "--p", "0.4",

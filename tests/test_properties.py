@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import all_covers, atlas_graphs
 from vcstream.brute import _occurs_induced
@@ -40,6 +44,51 @@ def test_matcher_agrees_with_independent_brute():
     for g in atlas_graphs(2, 6, connected=False)[::4]:
         for p in patterns:
             assert is_induced_subgraph(g, PatternGraph(p)) == _occurs_induced(g, p)
+
+
+def test_matcher_agrees_with_brute_on_whole_atlas():
+    # every graph of 1-6 vertices against every pattern of 1-5 that fits
+    patterns = atlas_graphs(1, 5, connected=False)
+    for g in atlas_graphs(1, 6, connected=False):
+        for p in patterns:
+            if p.n <= g.n:
+                assert is_induced_subgraph(g, p) == _occurs_induced(g, p), (g.edges, p.edges)
+
+
+def random_graph(data, max_n):
+    n = data.draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_matcher_agrees_with_brute_on_random_graphs(data):
+    g = random_graph(data, 10)
+    p = random_graph(data, 5)
+    assert is_induced_subgraph(g, PatternGraph(p)) == _occurs_induced(g, p)
+
+
+def test_isomorphism_agrees_with_canonical_form_on_atlas():
+    rng = random.Random(3)
+    graphs = atlas_graphs(1, 6, connected=False)
+    canon = {g: canonical_form(g) for g in graphs}
+    for a in graphs:
+        for b in graphs:
+            if (a.n, a.m) != (b.n, b.m):
+                continue
+            perm = list(range(b.n))
+            rng.shuffle(perm)
+            relabelled = Graph(b.n, [(perm[u], perm[v]) for u, v in b.edges])
+            assert are_isomorphic(a, relabelled) == (canon[a] == canon[b]), (a.edges, b.edges)
+
+
+def test_isomorphism_past_canonical_limit():
+    p9 = path_graph(9)
+    relabelled = Graph(9, [(8 - u, 8 - v) for u, v in p9.edges])
+    assert are_isomorphic(p9, relabelled)
+    assert not are_isomorphic(p9, Graph(9, list(p9.edges - {(3, 4)}) + [(0, 2)]))
 
 
 def test_isomorphism_and_dedup():

@@ -1,5 +1,8 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from corpus import all_covers, atlas_graphs, disconnected_sample
-from vcstream.brute import brute_min_oct, _is_bipartite
+from vcstream.brute import OCT_LIMIT, brute_min_oct, _is_bipartite
 from vcstream.graph import Graph, VertexCover, cycle_graph
 from vcstream.meters import MemoryMeter, MeteredSet
 from vcstream.solve_oct import _colour_pass, solve_oct, solve_oct_cc
@@ -68,6 +71,56 @@ def test_cc_pass_bound_by_components():
                     y = set(X.members) - s
                     bound += 1 + 2 ** _component_count(g, y)
                 assert out.passes <= bound <= 3 ** X.K + 2 ** X.K
+
+
+@st.composite
+def planted_covers(draw, max_n=40, max_k=5):
+    """A graph covered by K drawn vertices, in a shuffled order; outside
+    vertices take their cover masks from a small pool, so masks repeat."""
+    n = draw(st.integers(1, max_n))
+    cover = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(max_k, n),
+                          unique=True))
+    rnd = draw(st.randoms(use_true_random=False))
+    pool = draw(st.lists(st.integers(0, (1 << len(cover)) - 1), min_size=1, max_size=4))
+    edges = [(a, b) for i, a in enumerate(cover) for b in cover[i + 1:] if rnd.random() < 0.5]
+    for v in range(n):
+        if v not in cover:
+            mask = rnd.choice(pool)
+            edges += [(c, v) for i, c in enumerate(cover) if mask >> i & 1]
+    g = Graph(n, edges)
+    return g, VertexCover.validated(g, cover), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(planted_covers(), st.integers(0, 5))
+def test_oct_routes_agree_past_desk_scale(case, ell):
+    g, X, order = case
+    ell = min(ell, X.K)
+    runs = [
+        solve_oct(stream(g, order), X, ell),
+        solve_oct_cc(stream(g, order), X, ell),
+        solve_oct_cc(stream(g, order), X, ell, low_mem=True),
+    ]
+    assert len({out.feasible for out in runs}) == 1, [out.feasible for out in runs]
+    if g.n <= OCT_LIMIT:
+        assert runs[0].feasible == (brute_min_oct(g)[0] <= ell)
+    for out in runs:
+        if out.feasible:
+            assert len(out.solution) <= ell and _residual_bipartite(g, out.solution)
+    # per guessed S: solve_oct one pass per colouring of Y; the cached cc
+    # variant one edge pass plus one per component flip; the low-memory one
+    # a union pass, at most |Y| + 2 propagation passes and a verification pass
+    cached = low = 0
+    for s_mask in range(1 << X.K):
+        s = {m for i, m in enumerate(X.members) if s_mask >> i & 1}
+        if len(s) <= ell:
+            y = set(X.members) - s
+            flips = 2 ** _component_count(g, y)
+            cached += 1 + flips
+            low += len(y) + 4 + flips
+    assert runs[0].passes <= 3 ** X.K + 1
+    assert runs[1].passes <= cached
+    assert runs[2].passes <= low
 
 
 def test_low_mem_variant():

@@ -1,6 +1,6 @@
 import pytest
 
-from corpus import all_covers, atlas_graphs, disconnected_sample
+from corpus import all_covers, atlas_graphs, disconnected_sample, minimum_cover
 from vcstream.brute import brute_is_pi_free, brute_min_deletion
 from vcstream.errors import BadParams, MemoryBudgetExceeded, NotALModel, OracleFault
 from vcstream.graph import (
@@ -97,6 +97,29 @@ def test_a1_example_triangle_with_pendant():
     residual, _ = g.induced([v for v in range(4) if v not in set(out.solution)])
     assert brute_is_pi_free(residual, C3_FAM)
     assert not solve_with_a1(stream(g), X, 0, 3, family_oracle(C3_FAM, "a1")).feasible
+
+
+P9_FAM = ExplicitFamily.from_graphs([path_graph(9)])
+
+
+@pytest.fixture(scope="module")
+def p10_min_deletion():
+    return brute_min_deletion(path_graph(10), P9_FAM)[0]
+
+
+@pytest.mark.parametrize("solver", [
+    lambda h, X, ell: solve_with_a1(h, X, ell, 9, family_oracle(P9_FAM, "a1")),
+    lambda h, X, ell: solve_with_a2(h, X, ell, 9, family_oracle(P9_FAM, "a1"), "a1_subsets"),
+    lambda h, X, ell: solve_with_a2(h, X, ell, 9, family_oracle(P9_FAM, "a2")),
+    lambda h, X, ell: solve_equivclass_enum(h, X, family_oracle(P9_FAM, "a2"), ell),
+], ids=["a1", "a1sub", "a2", "ecenum"])
+def test_member_above_canonical_limit(solver, p10_min_deletion):
+    # membership of a 9-vertex member is decided by the matcher, not by
+    # canonical forms, which stop at 8 vertices
+    g = path_graph(10)
+    X = VertexCover.validated(g, minimum_cover(g))
+    assert p10_min_deletion == 1
+    assert [solver(stream(g), X, ell).feasible for ell in (0, 1)] == [False, True]
 
 
 def test_a1_bipartite_trivial():

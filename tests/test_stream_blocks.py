@@ -9,13 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import atlas_graphs
+from vcstream.brute import _occurs_induced
 from vcstream.errors import MemoryBudgetExceeded
-from vcstream.graph import Graph, VertexCover, canonical_edge, complete_graph
+from vcstream.graph import (
+    Graph,
+    VertexCover,
+    canonical_edge,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from vcstream.meters import MemoryMeter
-from vcstream.properties import ExplicitFamily, family_oracle
+from vcstream.properties import ExplicitFamily, canonical_form, family_oracle
 from vcstream.solve_cvd import solve_cvd
 from vcstream.solve_oct import solve_oct_cc
-from vcstream.solve_oracle import _residual
+from vcstream.solve_oracle import _class_members, _residual
 from vcstream.streams import (
     AL,
     EA,
@@ -168,7 +177,7 @@ def test_residual_equals_induced_graph_on_survivors():
         survivors = [v for v in range(n) if v not in gone]
         sub_graph, old = g.induced(survivors)
         expected = frozenset(canonical_edge(old[u], old[v]) for u, v in sub_graph.edges)
-        residual = _residual(h, members, picks, drop)
+        residual = _residual(h, _class_members(h.cover_view(members), in_cover), picks, drop)
         assert list(residual.blocks) == [v for v in order if v not in gone], trial
         assert induced_edges(residual, range(n)) == expected, trial
 
@@ -201,3 +210,97 @@ def test_oracle_buffer_trips_at_first_word_past_budget(kind):
                            match=f"live {budget + 1} words exceeds budget {budget}"):
             oracle.answer(h, meter)
         assert meter.live_words == 0
+
+
+def frozen_oracle_answer(kind, family, handle, meter):
+    """Frozen copy of the oracle answer that buffered a pass's events before
+    the oracle read blocks, with membership by canonical form and freeness by
+    the independent brute instead of the shared matcher."""
+    vertices: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+
+    def consume(events):
+        for event_kind, u, v in events:
+            if event_kind == PASS_END:
+                continue
+            if u not in vertices:
+                meter.allocate(1)
+                vertices.add(u)
+            if event_kind == EDGE:
+                if v not in vertices:
+                    meter.allocate(1)
+                    vertices.add(v)
+                if (u, v) not in edges:
+                    meter.allocate(1)
+                    edges.add((u, v))
+
+    try:
+        handle.run_pass(consume)
+        index = {v: i for i, v in enumerate(sorted(vertices))}
+        g = Graph(len(index), [(index[u], index[v]) for u, v in edges])
+        if kind == "a1":
+            return any((g.n, g.m) == (p.graph.n, p.graph.m)
+                       and canonical_form(g) == canonical_form(p.graph)
+                       for p in family.members)
+        return not any(_occurs_induced(g, p.graph) for p in family.members)
+    finally:
+        meter.release(len(vertices) + len(edges))
+
+
+ORACLE_FAMILIES = [
+    ExplicitFamily.from_graphs(graphs)
+    for graphs in ([path_graph(3)], [path_graph(4), cycle_graph(4)],
+                   [complete_graph(3)], [star_graph(3)])
+]
+
+
+def oracle_inputs(g, model, order):
+    """The full handle, a substream without the first vertex, and one nested
+    in it without the last."""
+    h = make_stream(g, model, order)
+    sub = filtered_substream(h, lambda v: v != order[0])
+    return h, sub, filtered_substream(sub, lambda v: v != order[-1])
+
+
+def outcome(answer, handle, meter):
+    """(answer or trip message, peak words, live words, passes used)."""
+    before = handle.pass_meter.passes
+    try:
+        result = answer(handle, meter)
+    except MemoryBudgetExceeded as exc:
+        result = str(exc)
+    return result, meter.peak_words, meter.live_words, handle.pass_meter.passes - before
+
+
+def test_oracle_block_read_matches_frozen_event_answer_on_atlas():
+    for gi, g in enumerate(atlas_graphs(1, 6, connected=False)):
+        order = shuffled_orders(g, 1, gi)[0]
+        for model in MODELS:
+            for handle in oracle_inputs(g, model, order):
+                for fi, family in enumerate(ORACLE_FAMILIES):
+                    for kind in ("a1", "a2"):
+                        oracle = family_oracle(family, kind)
+
+                        def frozen(hh, meter):
+                            return frozen_oracle_answer(kind, family, hh, meter)
+
+                        want = outcome(frozen, handle, MemoryMeter())
+                        assert outcome(oracle.answer, handle, MemoryMeter()) == want
+                        assert want[2:] == (0, 1)
+                        if fi:
+                            continue  # the charge does not depend on the family
+                        for budget in range(want[1]):
+                            tripped = outcome(frozen, handle, MemoryMeter(budget))
+                            assert tripped[0] == f"live {budget + 1} words exceeds budget {budget}"
+                            assert outcome(oracle.answer, handle, MemoryMeter(budget)) == tripped
+
+
+def test_oracle_ignores_ea_isolated_vertex():
+    # K1 + K2: an EA pass shows no event for the isolated vertex
+    g = Graph(3, [(1, 2)])
+    k2 = ExplicitFamily.from_graphs([complete_graph(2)])
+    a1 = family_oracle(k2, "a1")
+    for model, expected in ((EA, True), (AL, False), (VA, False)):
+        h = make_stream(g, model)
+        assert a1.answer(h) is expected
+        assert frozen_oracle_answer("a1", k2, h, MemoryMeter()) is expected
