@@ -39,7 +39,7 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
         raise NotALModel("reduce_str requires an AL stream")
     if r < 0 or c < 0:
         raise BadParams("r and c must be non-negative")
-    require_cover(h.source, X)
+    h.require_cover(X.members)
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 

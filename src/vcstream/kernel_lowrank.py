@@ -125,7 +125,7 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
         raise NotALModel("low_rank_reduce_str requires an AL stream")
     if ell < 1:
         raise BadParams("ell must be at least 1")
-    require_cover(h.source, X)
+    h.require_cover(X.members)
     meter = meter if meter is not None else MemoryMeter()
     passes_before = h.pass_meter.passes
 

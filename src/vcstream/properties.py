@@ -45,13 +45,6 @@ def canonical_form(g: Graph) -> tuple:
     return (g.n, best)
 
 
-def _dedup_key(g: Graph) -> tuple:
-    # exact up to the canonicalization limit; label-sensitive beyond it
-    if g.n <= CANONICAL_LIMIT:
-        return canonical_form(g)
-    return (g.n, tuple(g.sorted_edges()))
-
-
 @dataclass(frozen=True)
 class ExplicitFamily:
     """Finite forbidden family, deduplicated up to isomorphism."""
@@ -75,12 +68,17 @@ class ExplicitFamily:
                 patterns.append(g)
             else:
                 patterns.append(PatternGraph(g, names[i] if names else ""))
-        seen = {}
+        # the first of each isomorphism class is kept: keyed by canonical form
+        # up to CANONICAL_LIMIT vertices, compared by `are_isomorphic` beyond
+        small: dict[tuple, PatternGraph] = {}
+        large: list[PatternGraph] = []
         for p in patterns:
-            key = _dedup_key(p.graph)
-            if key not in seen:
-                seen[key] = p
-        ordered = sorted(seen.values(), key=lambda p: _dedup_key(p.graph))
+            if p.h <= CANONICAL_LIMIT:
+                small.setdefault(canonical_form(p.graph), p)
+            elif not any(are_isomorphic(q.graph, p.graph) for q in large):
+                large.append(p)
+        ordered = [p for _, p in sorted(small.items(), key=lambda item: item[0])]
+        ordered += sorted(large, key=lambda p: (p.h, tuple(p.graph.sorted_edges())))
         return ExplicitFamily(tuple(ordered))
 
 

@@ -38,12 +38,12 @@ def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str
     in-memory reference and is charged none.  Raises NotALModel on an EA or
     VA stream and InvalidCover when X does not cover the graph."""
     if isinstance(h, Graph):
-        g, passes_of = h, (lambda: 0)
+        require_cover(h, X)
     elif h.model != AL:
         raise NotALModel(f"{name} requires an AL stream")
     else:
-        g, passes_of = h.source, (lambda: h.pass_meter.passes)
-    require_cover(g, X)
+        h.require_cover(X.members)
+    passes_of = (lambda: 0) if isinstance(h, Graph) else (lambda: h.pass_meter.passes)
     meter = meter if meter is not None else MemoryMeter()
     passes_before = passes_of()
     cover_set = X.member_set()

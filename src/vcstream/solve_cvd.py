@@ -12,6 +12,8 @@ records whether the pair is an edge, which is the single bit Phase 1 needs.
 
 from __future__ import annotations
 
+import heapq
+
 from .enumeration import EXACTLY, subset_first, subset_next
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -19,11 +21,11 @@ from .results import SolveOutcome, branch_on_cover
 from .streams import StreamHandle, cover_bits, induced_edges
 
 
-def _pair_scan(view, b1: int, b2: int, rest: int):
+def _pair_scan(index, b1: int, b2: int, rest: int):
     """One pass: does some cover vertex in `rest` form a P3 with the pair
-    (bits b1, b2), and is the pair itself an edge?"""
+    (bits b1, b2), and is the pair itself an edge?  Reads member blocks only."""
     pair_edge = both_exists = one_exists = False
-    for _, bit, m, _ in view:
+    for _, bit, m, _ in index.members:
         if bit == b1:
             pair_edge = bool(m & b2)
         elif bit & rest:
@@ -69,17 +71,17 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
                 y1, y2 = pair_cursor.current
                 b1, b2 = bits[y1], bits[y2]
                 if pair_results is None:
-                    p3_in_y, pair_edge = h.run_cover_pass(
-                        members, lambda view: _pair_scan(view, b1, b2, y_mask & ~(b1 | b2))
+                    p3_in_y, pair_edge = h.run_class_pass(
+                        members, lambda index: _pair_scan(index, b1, b2, y_mask & ~(b1 | b2))
                     )
                     if p3_in_y:
                         return None
                 else:
                     pair_edge = (y1, y2) in pair_results
 
-                h.run_cover_pass(
+                h.run_class_pass(
                     members,
-                    lambda view: _phase1_pass(view, b1, b2, pair_edge, deletions, ell),
+                    lambda index: _phase1_pass(index, b1, b2, pair_edge, deletions, ell),
                 )
                 if len(deletions) > ell:
                     return None
@@ -87,8 +89,8 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
 
         # Phase 2: per y, keep the first outside neighbour, delete the rest.
         for y in y_sorted:
-            h.run_cover_pass(
-                members, lambda view: _phase2_pass(view, bits[y], deletions, ell)
+            h.run_class_pass(
+                members, lambda index: _phase2_pass(index, bits[y], deletions, ell)
             )
             if len(deletions) > ell:
                 return None
@@ -101,25 +103,33 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
         deletions.close()
 
 
-def _phase1_pass(view, b1, b2, pair_edge, deletions, ell):
+def _outside_in_order(index, wanted, deletions):
+    """The outside vertices not in `deletions` of the classes whose mask
+    `wanted` accepts, merged into stream order."""
+    merged = heapq.merge(*(positions for m, positions in index.classes.items() if wanted(m)))
+    return (v for v in index.vertices(merged) if v not in deletions)
+
+
+def _phase1_pass(index, b1, b2, pair_edge, deletions, ell):
+    """Delete, in stream order, the outside vertices that a P3 with the pair
+    (bits b1, b2) forces out, while at most ell are deleted."""
     pair = b1 | b2
-    for v, bit, m, _ in view:
-        if not bit and v not in deletions:
-            seen = m & pair
-            forced = seen in (b1, b2) if pair_edge else seen == pair
-            if forced and len(deletions) <= ell:
-                deletions.add(v)
+    forced = (lambda m: (m & pair) in (b1, b2)) if pair_edge else (lambda m: (m & pair) == pair)
+    for v in _outside_in_order(index, forced, deletions):
+        if len(deletions) > ell:
+            return
+        deletions.add(v)
 
 
-def _phase2_pass(view, by, deletions, ell):
-    kept_one = False
-    for v, bit, m, _ in view:
-        if not bit and m & by and v not in deletions:
-            if kept_one:
-                if len(deletions) <= ell:
-                    deletions.add(v)
-            else:
-                kept_one = True
+def _phase2_pass(index, by, deletions, ell):
+    """Keep y's first outside neighbour in stream order and delete the rest,
+    while at most ell are deleted."""
+    later = _outside_in_order(index, lambda m: m & by, deletions)
+    next(later, None)
+    for v in later:
+        if len(deletions) > ell:
+            return
+        deletions.add(v)
 
 
 def _p3_within(y_set, edge_bits):

@@ -13,7 +13,8 @@ keeps each recursion frame at O(1) words.
 
 from __future__ import annotations
 
-from itertools import combinations
+import heapq
+from itertools import combinations, islice
 
 from .enumeration import (
     EXACTLY,
@@ -125,9 +126,9 @@ def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
                             source, cover_set, s_set, placement, pairs, reqs
                         )
                     else:
-                        assignment = source.run_cover_pass(
+                        assignment = source.run_class_pass(
                             X.members,
-                            lambda view: _find_pass(view, bits, s_set, placement, pairs, reqs),
+                            lambda index: _find_pass(index, bits, s_set, placement, pairs, reqs),
                         )
                     if assignment:
                         if not strict_induced or _witness_is_induced(
@@ -159,31 +160,33 @@ def _find_in_memory(g: Graph, cover_set, s_set, placement, pairs, reqs):
     return ()
 
 
-def _find_pass(view, bits, s_set, placement, pairs, reqs):
-    """Single pass: validate the placement inside the cover and greedily match
-    outside vertices to the remaining roles by exact profile."""
+def _find_pass(index, bits, s_set, placement, pairs, reqs):
+    """Single pass: match each outside role to the first vertices outside
+    `s_set`, in stream order, whose profile toward the placement is the
+    role's (roles of one profile in role order), then validate the placement
+    inside the cover."""
     placed = [bits[v] for v in placement]
     placed_mask = sum(placed)
-    wanted = [sum(bits[v] for v in req) for req in reqs]
-    placed_nbrs: dict[int, int] = {}  # placed vertex bit -> its cover mask
-    unmatched = list(range(len(reqs)))
-    assigned: list[tuple[int, int]] = []  # (vertex, outside-role index)
-    for v, bit, m, _ in view:
-        if bit & placed_mask:
-            placed_nbrs[bit] = m
-        elif not bit and unmatched and v not in s_set:
-            profile = m & placed_mask
-            for pos, role_idx in enumerate(unmatched):
-                if wanted[role_idx] == profile:
-                    assigned.append((v, role_idx))
-                    unmatched.pop(pos)
-                    break
-    if unmatched:
-        return ()
+    roles_of: dict[int, list[int]] = {}  # wanted profile -> its role indices
+    for role_idx, req in enumerate(reqs):
+        roles_of.setdefault(sum(bits[v] for v in req), []).append(role_idx)
+    classes_of: dict[int, list] = {}  # wanted profile -> the classes showing it
+    for m, positions in index.classes.items():
+        if (m & placed_mask) in roles_of:
+            classes_of.setdefault(m & placed_mask, []).append(positions)
+    view = index.view
+    assigned: list[tuple[int, int]] = []  # (stream position, role index)
+    for profile, roles in roles_of.items():
+        merged = heapq.merge(*classes_of.get(profile, ()))
+        found = list(islice((pos for pos in merged if view[pos][0] not in s_set), len(roles)))
+        if len(found) < len(roles):
+            return ()
+        assigned += zip(found, roles)
+    placed_nbrs = {bit: m for _, bit, m, _ in index.members if bit & placed_mask}
     for (a, b), want in pairs:
         if bool(placed_nbrs[placed[a]] & placed[b]) != want:
             return ()
-    return tuple(assigned)
+    return tuple((view[pos][0], role) for pos, role in sorted(assigned))
 
 
 def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assignment) -> bool:

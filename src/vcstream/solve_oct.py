@@ -10,6 +10,8 @@ staying at O(K) words.
 
 from __future__ import annotations
 
+import heapq
+
 from .enumeration import AT_MOST, subset_first, subset_next
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -17,22 +19,23 @@ from .results import SolveOutcome, branch_on_cover
 from .streams import StreamHandle, cover_bits, induced_edges
 
 
-def _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover):
+def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
     """One pass: validate the colouring y1_mask / y_mask - y1_mask on Y
-    (optional) and force outside deletions; completes the pass regardless of
-    early failure."""
+    (optional) and force-delete, in stream order, the outside vertices of
+    every class that sees both colours.  The pass is charged in full even
+    when it fails early."""
     y2_mask = y_mask & ~y1_mask
     success = True
-    for v, bit, m, _ in view:
-        if not bit:
-            if m & y1_mask and m & y2_mask:
-                if len(deletions) < ell:
-                    deletions.add(v)
-                else:
-                    success = False
-        elif check_cover and bit & y_mask:
-            if m & (y1_mask if bit & y1_mask else y2_mask):
+    if check_cover:
+        for _, bit, m, _ in index.members:
+            if bit & y_mask and m & (y1_mask if bit & y1_mask else y2_mask):
                 success = False
+    conflicted = [positions for m, positions in index.classes.items()
+                  if m & y1_mask and m & y2_mask]
+    for v in index.vertices(heapq.merge(*conflicted)):
+        if len(deletions) >= ell:
+            return False
+        deletions.add(v)
     return success
 
 
@@ -50,7 +53,7 @@ def _first_colouring(h, members, s_branch, y_mask, y1_masks, ell, check_cover, m
     for y1_mask in y1_masks:
         deletions = MeteredSet(meter, s_branch)
         try:
-            ok = h.run_cover_pass(
+            ok = h.run_class_pass(
                 members,
                 lambda view: _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover),
             )
@@ -117,8 +120,8 @@ def _propagated_components(h, meter, members, y_set, y_mask):
             v = parent[v]
         return v
 
-    def union_pass(view):
-        for v, bit, _, nbrs in view:
+    def union_pass(index):
+        for v, bit, _, nbrs in index.members:
             if bit & y_mask:
                 for w in nbrs:
                     if w in y_set:
@@ -127,17 +130,17 @@ def _propagated_components(h, meter, members, y_set, y_mask):
                             parent[max(ra, rb)] = min(ra, rb)
 
     with meter.scope(len(y_set)):
-        h.run_cover_pass(members, union_pass)
+        h.run_class_pass(members, union_pass)
         comp = {v: find(v) for v in y_set}
         roots = sorted(set(comp.values()))
 
         colour = {root: 0 for root in roots}
         conflict = False
 
-        def propagate(view):
+        def propagate(index):
             nonlocal conflict
             progress = False
-            for v, bit, _, nbrs in view:
+            for v, bit, _, nbrs in index.members:
                 if bit & y_mask:
                     for w in nbrs:
                         if w in y_set:
@@ -155,11 +158,11 @@ def _propagated_components(h, meter, members, y_set, y_mask):
         with meter.scope(len(y_set)):
             rounds = 0
             while len(colour) < len(y_set) and rounds <= len(y_set) + 1:
-                if not h.run_cover_pass(members, propagate):
+                if not h.run_class_pass(members, propagate):
                     break
                 rounds += 1
             # one verification pass with the final colouring
-            h.run_cover_pass(members, propagate)
+            h.run_class_pass(members, propagate)
             if conflict:
                 return None
             return roots, dict(colour), comp

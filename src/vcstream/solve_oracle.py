@@ -11,8 +11,8 @@ substream is re-generated on the fly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 
 from .enumeration import (
     AT_MOST,
@@ -26,7 +26,7 @@ from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
 from .results import SolveOutcome, branch_on_cover
-from .streams import StreamHandle, filtered_substream
+from .streams import ClassIndex, StreamHandle, cover_bits, filtered_substream
 
 
 @dataclass(frozen=True)
@@ -44,60 +44,59 @@ class EquivalenceClassTable:
 def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
                                 meter: MemoryMeter | None = None) -> EquivalenceClassTable:
     """One pass tallying, for every vertex outside Y and exclude, its
-    adjacency bitstring toward Y.  Callers pass the deleted cover part (and
-    any deleted outside vertices) via exclude.  Each row (key and count) is
-    charged 2 words as it appears; the caller releases `2 * len(rows)`."""
+    adjacency bitstring toward Y: per twin class of the cover view of Y, its
+    size less its members in exclude.  Callers pass the deleted cover part
+    (and any deleted outside vertices) via exclude.  Each row (key and
+    count) is charged 2 words as it appears; the caller releases
+    `2 * len(rows)`."""
     meter = meter if meter is not None else MemoryMeter()
     y_order = tuple(sorted(Y))
-    skip = frozenset(Y) | frozenset(exclude)
+    bit_of = cover_bits(y_order)
     counts: dict[int, int] = {}
 
-    def tally(view):
-        for v, _, key, _ in view:
-            if v not in skip:
-                if key in counts:
-                    counts[key] += 1
-                else:
-                    meter.allocate(2)
-                    counts[key] = 1
+    def tally(index):
+        # the excluded outside vertices, per class
+        gone = Counter(sum(bit_of.get(w, 0) for w in h.blocks[v])
+                       for v in frozenset(exclude) if v not in bit_of and v in h.blocks)
+        for key, positions in index.classes.items():
+            count = len(positions) - gone[key]
+            if count:
+                meter.allocate(2)
+                counts[key] = count
 
     try:
-        h.run_cover_pass(y_order, tally)
+        h.run_class_pass(y_order, tally)
     except MemoryBudgetExceeded:
         meter.release(2 * len(counts))
         raise
     return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
 
 
-ClassMembers = dict[int, list[tuple[int, int]]]  # key -> (stream position, vertex)
-
-
-def _class_members(view, skip) -> ClassMembers:
-    """Per class key, the (stream position, vertex) of each block of a cover
-    view outside `skip`, in stream order.  A pure function of the view, so a
-    free index over it, like the kernels' per-mask memos."""
-    members: ClassMembers = {}
-    for pos, (v, _, key, _) in enumerate(view):
-        if v not in skip:
-            members.setdefault(key, []).append((pos, v))
-    return members
-
-
-def _first_members(members: ClassMembers, picks: dict[int, int], skip) -> list[int]:
-    """Per class key, its first `picks[key]` members outside `skip`, all in
-    stream order."""
-    chosen: list[tuple[int, int]] = []
+def _first_members(index: ClassIndex, picks: dict[int, int], cover, skip) -> list[int]:
+    """Per class key, its first `picks[key]` members outside `cover` and
+    `skip`, all in stream order."""
+    view = index.view
+    chosen: list[int] = []  # stream positions
     for key, want in picks.items():
-        chosen += islice((e for e in members.get(key, ()) if e[1] not in skip), want)
-    return [v for _, v in sorted(chosen)]
+        for pos in index.classes.get(key, ()):
+            if want <= 0:
+                break
+            v = view[pos][0]
+            if v not in cover and v not in skip:
+                chosen.append(pos)
+                want -= 1
+    chosen.sort()
+    return [view[pos][0] for pos in chosen]
 
 
-def _materialize_from_classes(h: StreamHandle, y_order, members: ClassMembers,
-                              picks: dict[int, int], excluded) -> tuple[int, ...]:
-    """One pass choosing, per class key, its first `picks[key]` members
-    outside `excluded`, in stream order; `members` indexes the cover view of
-    `y_order` that the pass is charged for."""
-    chosen = h.run_cover_pass(y_order, lambda _view: _first_members(members, picks, excluded))
+def _materialize_from_classes(h: StreamHandle, y_order, cover, picks: dict[int, int],
+                              excluded) -> tuple[int, ...]:
+    """One pass choosing, per class key of the cover view of `y_order`, its
+    first `picks[key]` members outside `cover` and `excluded`, in stream
+    order."""
+    chosen = h.run_class_pass(
+        y_order, lambda index: _first_members(index, picks, cover, excluded)
+    )
     if len(chosen) < sum(picks.values()):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
@@ -140,11 +139,10 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         if _any_subset_hit(h, a1, y_order, len(y_order), frozenset(), meter):
             return None
         ec = compute_equivalence_classes(h, y_order, s_branch, meter).as_dict()
-        members = _class_members(h.cover_view(y_order), cover_set)
         try:
             deletions = MeteredSet(meter, s_branch)
             try:
-                return _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter)
+                return _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter)
             finally:
                 deletions.close()
         finally:
@@ -164,7 +162,7 @@ def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
     return False
 
 
-def _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter):
+def _search_a1(h, a1, cover, y_order, deletions, ec, ell, nu, meter):
     """Returns the completed deletion set on success, None on failure."""
     j_cursor = subset_first(y_order, min(nu, len(y_order)), AT_MOST)
     while not j_cursor.at_end:
@@ -175,7 +173,7 @@ def _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter):
             picks = dict(i_cursor.current)
             with meter.scope(3 * nu + 2):
                 if picks:
-                    chosen = _materialize_from_classes(h, y_order, members, picks, deletions)
+                    chosen = _materialize_from_classes(h, y_order, cover, picks, deletions)
                 else:
                     chosen = ()
                 hit = _call_oracle(h, a1, j_part | set(chosen), meter)
@@ -189,7 +187,7 @@ def _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter):
                         continue
                     with meter.scope(nu + 1):
                         removed = _materialize_from_classes(
-                            h, y_order, members, {key: need}, deletions
+                            h, y_order, cover, {key: need}, deletions
                         )
                     ec_next = dict(ec)
                     if count - 1 > 0:
@@ -199,7 +197,7 @@ def _search_a1(h, a1, members, y_order, deletions, ec, ell, nu, meter):
                     for v in removed:
                         deletions.add(v)
                     found = _search_a1(
-                        h, a1, members, y_order, deletions, ec_next, ell, nu, meter
+                        h, a1, cover, y_order, deletions, ec_next, ell, nu, meter
                     )
                     if found is not None:
                         return found
@@ -273,13 +271,13 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     return branch_on_cover(h, X, ell, "solve_with_a2", 3 * X.K, branch, meter)
 
 
-def _residual(h: StreamHandle, members: ClassMembers, picks: dict[int, int],
-              drop_cover) -> StreamHandle:
+def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> StreamHandle:
     """Residual-graph substream: drops a chosen cover subset and, per picked
     class (a key over the whole cover), its first `count` members in stream
-    order.  `members` indexes the outside members of the cover view that the
-    oracle's own pass over the substream is charged for."""
-    gone = frozenset(drop_cover).union(_first_members(members, picks, ()))
+    order.  The classes are read off the class index of the cover view that
+    the oracle's own pass over the substream is charged for."""
+    index = h.class_index(cover)
+    gone = frozenset(drop_cover).union(_first_members(index, picks, cover, ()))
     return filtered_substream(h, lambda v: v not in gone)
 
 
@@ -295,24 +293,23 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
     meter = meter if meter is not None else MemoryMeter()
     cover_set = X.member_set()
     K = X.K
-    tables: list[tuple[EquivalenceClassTable, ClassMembers]] = []  # built by the first branch
+    tables: list[EquivalenceClassTable] = []  # built by the first branch
 
     def branch(drop_cover, _, meter):
         if not tables:
-            table = compute_equivalence_classes(h, X.members, frozenset(), meter)
-            tables.append((table, _class_members(h.cover_view(X.members), cover_set)))
-        table, members = tables[0]
+            tables.append(compute_equivalence_classes(h, X.members, frozenset(), meter))
+        table = tables[0]
         remaining_budget = ell - len(drop_cover)
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.rows)
         pick_cursor = multiset_first(classes, remaining_budget)
         while not pick_cursor.at_end:
             picks = dict(pick_cursor.current)
             with meter.scope(2 * K + 2):
-                residual = _residual(h, members, picks, drop_cover)
+                residual = _residual(h, cover_set, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
             if free:
                 chosen = (
-                    _materialize_from_classes(h, table.y_order, members, picks, ())
+                    _materialize_from_classes(h, table.y_order, cover_set, picks, ())
                     if picks
                     else ()
                 )
@@ -324,4 +321,4 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         # X and the S cursor
         return branch_on_cover(h, X, ell, "solve_equivclass_enum", 2 * K, branch, meter)
     finally:
-        meter.release(sum(2 * len(t.rows) for t, _ in tables))
+        meter.release(sum(2 * len(t.rows) for t in tables))

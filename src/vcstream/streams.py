@@ -12,22 +12,26 @@ over the kept blocks, charging its passes to the parent's meter.
 
 A pass may be answered from the blocks instead of the events only when the
 answer is a pure function of one pass's events, and the pass is still
-charged through `run_pass`.  Three such passes exist.  Given a vertex cover
+charged through `run_pass`.  Four such passes exist.  Given a vertex cover
 X, an outside vertex is fully described by N(v) & X, so an AL handle offers
 a cover view: one (v, bit, mask, nbrs) tuple per block, where `mask` holds
 N(v) & members as bits in ascending member order, read through
-`run_cover_pass`.  `induced_edges` reads only the blocks of the vertices it
-keeps.  And the family oracle buffers the graph a pass shows, in any model,
-from the blocks (an EA pass shows no vertex without an edge).  Raw events
-remain the interface for EA/VA consumers and for those that must see the
-event sequence itself (kernel output).
+`run_cover_pass`.  Outside vertices with one mask are twins, so the view is
+also grouped into a class index: the member blocks, and per mask the stream
+positions of its outside blocks, read through `run_class_pass`; a pass over
+it visits the K member blocks and at most 2^K classes, not every block.
+`induced_edges` reads only the blocks of the vertices it keeps.  And the
+family oracle buffers the graph a pass shows, in any model, from the blocks
+(an EA pass shows no vertex without an edge).  Raw events remain the
+interface for EA/VA consumers and for those that must see the event
+sequence itself (kernel output).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import BadParams, BadPermutation, MemoryBudgetExceeded, NotALModel
+from .errors import BadParams, BadPermutation, InvalidCover, MemoryBudgetExceeded, NotALModel
 from .graph import Edge, Graph, canonical_edge
 from .meters import MemoryMeter, PassMeter
 
@@ -67,6 +71,23 @@ Blocks = dict[int, tuple[int, ...]]  # v -> neighbours in stream order, in strea
 CoverBlock = tuple[int, int, int, tuple[int, ...]]  # (v, bit, mask, nbrs)
 
 
+class ClassIndex(NamedTuple):
+    """A cover view grouped into twin classes: its member blocks, and per
+    mask the stream positions (indices into `view`) of the outside blocks
+    that carry it, ascending.  `covers` says whether the members cover the
+    handle's graph: every outside block's neighbours are all members."""
+
+    view: tuple[CoverBlock, ...]
+    members: tuple[CoverBlock, ...]
+    classes: dict[int, list[int]]
+    covers: bool
+
+    def vertices(self, positions: Iterable[int]) -> Iterator[int]:
+        """The vertex of the block at each of `positions`."""
+        view = self.view
+        return (view[pos][0] for pos in positions)
+
+
 def cover_bits(members: Iterable[int]) -> dict[int, int]:
     """Each member's bit in a cover view of `members`: ascending member order."""
     return {x: 1 << i for i, x in enumerate(sorted(members))}
@@ -75,7 +96,8 @@ def cover_bits(members: Iterable[int]) -> dict[int, int]:
 class StreamHandle:
     """Replayable, single-consumer view of a graph in one arrival model."""
 
-    __slots__ = ("source", "model", "blocks", "pass_meter", "_view_members", "_view")
+    __slots__ = ("source", "model", "blocks", "pass_meter", "_view_members", "_view",
+                 "_index")
 
     def __init__(self, source: Graph, model: str, blocks: Blocks, pass_meter: PassMeter):
         self.source = source
@@ -84,6 +106,7 @@ class StreamHandle:
         self.pass_meter = pass_meter
         self._view_members: tuple[int, ...] | None = None
         self._view: tuple[CoverBlock, ...] = ()
+        self._index: ClassIndex | None = None
 
     def events(self) -> Iterator[StreamEvent]:
         """One pass worth of events; does not touch the pass meter."""
@@ -125,14 +148,48 @@ class StreamHandle:
                 for w in nbrs:
                     mask |= bit_of.get(w, 0)
                 view.append((v, bit_of.get(v, 0), mask, nbrs))
-            self._view_members, self._view = key, tuple(view)
+            self._view_members, self._view, self._index = key, tuple(view), None
         return self._view
+
+    def class_index(self, members: Iterable[int]) -> ClassIndex:
+        """The class index of the cover view of `members`, built on first use
+        and kept as long as that view is."""
+        view = self.cover_view(members)
+        if self._index is None:
+            member_blocks: list[CoverBlock] = []
+            classes: dict[int, list[int]] = {}
+            covers = True
+            for pos, block in enumerate(view):
+                _, bit, mask, nbrs = block
+                if bit:
+                    member_blocks.append(block)
+                    continue
+                positions = classes.get(mask)
+                if positions is None:
+                    positions = classes[mask] = []
+                positions.append(pos)
+                if covers and len(nbrs) != mask.bit_count():
+                    covers = False
+            self._index = ClassIndex(view, tuple(member_blocks), classes, covers)
+        return self._index
+
+    def require_cover(self, members: Iterable[int]) -> None:
+        """Raise InvalidCover unless `members` cover the handle's graph, read
+        off the class index; no pass."""
+        if not self.class_index(members).covers:
+            raise InvalidCover("X does not cover the graph")
 
     def run_cover_pass(self, members: Iterable[int],
                        consumer: Callable[[tuple[CoverBlock, ...]], object]):
         """Feed the cover view of `members` to `consumer` as one `run_pass`."""
         view = self.cover_view(members)
         return self.run_pass(lambda _events: consumer(view))
+
+    def run_class_pass(self, members: Iterable[int],
+                       consumer: Callable[[ClassIndex], object]):
+        """Feed the class index of `members` to `consumer` as one `run_pass`."""
+        index = self.class_index(members)
+        return self.run_pass(lambda _events: consumer(index))
 
 
 def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> StreamHandle:

@@ -11,9 +11,10 @@ import functools
 from itertools import combinations
 
 import networkx as nx
+from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from vcstream.graph import Graph
+from vcstream.graph import Graph, VertexCover
 
 
 def from_networkx(nxg) -> Graph:
@@ -73,3 +74,21 @@ def minimum_cover(g: Graph) -> tuple[int, ...]:
             if g.is_cover(cand):
                 return cand
     return tuple(range(g.n))
+
+
+@st.composite
+def planted_covers(draw, max_n=40, max_k=5):
+    """A graph covered by K drawn vertices, in a shuffled order; outside
+    vertices take their cover masks from a small pool, so masks repeat."""
+    n = draw(st.integers(1, max_n))
+    cover = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(max_k, n),
+                          unique=True))
+    rnd = draw(st.randoms(use_true_random=False))
+    pool = draw(st.lists(st.integers(0, (1 << len(cover)) - 1), min_size=1, max_size=4))
+    edges = [(a, b) for i, a in enumerate(cover) for b in cover[i + 1:] if rnd.random() < 0.5]
+    for v in range(n):
+        if v not in cover:
+            mask = rnd.choice(pool)
+            edges += [(c, v) for i, c in enumerate(cover) if mask >> i & 1]
+    g = Graph(n, edges)
+    return g, VertexCover.validated(g, cover), draw(st.permutations(range(n)))

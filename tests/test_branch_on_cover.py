@@ -2,6 +2,8 @@ import pytest
 
 from vcstream.errors import InvalidCover, NotALModel
 from vcstream.graph import VertexCover, cycle_graph, path_graph
+from vcstream.kernel_adjacency import reduce_str
+from vcstream.kernel_lowrank import low_rank_reduce_str
 from vcstream.properties import ExplicitFamily, family_oracle
 from vcstream.solve_cvd import solve_cvd
 from vcstream.solve_hfree import solve_pifree_explicit
@@ -38,3 +40,33 @@ def test_solver_preconditions(name):
     with pytest.raises(InvalidCover):
         solve(h, VertexCover((0,)))
     assert h.pass_meter.passes == 0
+
+
+CHECKED = {
+    **SOLVERS,
+    "reduce_str": lambda h, X: reduce_str(h, X, 1, 1),
+    "low_rank_reduce_str": lambda h, X: low_rank_reduce_str(h, X, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+@pytest.mark.parametrize("prime", ["fresh", "view", "index", "other_view"])
+def test_cover_check_sees_edge_between_outside_vertices(name, prime):
+    """X = {1} misses only P4's edge (2, 3), whose ends are both outside X.
+    Every AL solver and both streaming kernels reject it before a pass, also
+    when the handle already holds a view (or class index) of X or of a
+    different member set."""
+    g = path_graph(4)
+    X = VertexCover((1,))
+    h = make_stream(g, AL)
+    if prime == "view":
+        h.cover_view(X.members)
+    elif prime == "index":
+        assert not h.class_index(X.members).covers
+    elif prime == "other_view":
+        assert h.class_index((1, 2)).covers
+    with pytest.raises(InvalidCover, match="X does not cover the graph"):
+        CHECKED[name](h, X)
+    assert h.pass_meter.passes == 0
+    # the check follows the view's key back to a cover
+    CHECKED[name](h, VertexCover((1, 2)))

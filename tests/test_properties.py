@@ -9,6 +9,7 @@ from vcstream.brute import _occurs_induced
 from vcstream.errors import BadParams, PreconditionViolated
 from vcstream.graph import (
     Graph,
+    VertexCover,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -25,6 +26,7 @@ from vcstream.properties import (
     parse_pfun,
     vertex_minimal_members,
 )
+from vcstream.solve_hfree import solve_pifree_explicit
 from vcstream.streams import AL, make_stream
 
 
@@ -98,6 +100,32 @@ def test_isomorphism_and_dedup():
     family = fam(a, b, complete_graph(3))
     assert family.q == 2
     assert family.nu == 3
+
+
+def test_dedup_past_canonical_limit():
+    p9 = path_graph(9)
+    relabelled = Graph(9, [(2 * u % 9, 2 * v % 9) for u, v in p9.edges])
+    assert relabelled.edges != p9.edges
+    assert fam(p9, relabelled).q == 1
+    assert fam(relabelled, p9).q == 1
+    assert fam(p9, relabelled).members[0].graph is p9
+    # members up to the canonical limit keep their order, ahead of larger ones
+    small = fam(cycle_graph(4), path_graph(3), complete_graph(3))
+    mixed = fam(relabelled, cycle_graph(4), p9, path_graph(3), complete_graph(3))
+    assert mixed.members[:3] == small.members
+    assert mixed.q == 4 and mixed.members[3].graph is relabelled
+
+
+def test_solver_sees_one_member_per_isomorphism_class():
+    p9 = path_graph(9)
+    relabelled = Graph(9, [(2 * u % 9, 2 * v % 9) for u, v in p9.edges])
+    g = path_graph(10)
+    X = VertexCover.validated(g, range(1, 10, 2))
+    for ell in (0, 1):
+        one = solve_pifree_explicit(make_stream(g, AL), X, ell, fam(p9))
+        both = solve_pifree_explicit(make_stream(g, AL), X, ell, fam(p9, relabelled))
+        assert both == one
+        assert both.feasible == (ell == 1)
 
 
 def test_vertex_minimal_examples():

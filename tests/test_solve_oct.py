@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import all_covers, atlas_graphs, disconnected_sample
+from corpus import all_covers, atlas_graphs, disconnected_sample, planted_covers
 from vcstream.brute import OCT_LIMIT, brute_min_oct, _is_bipartite
 from vcstream.graph import Graph, VertexCover, cycle_graph
 from vcstream.meters import MemoryMeter, MeteredSet
@@ -73,24 +73,6 @@ def test_cc_pass_bound_by_components():
                 assert out.passes <= bound <= 3 ** X.K + 2 ** X.K
 
 
-@st.composite
-def planted_covers(draw, max_n=40, max_k=5):
-    """A graph covered by K drawn vertices, in a shuffled order; outside
-    vertices take their cover masks from a small pool, so masks repeat."""
-    n = draw(st.integers(1, max_n))
-    cover = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(max_k, n),
-                          unique=True))
-    rnd = draw(st.randoms(use_true_random=False))
-    pool = draw(st.lists(st.integers(0, (1 << len(cover)) - 1), min_size=1, max_size=4))
-    edges = [(a, b) for i, a in enumerate(cover) for b in cover[i + 1:] if rnd.random() < 0.5]
-    for v in range(n):
-        if v not in cover:
-            mask = rnd.choice(pool)
-            edges += [(c, v) for i, c in enumerate(cover) if mask >> i & 1]
-    g = Graph(n, edges)
-    return g, VertexCover.validated(g, cover), draw(st.permutations(range(n)))
-
-
 @settings(max_examples=250, deadline=None)
 @given(planted_covers(), st.integers(0, 5))
 def test_oct_routes_agree_past_desk_scale(case, ell):
@@ -154,10 +136,10 @@ def test_colour_symmetry():
                 meter = MemoryMeter()
                 dels = MeteredSet(meter)
                 h = stream(g)
-                h.run_cover_pass(
+                h.run_class_pass(
                     X.members,
-                    lambda view, c=colouring: _colour_pass(
-                        view, full, sum(bits[v] for v in c), dels, g.n, True
+                    lambda index, c=colouring: _colour_pass(
+                        index, full, sum(bits[v] for v in c), dels, g.n, True
                     ),
                 )
                 outs.append(frozenset(dels))

@@ -24,7 +24,7 @@ from vcstream.meters import MemoryMeter
 from vcstream.properties import ExplicitFamily, canonical_form, family_oracle
 from vcstream.solve_cvd import solve_cvd
 from vcstream.solve_oct import solve_oct_cc
-from vcstream.solve_oracle import _class_members, _residual
+from vcstream.solve_oracle import _residual
 from vcstream.streams import (
     AL,
     EA,
@@ -177,7 +177,7 @@ def test_residual_equals_induced_graph_on_survivors():
         survivors = [v for v in range(n) if v not in gone]
         sub_graph, old = g.induced(survivors)
         expected = frozenset(canonical_edge(old[u], old[v]) for u, v in sub_graph.edges)
-        residual = _residual(h, _class_members(h.cover_view(members), in_cover), picks, drop)
+        residual = _residual(h, in_cover, picks, drop)
         assert list(residual.blocks) == [v for v in order if v not in gone], trial
         assert induced_edges(residual, range(n)) == expected, trial
 
