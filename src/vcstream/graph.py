@@ -16,29 +16,30 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Simple undirected graph; edges stored canonically with u < v."""
+    """Simple undirected graph; edges stored canonically with u < v.  The
+    constructor checks every edge, a file's too: range, self-loop, duplicate."""
 
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ParseError("negative vertex count")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         canon: set[Edge] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"vertex id out of range: ({u},{v})")
             if u == v:
                 raise ParseError(f"self-loop at {u}")
-            e = canonical_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in canon:
                 raise DuplicateEdge(f"duplicate edge {e}")
             canon.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
         self.edges = frozenset(canon)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = tuple(map(frozenset, adj))
 
     @property
     def m(self) -> int:

@@ -4,12 +4,12 @@ two-fan disjointness gadget."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     BadParams,
-    DuplicateEdge,
     HTooSmall,
     NotDegreeTwo,
     ParseError,
@@ -55,10 +55,15 @@ def parse_instance(text: str) -> Instance:
     comments: list[str] = []
     cover_ids: list[int] | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for ln in lines[1:]:
         tag, _, rest = ln.partition(" ")
-        if tag == "c":
+        if tag == "e":  # checked by Graph: range, self-loop, duplicate
+            try:
+                u, v = rest.split()
+                edges.append((int(u), int(v)))
+            except ValueError as exc:
+                raise ParseError(f"malformed edge line: {ln!r}") from exc
+        elif tag == "c":
             comments.append(rest)
         elif tag == "x":
             if cover_ids is not None:
@@ -67,23 +72,6 @@ def parse_instance(text: str) -> Instance:
                 cover_ids = [int(t) for t in rest.split()]
             except ValueError as exc:
                 raise ParseError(f"malformed cover line: {ln!r}") from exc
-        elif tag == "e":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ParseError(f"malformed edge line: {ln!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"malformed edge line: {ln!r}") from exc
-            if u == v:
-                raise ParseError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge endpoint out of range: {ln!r}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DuplicateEdge(f"duplicate edge {key}")
-            seen.add(key)
-            edges.append(key)
         else:
             raise ParseError(f"unknown line tag {tag!r}")
     if cover_ids is None:
@@ -92,6 +80,11 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
     if len(cover_ids) != k:
         raise ParseError(f"header declares cover size {k}, found {len(cover_ids)}")
+    seen: set[int] = set()
+    for x in cover_ids:
+        if x in seen:
+            raise ParseError(f"repeated cover vertex {x}")
+        seen.add(x)
     graph = Graph(n, edges)
     cover = VertexCover.validated(graph, cover_ids)
     return Instance(graph, cover, ell, tuple(comments))
@@ -176,9 +169,10 @@ def gen_planted(spec: PlantedSpec) -> tuple[Graph, VertexCover]:
     members = tuple(sorted(rng.sample(range(spec.n), spec.k)))
     member_set = set(members)
     edges = []
-    for u in range(spec.n):
-        for v in range(u + 1, spec.n):
-            if (u in member_set or v in member_set) and rng.random() < spec.edge_prob:
+    for u in range(spec.n):  # only pairs that touch the cover draw, in (u, v) order
+        later = range(u + 1, spec.n) if u in member_set else members[bisect_right(members, u):]
+        for v in later:
+            if rng.random() < spec.edge_prob:
                 edges.append((u, v))
     g = Graph(spec.n, edges)
     return g, VertexCover.validated(g, members)

@@ -194,13 +194,16 @@ class StreamHandle:
 
 def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> StreamHandle:
     """Build a replayable stream of `g` in the given model and vertex order."""
-    order = tuple(order) if order is not None else tuple(range(g.n))
-    if sorted(order) != list(range(g.n)):
-        raise BadPermutation(f"order is not a permutation of 0..{g.n - 1}")
+    if order is None:  # the identity: no permutation to check, no position key
+        blocks = {v: tuple(sorted(g.neighbors(v))) for v in g.vertices()}
+    else:
+        order = tuple(order)
+        if sorted(order) != list(range(g.n)):
+            raise BadPermutation(f"order is not a permutation of 0..{g.n - 1}")
+        pos = {v: i for i, v in enumerate(order)}
+        blocks = {v: tuple(sorted(g.neighbors(v), key=pos.__getitem__)) for v in order}
     if model not in MODELS:
         raise BadParams(f"unknown stream model {model!r}")
-    pos = {v: i for i, v in enumerate(order)}
-    blocks = {v: tuple(sorted(g.neighbors(v), key=pos.__getitem__)) for v in order}
     return StreamHandle(g, model, blocks, PassMeter())
 
 

@@ -2,7 +2,8 @@
 
 The graph atlas (everything up to 7 vertices, one representative per
 isomorphism class) is the exhaustive ground set; covers are enumerated
-directly.
+directly.  `BAD_INSTANCES` is the table of bad `.vcs` texts that the parser
+and the CLI tests share.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import networkx as nx
 from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
+from vcstream.errors import DuplicateEdge, InvalidCover, ParseError
 from vcstream.graph import Graph, VertexCover
 
 
@@ -92,3 +94,50 @@ def planted_covers(draw, max_n=40, max_k=5):
             edges += [(c, v) for i, c in enumerate(cover) if mask >> i & 1]
     g = Graph(n, edges)
     return g, VertexCover.validated(g, cover), draw(st.permutations(range(n)))
+
+
+# Bad `.vcs` texts: (id, text, exception class from `parse_instance`, a
+# fragment of its message).  Most are a spoiled copy of P3 0-1-2 with cover
+# {1}; every one must make the CLI exit 3.
+P3_HEAD = "p vcstream 3 2 1 1\n"
+BAD_INSTANCES = [
+    ("unknown_tag", P3_HEAD + "x 1\nq 0 1\ne 0 1\ne 1 2\n", ParseError,
+     "unknown line tag 'q'"),
+    ("missing_header", "x 1\ne 0 1\ne 1 2\n", ParseError, "missing 'p vcstream' header"),
+    ("wrong_header_kind", "p wrong 1 0 0 0\nx\n", ParseError, "missing 'p vcstream' header"),
+    ("header_five_fields", "p vcstream 3 2 1\nx 1\ne 0 1\ne 1 2\n", ParseError,
+     "malformed header"),
+    ("header_non_integer", "p vcstream 3 two 1 1\nx 1\ne 0 1\ne 1 2\n", ParseError,
+     "non-integer header field"),
+    ("edge_one_field", P3_HEAD + "x 1\ne 0\ne 1 2\n", ParseError, "malformed edge line"),
+    ("edge_three_fields", P3_HEAD + "x 1\ne 0 1 2\ne 1 2\n", ParseError,
+     "malformed edge line"),
+    ("edge_non_integer", P3_HEAD + "x 1\ne 0 x\ne 1 2\n", ParseError, "malformed edge line"),
+    ("self_loop", "p vcstream 3 1 1 1\nx 1\ne 2 2\n", ParseError, "self-loop at 2"),
+    ("endpoint_negative", P3_HEAD + "x 1\ne -1 1\ne 1 2\n", ParseError,
+     "vertex id out of range: (-1,1)"),
+    ("endpoint_at_n", P3_HEAD + "x 1\ne 0 1\ne 1 3\n", ParseError,
+     "vertex id out of range: (1,3)"),
+    ("duplicate_edge", P3_HEAD + "x 1\ne 0 1\ne 0 1\n", DuplicateEdge, "duplicate edge (0, 1)"),
+    ("duplicate_edge_reversed", P3_HEAD + "x 1\ne 0 1\ne 1 0\n", DuplicateEdge,
+     "duplicate edge (0, 1)"),
+    ("edge_count_mismatch", P3_HEAD + "x 1\ne 0 1\n", ParseError,
+     "header declares 2 edges, found 1"),
+    # the header's counts are checked before any edge
+    ("duplicate_edge_and_count_mismatch", P3_HEAD + "x 1\ne 0 1\ne 1 0\ne 1 2\n",
+     ParseError, "header declares 2 edges, found 3"),
+    ("cover_count_mismatch", P3_HEAD + "x 1 2\ne 0 1\ne 1 2\n", ParseError,
+     "header declares cover size 1, found 2"),
+    ("missing_cover_line", P3_HEAD + "e 0 1\ne 1 2\n", ParseError, "missing cover line"),
+    ("duplicate_cover_line", P3_HEAD + "x 1\nx 1\ne 0 1\ne 1 2\n", ParseError,
+     "duplicate cover line"),
+    ("cover_non_integer", P3_HEAD + "x one\ne 0 1\ne 1 2\n", ParseError,
+     "malformed cover line"),
+    ("repeated_cover_id", "p vcstream 3 2 2 1\nx 1 1\ne 0 1\ne 1 2\n", ParseError,
+     "repeated cover vertex 1"),
+    ("cover_id_out_of_range", P3_HEAD + "x 3\ne 0 1\ne 1 2\n", InvalidCover,
+     "cover vertex 3 out of range"),
+    ("uncovered_edge", P3_HEAD + "x 0\ne 0 1\ne 1 2\n", InvalidCover, "edge (1,2) not covered"),
+    ("negative_ell", "p vcstream 3 1 1 -1\nx 1\ne 0 1\n", ParseError,
+     "budget must be non-negative"),
+]

@@ -1,4 +1,5 @@
 import pytest
+from corpus import BAD_INSTANCES
 
 from vcstream import cli
 from vcstream.cli import main
@@ -60,6 +61,16 @@ def test_non_al_model_rejected(tmp_path, capsys):
 def test_missing_instance_exit_3(capsys):
     code = main(["solve", "/nonexistent/file.vcs", "--problem", "cvd"])
     assert code == 3
+
+
+@pytest.mark.parametrize("text", [pytest.param(text, id=case)
+                                  for case, text, _error, _message in BAD_INSTANCES])
+def test_bad_instance_exit_3(tmp_path, capsys, text):
+    inst = tmp_path / "bad.vcs"
+    inst.write_text(text)
+    assert main(["solve", str(inst), "--problem", "cvd"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_verify_agreement(tmp_path, capsys):

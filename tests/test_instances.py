@@ -1,11 +1,14 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, settings
+from corpus import BAD_INSTANCES
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcstream.brute import brute_min_deletion
 from vcstream.errors import (
     BadParams,
-    DuplicateEdge,
     HTooSmall,
     InvalidCover,
     NotDegreeTwo,
@@ -46,18 +49,9 @@ def test_round_trip_file(tmp_path):
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_instance("p wrong 1 0 0 0\nx\n")
-    with pytest.raises(ParseError):
-        parse_instance("p vcstream 3 1 1 1\nx 1\ne 2 2\n")  # self-loop
-    with pytest.raises(DuplicateEdge):
-        parse_instance("p vcstream 3 2 1 1\nx 1\ne 0 1\ne 1 0\n")
-    with pytest.raises(InvalidCover):
-        parse_instance("p vcstream 3 2 1 1\nx 0\ne 0 1\ne 1 2\n")
-    with pytest.raises(ParseError):
-        parse_instance("p vcstream 3 2 1 1\nx 1\ne 0 1\n")  # edge count mismatch
-    with pytest.raises(ParseError):
-        parse_instance("p vcstream 3 1 1 -1\nx 1\ne 0 1\n")
+    for _case, text, error, message in BAD_INSTANCES:
+        with pytest.raises(error, match=re.escape(message)):
+            parse_instance(text)
 
 
 def test_write_refuses_uncovered():
@@ -80,6 +74,41 @@ def test_planted_properties():
         assert u in members or v in members
     with pytest.raises(BadParams):
         gen_planted(PlantedSpec(4, 5, 0.5, 0))
+
+
+def planted_by_pair_scan(spec: PlantedSpec):
+    """The O(n^2) loop `gen_planted` used to run, frozen: one draw for each
+    pair u < v that touches the cover, in (u, v) order."""
+    rng = random.Random(spec.seed)
+    members = tuple(sorted(rng.sample(range(spec.n), spec.k)))
+    member_set = set(members)
+    edges = []
+    for u in range(spec.n):
+        for v in range(u + 1, spec.n):
+            if (u in member_set or v in member_set) and rng.random() < spec.edge_prob:
+                edges.append((u, v))
+    g = Graph(spec.n, edges)
+    return g, VertexCover.validated(g, members)
+
+
+planted_specs = st.integers(0, 60).flatmap(lambda n: st.builds(
+    PlantedSpec, st.just(n), st.integers(0, n), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_specs)
+@example(PlantedSpec(10, 2, 0.9, 1))
+@example(PlantedSpec(200, 8, 0.2, 123))
+@example(PlantedSpec(50, 50, 0.5, 3))  # k = n
+@example(PlantedSpec(30, 0, 0.5, 2))  # k = 0
+@example(PlantedSpec(40, 5, 0.0, 4))  # p = 0
+@example(PlantedSpec(40, 5, 1.0, 5))  # p = 1
+@example(PlantedSpec(1, 1, 1.0, 0))
+@example(PlantedSpec(0, 0, 0.5, 0))
+def test_planted_matches_pair_scan(spec):
+    want = planted_by_pair_scan(spec)
+    assert format_instance(*gen_planted(spec), 2) == format_instance(*want, 2)
 
 
 def p4_pattern():
