@@ -156,9 +156,11 @@ def _cmd_kernelize(args) -> int:
     inst, handle = _load(args)
     meter = _fresh_meter()
     started = time.perf_counter()
+    budget = inst.ell  # the deletion budget the kernel keeps, for its header
     if args.alg == "reduce":
         if args.wrap == "pifree":
-            out = kernel_pifree(handle, inst.cover, args.ell, _char_from_args(args), meter)
+            budget = inst.ell if args.ell is None else args.ell
+            out = kernel_pifree(handle, inst.cover, budget, _char_from_args(args), meter)
         elif args.wrap == "largest":
             out = kernel_largest_induced(handle, inst.cover, _char_from_args(args), meter)
         elif args.wrap == "partition":
@@ -171,6 +173,7 @@ def _cmd_kernelize(args) -> int:
         if args.wrap == "rankc":
             if args.k is None or args.p is None or args.c is None:
                 raise UsageError("--wrap rankc needs --k, --p and --c")
+            budget = args.k
             out = kernel_by_rank(handle, inst.cover, args.k, args.p, args.c, meter)
         else:
             if not args.ell or args.c is None:
@@ -184,7 +187,7 @@ def _cmd_kernelize(args) -> int:
     if args.cpi is not None:
         comments.append("characterization supplied by user, not verified")
     text = format_instance(
-        kernel_graph, VertexCover.validated(kernel_graph, kept_cover), inst.ell, comments
+        kernel_graph, VertexCover.validated(kernel_graph, kept_cover), budget, comments
     )
     if args.output:
         Path(args.output).write_text(text)
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--q", type=_positive_int, default=1)
     p_kern.add_argument("--k", type=_non_negative_int)
     p_kern.add_argument("--p", type=_positive_int)
-    p_kern.add_argument("--ell", type=_non_negative_int, default=0)
+    p_kern.add_argument("--ell", type=_non_negative_int)
     p_kern.add_argument("--cpi", type=_non_negative_int)
     p_kern.add_argument("--pfun")
     p_kern.add_argument("-o", "--output")

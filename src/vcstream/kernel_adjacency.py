@@ -47,26 +47,33 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     # none of Q and all of R; counts[i] is split i's marks so far (capped at r)
     splits = pair_masks(X, incidence_pair_index(X, c))
     counts = [0] * len(splits)
-    # mask -> the splits it matches, a pure function of the mask (stream
-    # machinery like the cover view, not algorithm state); a mask whose splits
-    # all hold r marks maps to none, as counts never fall
-    matches: dict[int, list[int]] = {}
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
     with meter.scope(X.K), meter.scope(len(splits) * _entry_words(X.K)):
         seen_cover = MeteredSet(meter)
 
-        def pass_fn(view):
-            for v, bit, m, nbrs in view:
-                if bit:
-                    out_edges.extend(canonical_edge(v, w) for w in nbrs if w in seen_cover)
+        def pass_fn(index):
+            # A class's block past its first r matches only splits that its r
+            # earlier twins have filled, so it never marks.  Of those blocks
+            # only the last is visited, for its charge: kept state only grows,
+            # so the class's largest charge falls there.
+            visits = [(pos, None) for pos in index.member_positions]
+            for m, positions in index.classes.items():
+                hits = matching_splits(m, splits)
+                visits += [(pos, hits) for pos in
+                           positions[:r] + positions[max(r, len(positions) - 1):]]
+            visits.sort()
+            view, members = index.view, index.members
+            for pos, hits in visits:
+                v, _, m, nbrs = view[pos]
+                if hits is None:
+                    # the members seen so far are the first ones in stream order
+                    out_edges.extend(canonical_edge(v, w)
+                                     for w, bit, _, _ in members[:len(seen_cover)] if m & bit)
                     seen_cover.add(v)
                     continue
                 meter.allocate(len(nbrs))  # the block's buffered edges
-                hits = matches.get(m)
-                if hits is None:
-                    hits = matches[m] = matching_splits(m, splits)
                 hit = False
                 for i in hits:
                     if counts[i] < r:
@@ -75,12 +82,10 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                 if hit:
                     marked.append(v)
                     out_edges.extend(canonical_edge(v, w) for w in nbrs)
-                else:
-                    matches[m] = []
                 meter.release(len(nbrs))
 
         try:
-            h.run_cover_pass(X.members, pass_fn)
+            h.run_class_pass(X.members, pass_fn)
         finally:
             seen_cover.close()
 

@@ -17,7 +17,7 @@ from .errors import BadParams, DimensionMismatch, NeighborOutsideCover, NotALMod
 from .graph import Graph, VertexCover, require_cover
 from .meters import MemoryMeter, words_for_bits
 from .results import KernelOutput
-from .streams import AL, EDGE, StreamHandle, cover_bits, filtered_substream
+from .streams import AL, EDGE, StreamHandle, cover_bits
 
 
 def incidence_pair_index(X: VertexCover, c: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -130,62 +130,66 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
     passes_before = h.pass_meter.passes
 
     cover_set = X.member_set()
-    index = incidence_pair_index(X, c)
-    dim = len(index)
+    splits = pair_masks(X, incidence_pair_index(X, c))
+    dim = len(splits)
     vec_words = max(1, words_for_bits(dim))
-    splits = pair_masks(X, index)
-    # mask -> its incidence vector, a pure function of the mask (stream
-    # machinery like the cover view, not algorithm state)
-    vectors: dict[int, IncidenceVector] = {}
-    kept_outside: list[int] = []
+    index = h.class_index(X.members)
+    # per class: its incidence vector, and how many of its blocks the rounds
+    # have kept.  Only a round's first unskipped twin can be independent, so
+    # the kept blocks of a class are always its first ones.
+    vectors = {m: mask_vector(m, splits) for m in index.classes}
+    taken = dict.fromkeys(index.classes, 0)
+    kept_positions: list[int] = []
 
     with meter.scope(X.K):
-        charged_a = 0
-        charged_basis = 0
+        charged_a = charged_basis = 0
+
+        def scan(index):
+            # A class's first unskipped block is inserted; its later twins are
+            # dependent, as the round's span holds their vector.  Of those only
+            # the last is visited, for its charge: live words only grow within
+            # a round.
+            nonlocal basis, charged_a, charged_basis
+            visits = []
+            for m, positions in index.classes.items():
+                first, last = taken[m], len(positions) - 1
+                if first <= last:  # the class has an unskipped block
+                    visits += [(positions[j], m, j == first) for j in {first, last}]
+            visits.sort()
+            for pos, m, head in visits:
+                v, _, _, nbrs = index.view[pos]
+                meter.allocate(len(nbrs))  # the block's buffered neighbours
+                try:
+                    meter.allocate(vec_words)
+                    try:
+                        independent = False
+                        if head:
+                            new_basis, independent = basis_insert(basis, vectors[m], v)
+                    finally:
+                        meter.release(vec_words)
+                    if independent:
+                        basis = new_basis
+                        grown = _basis_words(new_basis)
+                        meter.allocate(grown - charged_basis)
+                        charged_basis = grown
+                        kept_positions.append(pos)
+                        taken[m] += 1
+                        meter.allocate(1)
+                        charged_a += 1
+                finally:
+                    meter.release(len(nbrs))
+
         try:
             for _ in range(ell):
-                basis_box = [F2Basis(dim)]
-                skip = cover_set | set(kept_outside)
-                # masks met this round: a repeat's vector was inserted or
-                # reduced to 0 then, and the round's span only grows, so a
-                # repeat is dependent
-                scanned: set[int] = set()
-
-                def scan(view, basis_box=basis_box, skip=skip, scanned=scanned):
-                    nonlocal charged_a, charged_basis
-                    for v, _, m, nbrs in view:
-                        if v in skip:
-                            continue
-                        meter.allocate(len(nbrs))  # the block's buffered neighbours
-                        try:
-                            meter.allocate(vec_words)
-                            try:
-                                independent = False
-                                if m not in scanned:
-                                    scanned.add(m)
-                                    vec = vectors.get(m)
-                                    if vec is None:
-                                        vec = vectors[m] = mask_vector(m, splits)
-                                    new_basis, independent = basis_insert(basis_box[0], vec, v)
-                            finally:
-                                meter.release(vec_words)
-                            if independent:
-                                basis_box[0] = new_basis
-                                grown = _basis_words(new_basis)
-                                meter.allocate(grown - charged_basis)
-                                charged_basis = grown
-                                kept_outside.append(v)
-                                meter.allocate(1)
-                                charged_a += 1
-                        finally:
-                            meter.release(len(nbrs))
-
-                h.run_cover_pass(X.members, scan)
+                basis = F2Basis(dim)
+                h.run_class_pass(X.members, scan)
                 meter.release(charged_basis)
                 charged_basis = 0
 
-            kept = cover_set | set(kept_outside)
-            out_events = filtered_substream(h, kept.__contains__).run_pass(list)
+            kept = cover_set | set(index.vertices(kept_positions))
+            blocks = {v: tuple(filter(kept.__contains__, h.blocks[v])) for v in
+                      index.vertices(sorted(index.member_positions + tuple(kept_positions)))}
+            out_events = StreamHandle(h.source, h.model, blocks, h.pass_meter).run_pass(list)
             out_edges = list(
                 dict.fromkeys((ev.u, ev.v) for ev in out_events if ev.kind == EDGE)
             )

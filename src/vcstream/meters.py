@@ -8,10 +8,10 @@ handle's blocks are stream machinery, and a pass may be answered from them
 family oracle's buffer of a substream's kept blocks) only when the answer
 is a pure function of one pass's events and the pass is still charged
 through `run_pass`.  A consumer pays for what it keeps of a block, not for
-the view or the index.  So are the kernels' per-mask memos (a pure function of a
-block's cover mask): each block is still charged what the algorithm holds
-for it.  State is charged as it grows, one allocation per item found, so a
-budget trips at the first word past it.
+the view or the index.  The kernels read the index too: a twin is skipped
+only when an earlier twin fixed its outcome and a later visited one takes
+at least its charge.  State is charged as it grows, one allocation per
+item found, so a budget trips at the first word past it.
 """
 
 from __future__ import annotations

@@ -12,14 +12,14 @@ over the kept blocks, charging its passes to the parent's meter.
 
 A pass may be answered from the blocks instead of the events only when the
 answer is a pure function of one pass's events, and the pass is still
-charged through `run_pass`.  Four such passes exist.  Given a vertex cover
+charged through `run_pass`.  Three such passes exist.  Given a vertex cover
 X, an outside vertex is fully described by N(v) & X, so an AL handle offers
 a cover view: one (v, bit, mask, nbrs) tuple per block, where `mask` holds
-N(v) & members as bits in ascending member order, read through
-`run_cover_pass`.  Outside vertices with one mask are twins, so the view is
-also grouped into a class index: the member blocks, and per mask the stream
-positions of its outside blocks, read through `run_class_pass`; a pass over
-it visits the K member blocks and at most 2^K classes, not every block.
+N(v) & members as bits in ascending member order.  Outside vertices with one
+mask are twins, so the view is grouped into a class index: the member blocks
+and their stream positions, and per mask the stream positions of its outside
+blocks, read through `run_class_pass`; a pass over it visits the K member
+blocks and a few blocks per class, at most 2^K classes, not every block.
 `induced_edges` reads only the blocks of the vertices it keeps.  And the
 family oracle buffers the graph a pass shows, in any model, from the blocks
 (an EA pass shows no vertex without an edge).  Raw events remain the
@@ -72,13 +72,15 @@ CoverBlock = tuple[int, int, int, tuple[int, ...]]  # (v, bit, mask, nbrs)
 
 
 class ClassIndex(NamedTuple):
-    """A cover view grouped into twin classes: its member blocks, and per
-    mask the stream positions (indices into `view`) of the outside blocks
-    that carry it, ascending.  `covers` says whether the members cover the
-    handle's graph: every outside block's neighbours are all members."""
+    """A cover view grouped into twin classes: its member blocks and their
+    stream positions (indices into `view`), and per mask the stream positions
+    of the outside blocks that carry it; positions ascend.  `covers` says
+    whether the members cover the handle's graph: every outside block's
+    neighbours are all members."""
 
     view: tuple[CoverBlock, ...]
     members: tuple[CoverBlock, ...]
+    member_positions: tuple[int, ...]
     classes: dict[int, list[int]]
     covers: bool
 
@@ -156,13 +158,12 @@ class StreamHandle:
         and kept as long as that view is."""
         view = self.cover_view(members)
         if self._index is None:
-            member_blocks: list[CoverBlock] = []
+            member_positions: list[int] = []
             classes: dict[int, list[int]] = {}
             covers = True
-            for pos, block in enumerate(view):
-                _, bit, mask, nbrs = block
+            for pos, (_, bit, mask, nbrs) in enumerate(view):
                 if bit:
-                    member_blocks.append(block)
+                    member_positions.append(pos)
                     continue
                 positions = classes.get(mask)
                 if positions is None:
@@ -170,7 +171,8 @@ class StreamHandle:
                 positions.append(pos)
                 if covers and len(nbrs) != mask.bit_count():
                     covers = False
-            self._index = ClassIndex(view, tuple(member_blocks), classes, covers)
+            self._index = ClassIndex(view, tuple(view[pos] for pos in member_positions),
+                                     tuple(member_positions), classes, covers)
         return self._index
 
     def require_cover(self, members: Iterable[int]) -> None:
@@ -178,12 +180,6 @@ class StreamHandle:
         off the class index; no pass."""
         if not self.class_index(members).covers:
             raise InvalidCover("X does not cover the graph")
-
-    def run_cover_pass(self, members: Iterable[int],
-                       consumer: Callable[[tuple[CoverBlock, ...]], object]):
-        """Feed the cover view of `members` to `consumer` as one `run_pass`."""
-        view = self.cover_view(members)
-        return self.run_pass(lambda _events: consumer(view))
 
     def run_class_pass(self, members: Iterable[int],
                        consumer: Callable[[ClassIndex], object]):

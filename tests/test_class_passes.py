@@ -118,7 +118,7 @@ def _frozen_propagated_components(h, meter, members, y_set, y_mask):
                             parent[max(ra, rb)] = min(ra, rb)
 
     with meter.scope(len(y_set)):
-        h.run_cover_pass(members, union_pass)
+        h.run_pass(lambda _e: union_pass(h.cover_view(members)))
         comp = {v: find(v) for v in y_set}
         roots = sorted(set(comp.values()))
         colour = {root: 0 for root in roots}
@@ -145,10 +145,10 @@ def _frozen_propagated_components(h, meter, members, y_set, y_mask):
         with meter.scope(len(y_set)):
             rounds = 0
             while len(colour) < len(y_set) and rounds <= len(y_set) + 1:
-                if not h.run_cover_pass(members, propagate):
+                if not h.run_pass(lambda _e: propagate(h.cover_view(members))):
                     break
                 rounds += 1
-            h.run_cover_pass(members, propagate)
+            h.run_pass(lambda _e: propagate(h.cover_view(members)))
             if conflict:
                 return None
             return roots, dict(colour), comp
@@ -169,7 +169,7 @@ def _frozen_equivalence_classes(h, Y, exclude, meter):
                     counts[key] = 1
 
     try:
-        h.run_cover_pass(y_order, tally)
+        h.run_pass(lambda _e: tally(h.cover_view(y_order)))
     except MemoryBudgetExceeded:
         meter.release(2 * len(counts))
         raise
@@ -217,8 +217,8 @@ def _agree(g, order, frozen, current, prefill=()):
 
 
 def _view_run(members, consumer):
-    return lambda h, deletions, meter: h.run_cover_pass(
-        members, lambda view: consumer(view, deletions))
+    return lambda h, deletions, meter: h.run_pass(
+        lambda _e: consumer(h.cover_view(members), deletions))
 
 
 def _class_run(members, consumer):

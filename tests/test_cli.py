@@ -3,7 +3,7 @@ from corpus import BAD_INSTANCES
 
 from vcstream import cli
 from vcstream.cli import main
-from vcstream.graph import VertexCover, path_graph
+from vcstream.graph import Graph, VertexCover, path_graph
 from vcstream.instances import format_family, load_instance, write_instance
 from vcstream.properties import ExplicitFamily
 
@@ -253,6 +253,34 @@ def test_kernelize_wrap_must_belong_to_alg(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--wrap pifree does not apply to --alg lowrank" in err
     assert "--wrap rankc does not apply to --alg reduce" in err
+
+
+def test_kernelize_pifree_defaults_to_instance_budget(tmp_path, capsys):
+    """A triangle joined to four more vertices, ell = 2: a NO for cvd.
+    Without --ell, `--wrap pifree` builds the kernel for the instance's
+    ell, so the kernel is a NO too, and its header says ell = 2."""
+    edges = [(0, 1), (0, 2), (1, 2)] + [(x, v) for x in range(3) for v in range(3, 7)]
+    g = Graph(8, edges)
+    inst = tmp_path / "k3fan.vcs"
+    write_instance(g, VertexCover.validated(g, [0, 1, 2]), 2, inst)
+    assert main(["solve", str(inst), "--problem", "cvd"]) == 1
+    out = tmp_path / "kernel.vcs"
+    assert main(["kernelize", str(inst), "--wrap", "pifree", "--cpi", "2", "--pfun", "3",
+                 "-o", str(out)]) == 0
+    kernel = load_instance(str(out))
+    assert (kernel.graph.n, kernel.ell) == (8, 2)
+    assert main(["solve", str(out), "--problem", "cvd"]) == 1
+
+
+def test_kernelize_header_records_kernel_budget(tmp_path, capsys):
+    inst = write_p3(tmp_path, ell=1)
+    out = tmp_path / "kernel.vcs"
+    assert main(["kernelize", inst, "--wrap", "pifree", "--ell", "0", "--cpi", "2",
+                 "--pfun", "3", "-o", str(out)]) == 0
+    assert load_instance(str(out)).ell == 0
+    assert main(["kernelize", inst, "--alg", "lowrank", "--wrap", "rankc", "--k", "3",
+                 "--p", "1", "--c", "1", "-o", str(out)]) == 0
+    assert load_instance(str(out)).ell == 3
 
 
 @pytest.mark.parametrize("ell", [[], ["--ell", "0"]])

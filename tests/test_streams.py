@@ -226,20 +226,20 @@ def test_cover_view_requires_al(model):
     with pytest.raises(NotALModel):
         h.cover_view([1])
     with pytest.raises(NotALModel):
-        h.run_cover_pass([1], lambda view: None)
+        h.run_class_pass([1], lambda index: None)
     assert h.pass_meter.passes == 0
 
 
-def test_run_cover_pass_charges_one_pass():
+def test_run_class_pass_charges_one_pass():
     h = make_stream(path_graph(3), AL)
-    assert h.run_cover_pass([1], lambda view: [m for _, _, m, _ in view]) == [1, 0, 1]
+    assert h.run_class_pass([1], lambda index: [m for _, _, m, _ in index.view]) == [1, 0, 1]
     assert h.pass_meter.passes == 1
 
-    def bad(view):
+    def bad(index):
         raise ValueError("consumer blew up")
 
     with pytest.raises(ValueError):
-        h.run_cover_pass([1], bad)
+        h.run_class_pass([1], bad)
     assert h.pass_meter.passes == 2
 
 
@@ -256,5 +256,5 @@ def test_cover_view_of_filtered_substream():
         induced = Graph(g.n, [(old[u], old[v]) for u, v in sub_g.edges])
         expected = _reference_view(induced, [v for v in order if v in keep], members)
         assert sub.cover_view(members) == expected
-        sub.run_cover_pass(members, lambda view: None)
+        sub.run_class_pass(members, lambda index: None)
         assert h.pass_meter.passes == 1
