@@ -156,12 +156,13 @@ def _cmd_kernelize(args) -> int:
     inst, handle = _load(args)
     meter = _fresh_meter()
     started = time.perf_counter()
-    budget = inst.ell  # the deletion budget the kernel keeps, for its header
+    budget = None  # the deletion budget the kernel keeps witnesses for, if any
     if args.alg == "reduce":
         if args.wrap == "pifree":
             budget = inst.ell if args.ell is None else args.ell
             out = kernel_pifree(handle, inst.cover, budget, _char_from_args(args), meter)
         elif args.wrap == "largest":
+            budget = 0  # the pifree kernel at ell = 0
             out = kernel_largest_induced(handle, inst.cover, _char_from_args(args), meter)
         elif args.wrap == "partition":
             out = kernel_partition_q(handle, inst.cover, args.q, _char_from_args(args), meter)
@@ -186,6 +187,9 @@ def _cmd_kernelize(args) -> int:
     comments = [f"kernel-of {_instance_hash(args.instance)}"]
     if args.cpi is not None:
         comments.append("characterization supplied by user, not verified")
+    if budget is None:
+        comments.append("header ell is the instance's, not a budget this kernel preserves")
+        budget = inst.ell
     text = format_instance(
         kernel_graph, VertexCover.validated(kernel_graph, kept_cover), budget, comments
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -16,53 +17,58 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Simple undirected graph; edges stored canonically with u < v.  The
+    """Simple undirected graph: one ascending neighbour tuple per vertex; the
+    edge set (u < v) and per-vertex frozensets are built on first use.  The
     constructor checks every edge, a file's too: range, self-loop, duplicate."""
-
-    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ParseError("negative vertex count")
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # read twice if bad
         adj: list[list[int]] = [[] for _ in range(n)]
-        canon: set[Edge] = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex id out of range: ({u},{v})")
-            if u == v:
-                raise ParseError(f"self-loop at {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in canon:
-                raise DuplicateEdge(f"duplicate edge {e}")
-            canon.add(e)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                break
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
-        self.edges = frozenset(canon)
-        self._adj = tuple(map(frozenset, adj))
+        if sum(map(len, map(set, adj))) != 2 * len(edges):  # a break, or a neighbour twice:
+            seen: set[Edge] = set()  # name the first bad edge in `edges`' order
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(f"vertex id out of range: ({u},{v})")
+                if u == v:
+                    raise ParseError(f"self-loop at {u}")
+                e = (u, v) if u < v else (v, u)
+                if e in seen:
+                    raise DuplicateEdge(f"duplicate edge {e}")
+                seen.add(e)
+        for nbrs in adj:
+            nbrs.sort()
+        self.n, self.m, self.nbrs = n, len(edges), tuple(map(tuple, adj))
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges())
 
-    def vertices(self) -> range:
-        return range(self.n)
+    @cached_property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.nbrs))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and v in self._adj[u]
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return [(u, v) for u, nbrs in enumerate(self.nbrs) for v in nbrs if u < v]
 
     def is_cover(self, members: Iterable[int]) -> bool:
         s = set(members)
-        return all(u in s or v in s for u, v in self.edges)
+        return all(u in s or s.issuperset(nbrs) for u, nbrs in enumerate(self.nbrs))
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `keep`, relabeled densely; returns (graph, old ids)."""
@@ -80,7 +86,7 @@ class Graph:
         stack = [0]
         while stack:
             v = stack.pop()
-            for w in self._adj[v]:
+            for w in self.nbrs[v]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -88,11 +94,11 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+            isinstance(other, Graph) and self.n == other.n and self.nbrs == other.nbrs
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.nbrs))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -121,8 +127,9 @@ class VertexCover:
             if not 0 <= v < g.n:
                 raise InvalidCover(f"cover vertex {v} out of range")
         s = cover.member_set()
-        for u, v in g.edges:
-            if u not in s and v not in s:
+        for u, nbrs in enumerate(g.nbrs):  # an outside vertex sees only members
+            if u not in s and not s.issuperset(nbrs):
+                v = next(w for w in nbrs if w not in s)  # (u, v) is the smallest uncovered edge
                 raise InvalidCover(f"edge ({u},{v}) not covered")
         return cover
 

@@ -190,14 +190,14 @@ class StreamHandle:
 
 def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> StreamHandle:
     """Build a replayable stream of `g` in the given model and vertex order."""
-    if order is None:  # the identity: no permutation to check, no position key
-        blocks = {v: tuple(sorted(g.neighbors(v))) for v in g.vertices()}
+    if order is None:  # the identity: Graph's ascending tuples are the blocks
+        blocks = dict(enumerate(g.nbrs))
     else:
         order = tuple(order)
         if sorted(order) != list(range(g.n)):
             raise BadPermutation(f"order is not a permutation of 0..{g.n - 1}")
         pos = {v: i for i, v in enumerate(order)}
-        blocks = {v: tuple(sorted(g.neighbors(v), key=pos.__getitem__)) for v in order}
+        blocks = {v: tuple(sorted(g.nbrs[v], key=pos.__getitem__)) for v in order}
     if model not in MODELS:
         raise BadParams(f"unknown stream model {model!r}")
     return StreamHandle(g, model, blocks, PassMeter())

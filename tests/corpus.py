@@ -138,6 +138,9 @@ BAD_INSTANCES = [
     ("cover_id_out_of_range", P3_HEAD + "x 3\ne 0 1\ne 1 2\n", InvalidCover,
      "cover vertex 3 out of range"),
     ("uncovered_edge", P3_HEAD + "x 0\ne 0 1\ne 1 2\n", InvalidCover, "edge (1,2) not covered"),
+    # of several uncovered edges, the smallest (u, v) is named
+    ("uncovered_edges", "p vcstream 6 4 1 1\nx 0\ne 0 1\ne 4 5\ne 2 5\ne 2 3\n", InvalidCover,
+     "edge (2,3) not covered"),
     ("negative_ell", "p vcstream 3 1 1 -1\nx 1\ne 0 1\n", ParseError,
      "budget must be non-negative"),
 ]

@@ -255,20 +255,29 @@ def test_kernelize_wrap_must_belong_to_alg(tmp_path, capsys):
     assert "--wrap rankc does not apply to --alg reduce" in err
 
 
-def test_kernelize_pifree_defaults_to_instance_budget(tmp_path, capsys):
-    """A triangle joined to four more vertices, ell = 2: a NO for cvd.
-    Without --ell, `--wrap pifree` builds the kernel for the instance's
-    ell, so the kernel is a NO too, and its header says ell = 2."""
+NO_BUDGET_NOTE = "c header ell is the instance's, not a budget this kernel preserves"
+
+
+def write_k3fan(tmp_path):
+    """A triangle joined to four more vertices, ell = 2: a NO for cvd."""
     edges = [(0, 1), (0, 2), (1, 2)] + [(x, v) for x in range(3) for v in range(3, 7)]
     g = Graph(8, edges)
     inst = tmp_path / "k3fan.vcs"
     write_instance(g, VertexCover.validated(g, [0, 1, 2]), 2, inst)
-    assert main(["solve", str(inst), "--problem", "cvd"]) == 1
+    return str(inst)
+
+
+def test_kernelize_pifree_defaults_to_instance_budget(tmp_path, capsys):
+    """Without --ell, `--wrap pifree` builds the kernel for the instance's
+    ell, so the kernel is a NO too, and its header says ell = 2."""
+    inst = write_k3fan(tmp_path)
+    assert main(["solve", inst, "--problem", "cvd"]) == 1
     out = tmp_path / "kernel.vcs"
-    assert main(["kernelize", str(inst), "--wrap", "pifree", "--cpi", "2", "--pfun", "3",
+    assert main(["kernelize", inst, "--wrap", "pifree", "--cpi", "2", "--pfun", "3",
                  "-o", str(out)]) == 0
     kernel = load_instance(str(out))
     assert (kernel.graph.n, kernel.ell) == (8, 2)
+    assert NO_BUDGET_NOTE not in out.read_text()
     assert main(["solve", str(out), "--problem", "cvd"]) == 1
 
 
@@ -281,6 +290,35 @@ def test_kernelize_header_records_kernel_budget(tmp_path, capsys):
     assert main(["kernelize", inst, "--alg", "lowrank", "--wrap", "rankc", "--k", "3",
                  "--p", "1", "--c", "1", "-o", str(out)]) == 0
     assert load_instance(str(out)).ell == 3
+    assert NO_BUDGET_NOTE not in out.read_text()
+
+
+def test_kernelize_largest_is_headed_ell_zero(tmp_path, capsys):
+    """`--wrap largest` is the pifree kernel at ell = 0, so its header says 0;
+    headed with the instance's ell = 2, `solve` answered it YES."""
+    inst = write_k3fan(tmp_path)
+    out = tmp_path / "kernel.vcs"
+    assert main(["kernelize", inst, "--wrap", "largest", "--cpi", "2", "--pfun", "3",
+                 "-o", str(out)]) == 0
+    kernel = load_instance(str(out))
+    assert (kernel.graph.n, kernel.ell) == (7, 0)
+    assert NO_BUDGET_NOTE not in out.read_text()
+    assert main(["solve", str(out), "--problem", "cvd"]) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--r", "0", "--c", "2"],
+    ["--wrap", "partition", "--q", "2", "--cpi", "2", "--pfun", "3"],
+    # --ell is a round count: kernel_by_rank needs k + 1 + p(K) rounds for
+    # budget k, so a 2-round kernel is no ell = 2 kernel (solve says YES)
+    ["--alg", "lowrank", "--ell", "2", "--c", "2"],
+])
+def test_kernelize_without_budget_says_so(tmp_path, capsys, flags):
+    inst = write_k3fan(tmp_path)
+    out = tmp_path / "kernel.vcs"
+    assert main(["kernelize", inst, *flags, "-o", str(out)]) == 0
+    assert load_instance(str(out)).ell == 2
+    assert NO_BUDGET_NOTE in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("ell", [[], ["--ell", "0"]])

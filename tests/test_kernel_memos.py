@@ -1,6 +1,8 @@
-"""The streaming kernels decide an outside vertex from its cover mask alone and
-memoise that per mask: the memo keys must agree with the set-based rules, and
-the memoised scans must keep what the in-memory references keep."""
+"""The streaming kernels decide an outside vertex from its cover mask alone,
+through one split table and its per-mask matcher: the matcher must agree
+with the set-based rules, and each kernel's pass over the twin-class index
+must keep what its in-memory reference keeps and trip a budget below its
+peak with nothing left charged."""
 
 from itertools import combinations
 
