@@ -314,8 +314,9 @@ def _cmd_verify(args) -> int:
     family = None
     if args.problem in ("hfree", "pifree-oracle"):
         family = _solver_family(args)
-    outcome = _run_solver(args, inst, handle, meter, family)
+    # the brute force refuses large instances: fail before the solver runs
     expected = _brute_reference(args, inst, family)
+    outcome = _run_solver(args, inst, handle, meter, family)
     agree = outcome.feasible == expected
     _emit(
         {

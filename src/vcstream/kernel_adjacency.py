@@ -64,15 +64,17 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                 visits += [(pos, hits) for pos in
                            positions[:r] + positions[max(r, len(positions) - 1):]]
             visits.sort()
-            view, members = index.view, index.members
+            order, members, blocks = index.order, index.members, h.blocks
             for pos, hits in visits:
-                v, _, m, nbrs = view[pos]
                 if hits is None:
                     # the members seen so far are the first ones in stream order
+                    v, _, m, _ = members[len(seen_cover)]
                     out_edges.extend(canonical_edge(v, w)
                                      for w, bit, _, _ in members[:len(seen_cover)] if m & bit)
                     seen_cover.add(v)
                     continue
+                v = order[pos]
+                nbrs = blocks[v]
                 meter.allocate(len(nbrs))  # the block's buffered edges
                 hit = False
                 for i in hits:

@@ -55,7 +55,7 @@ def incidence_vector(neighbors_in_X: Iterable[int], X: VertexCover, c: int,
 
 
 def pair_masks(X: VertexCover, index) -> list[tuple[int, int]]:
-    """Each (Q, R) pair of `index` as two masks over `X`'s cover-view bits:
+    """Each (Q, R) pair of `index` as two masks over `X`'s `cover_bits`:
     the split table both streaming kernels match cover masks against."""
     bit_of = cover_bits(X.members)
     return [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
@@ -134,6 +134,7 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
     dim = len(splits)
     vec_words = max(1, words_for_bits(dim))
     index = h.class_index(X.members)
+    order = index.order
     # per class: its incidence vector, and how many of its blocks the rounds
     # have kept.  Only a round's first unskipped twin can be independent, so
     # the kept blocks of a class are always its first ones.
@@ -157,7 +158,8 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                     visits += [(positions[j], m, j == first) for j in {first, last}]
             visits.sort()
             for pos, m, head in visits:
-                v, _, _, nbrs = index.view[pos]
+                v = order[pos]
+                nbrs = h.blocks[v]
                 meter.allocate(len(nbrs))  # the block's buffered neighbours
                 try:
                     meter.allocate(vec_words)
@@ -186,9 +188,10 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                 meter.release(charged_basis)
                 charged_basis = 0
 
-            kept = cover_set | set(index.vertices(kept_positions))
-            blocks = {v: tuple(filter(kept.__contains__, h.blocks[v])) for v in
-                      index.vertices(sorted(index.member_positions + tuple(kept_positions)))}
+            kept = cover_set | {order[pos] for pos in kept_positions}
+            kept_order = map(order.__getitem__,
+                             sorted(index.member_positions + tuple(kept_positions)))
+            blocks = {v: tuple(filter(kept.__contains__, h.blocks[v])) for v in kept_order}
             out_events = StreamHandle(h.source, h.model, blocks, h.pass_meter).run_pass(list)
             out_edges = list(
                 dict.fromkeys((ev.u, ev.v) for ev in out_events if ev.kind == EDGE)

@@ -4,11 +4,11 @@ Memory is counted in words: one word per vertex id, edge pair, or counter,
 and ceil(bits/64) words for a bit vector.  Only algorithm working state is
 charged; the instance, the stream machinery, and output sinks are free.  A
 handle's blocks are stream machinery, and a pass may be answered from them
-(the cover view, its class index of twin classes, `induced_edges`, the
-family oracle's buffer of a substream's kept blocks) only when the answer
-is a pure function of one pass's events and the pass is still charged
-through `run_pass`.  A consumer pays for what it keeps of a block, not for
-the view or the index.  The kernels read the index too: a twin is skipped
+(the class index of twin classes, `induced_edges`, the family oracle's
+buffer of a substream's kept blocks) only when the answer is a pure
+function of one pass's events and the pass is still charged through
+`run_pass`.  A consumer pays for what it keeps of a block, not for the
+index.  The kernels read the index too: a twin is skipped
 only when an earlier twin fixed its outcome and a later visited one takes
 at least its charge.  State is charged as it grows, one allocation per
 item found, so a budget trips at the first word past it.

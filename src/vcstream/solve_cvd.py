@@ -12,8 +12,6 @@ records whether the pair is an edge, which is the single bit Phase 1 needs.
 
 from __future__ import annotations
 
-import heapq
-
 from .enumeration import EXACTLY, subset_first, subset_next
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -103,19 +101,12 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
         deletions.close()
 
 
-def _outside_in_order(index, wanted, deletions):
-    """The outside vertices not in `deletions` of the classes whose mask
-    `wanted` accepts, merged into stream order."""
-    merged = heapq.merge(*(positions for m, positions in index.classes.items() if wanted(m)))
-    return (v for v in index.vertices(merged) if v not in deletions)
-
-
 def _phase1_pass(index, b1, b2, pair_edge, deletions, ell):
     """Delete, in stream order, the outside vertices that a P3 with the pair
     (bits b1, b2) forces out, while at most ell are deleted."""
     pair = b1 | b2
-    forced = (lambda m: (m & pair) in (b1, b2)) if pair_edge else (lambda m: (m & pair) == pair)
-    for v in _outside_in_order(index, forced, deletions):
+    seen = (b1, b2) if pair_edge else (pair,)  # what a forced vertex sees of the pair
+    for v in index.outside([m for m in index.classes if (m & pair) in seen], deletions):
         if len(deletions) > ell:
             return
         deletions.add(v)
@@ -124,7 +115,7 @@ def _phase1_pass(index, b1, b2, pair_edge, deletions, ell):
 def _phase2_pass(index, by, deletions, ell):
     """Keep y's first outside neighbour in stream order and delete the rest,
     while at most ell are deleted."""
-    later = _outside_in_order(index, lambda m: m & by, deletions)
+    later = index.outside([m for m in index.classes if m & by], deletions)
     next(later, None)
     for v in later:
         if len(deletions) > ell:

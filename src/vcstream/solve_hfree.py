@@ -174,11 +174,11 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     for m, positions in index.classes.items():
         if (m & placed_mask) in roles_of:
             classes_of.setdefault(m & placed_mask, []).append(positions)
-    view = index.view
+    order = index.order
     assigned: list[tuple[int, int]] = []  # (stream position, role index)
     for profile, roles in roles_of.items():
         merged = heapq.merge(*classes_of.get(profile, ()))
-        found = list(islice((pos for pos in merged if view[pos][0] not in s_set), len(roles)))
+        found = list(islice((pos for pos in merged if order[pos] not in s_set), len(roles)))
         if len(found) < len(roles):
             return ()
         assigned += zip(found, roles)
@@ -186,7 +186,7 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     for (a, b), want in pairs:
         if bool(placed_nbrs[placed[a]] & placed[b]) != want:
             return ()
-    return tuple((view[pos][0], role) for pos, role in sorted(assigned))
+    return tuple((order[pos], role) for pos, role in sorted(assigned))
 
 
 def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assignment) -> bool:

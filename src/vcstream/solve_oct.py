@@ -10,8 +10,6 @@ staying at O(K) words.
 
 from __future__ import annotations
 
-import heapq
-
 from .enumeration import AT_MOST, subset_first, subset_next
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -30,9 +28,7 @@ def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
         for _, bit, m, _ in index.members:
             if bit & y_mask and m & (y1_mask if bit & y1_mask else y2_mask):
                 success = False
-    conflicted = [positions for m, positions in index.classes.items()
-                  if m & y1_mask and m & y2_mask]
-    for v in index.vertices(heapq.merge(*conflicted)):
+    for v in index.outside([m for m in index.classes if m & y1_mask and m & y2_mask]):
         if len(deletions) >= ell:
             return False
         deletions.add(v)
@@ -55,7 +51,7 @@ def _first_colouring(h, members, s_branch, y_mask, y1_masks, ell, check_cover, m
         try:
             ok = h.run_class_pass(
                 members,
-                lambda view: _colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover),
+                lambda index: _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover),
             )
             if ok and len(deletions) <= ell:
                 return deletions.snapshot()

@@ -11,7 +11,6 @@ substream is re-generated on the fly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .enumeration import (
@@ -26,7 +25,7 @@ from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
 from .results import SolveOutcome, branch_on_cover
-from .streams import ClassIndex, StreamHandle, cover_bits, filtered_substream
+from .streams import ClassIndex, StreamHandle, filtered_substream
 
 
 @dataclass(frozen=True)
@@ -44,22 +43,19 @@ class EquivalenceClassTable:
 def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
                                 meter: MemoryMeter | None = None) -> EquivalenceClassTable:
     """One pass tallying, for every vertex outside Y and exclude, its
-    adjacency bitstring toward Y: per twin class of the cover view of Y, its
-    size less its members in exclude.  Callers pass the deleted cover part
-    (and any deleted outside vertices) via exclude.  Each row (key and
-    count) is charged 2 words as it appears; the caller releases
-    `2 * len(rows)`."""
+    adjacency bitstring toward Y: per twin class of the class index of Y,
+    its members not in exclude.  Callers pass the deleted cover part (and
+    any deleted outside vertices) via exclude.  Each row (key and count) is
+    charged 2 words as it appears; the caller releases `2 * len(rows)`."""
     meter = meter if meter is not None else MemoryMeter()
     y_order = tuple(sorted(Y))
-    bit_of = cover_bits(y_order)
+    gone = frozenset(exclude)
     counts: dict[int, int] = {}
 
     def tally(index):
-        # the excluded outside vertices, per class
-        gone = Counter(sum(bit_of.get(w, 0) for w in h.blocks[v])
-                       for v in frozenset(exclude) if v not in bit_of and v in h.blocks)
+        order = index.order
         for key, positions in index.classes.items():
-            count = len(positions) - gone[key]
+            count = sum(order[pos] not in gone for pos in positions)
             if count:
                 meter.allocate(2)
                 counts[key] = count
@@ -75,23 +71,23 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
 def _first_members(index: ClassIndex, picks: dict[int, int], cover, skip) -> list[int]:
     """Per class key, its first `picks[key]` members outside `cover` and
     `skip`, all in stream order."""
-    view = index.view
+    order = index.order
     chosen: list[int] = []  # stream positions
     for key, want in picks.items():
         for pos in index.classes.get(key, ()):
             if want <= 0:
                 break
-            v = view[pos][0]
+            v = order[pos]
             if v not in cover and v not in skip:
                 chosen.append(pos)
                 want -= 1
     chosen.sort()
-    return [view[pos][0] for pos in chosen]
+    return [order[pos] for pos in chosen]
 
 
 def _materialize_from_classes(h: StreamHandle, y_order, cover, picks: dict[int, int],
                               excluded) -> tuple[int, ...]:
-    """One pass choosing, per class key of the cover view of `y_order`, its
+    """One pass choosing, per class key of the class index of `y_order`, its
     first `picks[key]` members outside `cover` and `excluded`, in stream
     order."""
     chosen = h.run_class_pass(
@@ -274,8 +270,8 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> StreamHandle:
     """Residual-graph substream: drops a chosen cover subset and, per picked
     class (a key over the whole cover), its first `count` members in stream
-    order.  The classes are read off the class index of the cover view that
-    the oracle's own pass over the substream is charged for."""
+    order.  The classes are read off the cover's class index, which the
+    oracle's own pass over the substream is charged for."""
     index = h.class_index(cover)
     gone = frozenset(drop_cover).union(_first_members(index, picks, cover, ()))
     return filtered_substream(h, lambda v: v not in gone)

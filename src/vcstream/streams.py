@@ -13,23 +13,23 @@ over the kept blocks, charging its passes to the parent's meter.
 A pass may be answered from the blocks instead of the events only when the
 answer is a pure function of one pass's events, and the pass is still
 charged through `run_pass`.  Three such passes exist.  Given a vertex cover
-X, an outside vertex is fully described by N(v) & X, so an AL handle offers
-a cover view: one (v, bit, mask, nbrs) tuple per block, where `mask` holds
-N(v) & members as bits in ascending member order.  Outside vertices with one
-mask are twins, so the view is grouped into a class index: the member blocks
-and their stream positions, and per mask the stream positions of its outside
-blocks, read through `run_class_pass`; a pass over it visits the K member
-blocks and a few blocks per class, at most 2^K classes, not every block.
-`induced_edges` reads only the blocks of the vertices it keeps.  And the
-family oracle buffers the graph a pass shows, in any model, from the blocks
-(an EA pass shows no vertex without an edge).  Raw events remain the
-interface for EA/VA consumers and for those that must see the event
-sequence itself (kernel output).
+X, an outside vertex is fully described by N(v) & X, and outside vertices
+with one such mask are twins.  So an AL handle reads each block's mask once
+into a class index: the member blocks as (v, bit, mask, nbrs) tuples, where
+`mask` holds N(v) & members as bits in ascending member order, and per mask
+the stream positions of its outside blocks, read through `run_class_pass`;
+a pass over it visits the K member blocks and a few blocks per class, at
+most 2^K classes, not every block.  `induced_edges` reads only the blocks of
+the vertices it keeps.  And the family oracle buffers the graph a pass
+shows, in any model, from the blocks (an EA pass shows no vertex without an
+edge).  Raw events remain the interface for EA/VA consumers and for those
+that must see the event sequence itself (kernel output).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+import heapq
+from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import BadParams, BadPermutation, InvalidCover, MemoryBudgetExceeded, NotALModel
 from .graph import Edge, Graph, canonical_edge
@@ -72,42 +72,42 @@ CoverBlock = tuple[int, int, int, tuple[int, ...]]  # (v, bit, mask, nbrs)
 
 
 class ClassIndex(NamedTuple):
-    """A cover view grouped into twin classes: its member blocks and their
-    stream positions (indices into `view`), and per mask the stream positions
-    of the outside blocks that carry it; positions ascend.  `covers` says
-    whether the members cover the handle's graph: every outside block's
-    neighbours are all members."""
+    """A stream's blocks grouped by a member set X: the vertex at each stream
+    position, the member blocks and their positions, and per mask the stream
+    positions of the outside blocks whose N(v) & X it is; positions ascend.
+    `covers` says whether the members cover the handle's graph: every
+    outside block's neighbours are all members."""
 
-    view: tuple[CoverBlock, ...]
+    order: tuple[int, ...]
     members: tuple[CoverBlock, ...]
     member_positions: tuple[int, ...]
     classes: dict[int, list[int]]
     covers: bool
 
-    def vertices(self, positions: Iterable[int]) -> Iterator[int]:
-        """The vertex of the block at each of `positions`."""
-        view = self.view
-        return (view[pos][0] for pos in positions)
+    def outside(self, keys: Iterable[int], skip: Container[int] = ()) -> Iterator[int]:
+        """The outside vertices not in `skip` of the classes `keys`, in
+        stream order; `skip` is read as the walk reaches each vertex."""
+        order, classes = self.order, self.classes
+        merged = heapq.merge(*(classes.get(key, ()) for key in keys))
+        return (v for v in map(order.__getitem__, merged) if v not in skip)
 
 
 def cover_bits(members: Iterable[int]) -> dict[int, int]:
-    """Each member's bit in a cover view of `members`: ascending member order."""
+    """Each member's bit in a class index of `members`: ascending member order."""
     return {x: 1 << i for i, x in enumerate(sorted(members))}
 
 
 class StreamHandle:
     """Replayable, single-consumer view of a graph in one arrival model."""
 
-    __slots__ = ("source", "model", "blocks", "pass_meter", "_view_members", "_view",
-                 "_index")
+    __slots__ = ("source", "model", "blocks", "pass_meter", "_index_members", "_index")
 
     def __init__(self, source: Graph, model: str, blocks: Blocks, pass_meter: PassMeter):
         self.source = source
         self.model = model
         self.blocks = blocks
         self.pass_meter = pass_meter
-        self._view_members: tuple[int, ...] | None = None
-        self._view: tuple[CoverBlock, ...] = ()
+        self._index_members: tuple[int, ...] | None = None
         self._index: ClassIndex | None = None
 
     def events(self) -> Iterator[StreamEvent]:
@@ -134,35 +134,26 @@ class StreamHandle:
         finally:
             self.pass_meter.increment()
 
-    def cover_view(self, members: Iterable[int]) -> tuple[CoverBlock, ...]:
-        """One (v, bit, mask, nbrs) per block, in stream order: v's own bit in
-        `members` (0 for a non-member), N(v) & members as bits, and v's
-        neighbours in stream order.  Only the view of the last `members` is
-        kept; building it is not a pass."""
-        if self.model != AL:
-            raise NotALModel("the cover view requires an AL stream")
-        key = tuple(sorted(members))
-        if key != self._view_members:
-            bit_of = cover_bits(key)
-            view: list[CoverBlock] = []
-            for v, nbrs in self.blocks.items():
-                mask = 0
-                for w in nbrs:
-                    mask |= bit_of.get(w, 0)
-                view.append((v, bit_of.get(v, 0), mask, nbrs))
-            self._view_members, self._view, self._index = key, tuple(view), None
-        return self._view
-
     def class_index(self, members: Iterable[int]) -> ClassIndex:
-        """The class index of the cover view of `members`, built on first use
-        and kept as long as that view is."""
-        view = self.cover_view(members)
-        if self._index is None:
+        """The class index of `members`, built in one walk over the blocks.
+        Only the index of the last `members` is kept; building it is not a
+        pass."""
+        if self.model != AL:
+            raise NotALModel("the class index requires an AL stream")
+        key = tuple(sorted(members))
+        if key != self._index_members:
+            bit_of = cover_bits(key)
+            member_blocks: list[CoverBlock] = []
             member_positions: list[int] = []
             classes: dict[int, list[int]] = {}
             covers = True
-            for pos, (_, bit, mask, nbrs) in enumerate(view):
+            for pos, (v, nbrs) in enumerate(self.blocks.items()):
+                mask = 0
+                for w in nbrs:
+                    mask |= bit_of.get(w, 0)
+                bit = bit_of.get(v, 0)
                 if bit:
+                    member_blocks.append((v, bit, mask, nbrs))
                     member_positions.append(pos)
                     continue
                 positions = classes.get(mask)
@@ -171,7 +162,8 @@ class StreamHandle:
                 positions.append(pos)
                 if covers and len(nbrs) != mask.bit_count():
                     covers = False
-            self._index = ClassIndex(view, tuple(view[pos] for pos in member_positions),
+            self._index_members = key
+            self._index = ClassIndex(tuple(self.blocks), tuple(member_blocks),
                                      tuple(member_positions), classes, covers)
         return self._index
 

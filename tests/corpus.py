@@ -2,7 +2,8 @@
 
 The graph atlas (everything up to 7 vertices, one representative per
 isomorphism class) is the exhaustive ground set; covers are enumerated
-directly.  `BAD_INSTANCES` is the table of bad `.vcs` texts that the parser
+directly.  `reference_view` is the per-block form that a class index groups,
+built from the graph alone.  `BAD_INSTANCES` is the table of bad `.vcs` texts that the parser
 and the CLI tests share.
 """
 
@@ -76,6 +77,21 @@ def minimum_cover(g: Graph) -> tuple[int, ...]:
             if g.is_cover(cand):
                 return cand
     return tuple(range(g.n))
+
+
+def reference_view(g: Graph, order, members) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """The per-block reference for a class index of `members`, recomputed
+    from the graph: one (v, bit, mask, nbrs) per vertex of `order`, in that
+    order, with v's own bit (0 outside `members`), N(v) & members as bits
+    over the sorted members, and v's neighbours by stream position."""
+    pos = {v: i for i, v in enumerate(order)}
+    ranked = sorted(members)
+    out = []
+    for v in order:
+        mask = sum(1 << i for i, x in enumerate(ranked) if x in g.neighbors(v))
+        bit = 1 << ranked.index(v) if v in members else 0
+        out.append((v, bit, mask, tuple(sorted(g.neighbors(v), key=pos.__getitem__))))
+    return tuple(out)
 
 
 @st.composite

@@ -50,23 +50,21 @@ CHECKED = {
 
 
 @pytest.mark.parametrize("name", CHECKED)
-@pytest.mark.parametrize("prime", ["fresh", "view", "index", "other_view"])
+@pytest.mark.parametrize("prime", ["fresh", "index", "other_index"])
 def test_cover_check_sees_edge_between_outside_vertices(name, prime):
     """X = {1} misses only P4's edge (2, 3), whose ends are both outside X.
     Every AL solver and both streaming kernels reject it before a pass, also
-    when the handle already holds a view (or class index) of X or of a
-    different member set."""
+    when the handle already holds a class index of X or of a different
+    member set."""
     g = path_graph(4)
     X = VertexCover((1,))
     h = make_stream(g, AL)
-    if prime == "view":
-        h.cover_view(X.members)
-    elif prime == "index":
+    if prime == "index":
         assert not h.class_index(X.members).covers
-    elif prime == "other_view":
+    elif prime == "other_index":
         assert h.class_index((1, 2)).covers
     with pytest.raises(InvalidCover, match="X does not cover the graph"):
         CHECKED[name](h, X)
     assert h.pass_meter.passes == 0
-    # the check follows the view's key back to a cover
+    # the check follows the index's key back to a cover
     CHECKED[name](h, VertexCover((1, 2)))

@@ -1,9 +1,11 @@
 """The twin-class passes against frozen copies of their per-block forms.
 
 Each `_frozen_*` function below is the consumer a class pass replaced, as it
-was: it walks every block of the cover view.  A class pass must return the
-same value and make the same `deletions.add` calls in the same order, so a
-word budget trips at the same word, with the same message and live words.
+was: it walks every block of `reference_view`, the per-block form of the
+class index, built from the graph and the stream's order.  A class pass
+must return the same value and make the same `deletions.add` calls in the
+same order, so a word budget trips at the same word, with the same message
+and live words.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import planted_covers
+from corpus import planted_covers, reference_view
 from vcstream.errors import MemoryBudgetExceeded
 from vcstream.meters import MemoryMeter, MeteredSet
 from vcstream.solve_cvd import _pair_scan, _phase1_pass, _phase2_pass
@@ -22,6 +24,11 @@ from vcstream.streams import AL, cover_bits, make_stream
 
 
 # --- frozen per-block consumers ------------------------------------------
+
+def _view(h, members):
+    """The per-block view of `members` on `h`, from its graph and order."""
+    return reference_view(h.source, h.blocks, members)
+
 
 def _frozen_colour_pass(view, y_mask, y1_mask, deletions, ell, check_cover):
     y2_mask = y_mask & ~y1_mask
@@ -118,7 +125,7 @@ def _frozen_propagated_components(h, meter, members, y_set, y_mask):
                             parent[max(ra, rb)] = min(ra, rb)
 
     with meter.scope(len(y_set)):
-        h.run_pass(lambda _e: union_pass(h.cover_view(members)))
+        h.run_pass(lambda _e: union_pass(_view(h, members)))
         comp = {v: find(v) for v in y_set}
         roots = sorted(set(comp.values()))
         colour = {root: 0 for root in roots}
@@ -145,10 +152,10 @@ def _frozen_propagated_components(h, meter, members, y_set, y_mask):
         with meter.scope(len(y_set)):
             rounds = 0
             while len(colour) < len(y_set) and rounds <= len(y_set) + 1:
-                if not h.run_pass(lambda _e: propagate(h.cover_view(members))):
+                if not h.run_pass(lambda _e: propagate(_view(h, members))):
                     break
                 rounds += 1
-            h.run_pass(lambda _e: propagate(h.cover_view(members)))
+            h.run_pass(lambda _e: propagate(_view(h, members)))
             if conflict:
                 return None
             return roots, dict(colour), comp
@@ -169,7 +176,7 @@ def _frozen_equivalence_classes(h, Y, exclude, meter):
                     counts[key] = 1
 
     try:
-        h.run_pass(lambda _e: tally(h.cover_view(y_order)))
+        h.run_pass(lambda _e: tally(_view(h, y_order)))
     except MemoryBudgetExceeded:
         meter.release(2 * len(counts))
         raise
@@ -218,7 +225,7 @@ def _agree(g, order, frozen, current, prefill=()):
 
 def _view_run(members, consumer):
     return lambda h, deletions, meter: h.run_pass(
-        lambda _e: consumer(h.cover_view(members), deletions))
+        lambda _e: consumer(_view(h, members), deletions))
 
 
 def _class_run(members, consumer):

@@ -2,6 +2,7 @@ import pytest
 from corpus import BAD_INSTANCES
 
 from vcstream import cli
+from vcstream.brute import OCT_LIMIT, PI_FREE_LIMIT
 from vcstream.cli import main
 from vcstream.graph import Graph, VertexCover, path_graph
 from vcstream.instances import format_family, load_instance, write_instance
@@ -105,6 +106,28 @@ def test_verify_oracle_member_above_canonical_limit(tmp_path, capsys, oracle):
     report = parse_report(capsys.readouterr().out.strip())
     assert code == 0
     assert (report["verdict"], report["agreement"]) == ("YES", "true")
+
+
+@pytest.mark.parametrize("problem,n,solver,message", [
+    ("cvd", PI_FREE_LIMIT + 1, "solve_cvd", "brute_min_deletion limited to 10 vertices"),
+    ("oct", OCT_LIMIT + 1, "solve_oct", "brute_min_oct limited to 12 vertices"),
+    ("pifree-oracle", PI_FREE_LIMIT + 1, "solve_with_a2",
+     "brute_min_deletion limited to 10 vertices"),
+])
+def test_verify_refuses_large_instance_before_solving(tmp_path, capsys, monkeypatch,
+                                                      problem, n, solver, message):
+    g = path_graph(n)
+    inst = tmp_path / "path.vcs"
+    write_instance(g, VertexCover.validated(g, range(1, n, 2)), 1, inst)
+    fam = write_family(tmp_path, path_graph(3))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver ran before the brute force refused")
+
+    monkeypatch.setattr(cli, solver, unreachable)
+    code = main(["verify", str(inst), "--problem", problem, "--family", fam])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 def test_gen_solve_roundtrip(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 `_frozen_reduce_str` and `_frozen_low_rank_reduce_str` are the kernels as
 they were before they read the twin-class index: every pass walks every
-block of the cover view, and a per-mask memo stands in for the class.  The
+block of `reference_view`, and a per-mask memo stands in for the class.  The
 class-index kernels must keep the same vertices, emit the same edges and
 events, and take the same passes and peak words.  Under every word budget
 from 0 to the peak they must trip, or not, in the same pass, and leave no
@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kernel_memos import covered_graphs
 
+from corpus import reference_view
 from vcstream.errors import MemoryBudgetExceeded
 from vcstream.graph import Graph, VertexCover, canonical_edge
 from vcstream.kernel_adjacency import _entry_words, reduce_str
@@ -41,6 +42,11 @@ from vcstream.streams import (
 
 
 # --- frozen per-block kernels ----------------------------------------------
+
+def _view(h, members):
+    """The per-block view of `members` on `h`, from its graph and order."""
+    return reference_view(h.source, h.blocks, members)
+
 
 def _frozen_reduce_str(h, X, r, c, meter):
     h.require_cover(X.members)
@@ -77,7 +83,7 @@ def _frozen_reduce_str(h, X, r, c, meter):
                 meter.release(len(nbrs))
 
         try:
-            h.run_pass(lambda _e: pass_fn(h.cover_view(X.members)))
+            h.run_pass(lambda _e: pass_fn(_view(h, X.members)))
         finally:
             seen_cover.close()
 
@@ -136,7 +142,7 @@ def _frozen_low_rank_reduce_str(h, X, ell, c, meter):
                         finally:
                             meter.release(len(nbrs))
 
-                h.run_pass(lambda _e, scan=scan: scan(h.cover_view(X.members)))
+                h.run_pass(lambda _e, scan=scan: scan(_view(h, X.members)))
                 meter.release(charged_basis)
                 charged_basis = 0
 

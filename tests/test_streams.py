@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import atlas_graphs
+from corpus import atlas_graphs, planted_covers, reference_view
 from vcstream.errors import BadPermutation, NotALModel
 from vcstream.graph import Graph, complete_graph, empty_graph, path_graph
 from vcstream.streams import (
@@ -15,6 +15,7 @@ from vcstream.streams import (
     VA,
     VERTEX_BEGIN,
     VERTEX_END,
+    ClassIndex,
     cover_bits,
     filtered_substream,
     make_stream,
@@ -185,20 +186,23 @@ def test_stream_laws_random(data):
         assert list(h.events())[-1].kind == PASS_END
 
 
-def _reference_view(g, order, members):
-    """The cover view recomputed from the graph: blocks in `order`, masks
-    over the sorted members, neighbours by stream position."""
-    pos = {v: i for i, v in enumerate(order)}
-    ranked = sorted(members)
-    out = []
-    for v in order:
-        mask = sum(1 << i for i, x in enumerate(ranked) if x in g.neighbors(v))
-        bit = 1 << ranked.index(v) if v in members else 0
-        out.append((v, bit, mask, tuple(sorted(g.neighbors(v), key=pos.__getitem__))))
-    return tuple(out)
+def _grouped(reference):
+    """The class index that a per-block reference groups into."""
+    member_ids = {v for v, bit, _, _ in reference if bit}
+    classes = {}
+    for pos, (_, bit, m, _) in enumerate(reference):
+        if not bit:
+            classes.setdefault(m, []).append(pos)
+    return ClassIndex(
+        order=tuple(v for v, _, _, _ in reference),
+        members=tuple(block for block in reference if block[1]),
+        member_positions=tuple(pos for pos, block in enumerate(reference) if block[1]),
+        classes=classes,
+        covers=all(member_ids.issuperset(nbrs) for _, bit, _, nbrs in reference if not bit),
+    )
 
 
-def test_cover_view_matches_graph():
+def test_class_index_matches_graph():
     rng = random.Random(5)
     for g in atlas_graphs(2, 6)[::4]:
         for _ in range(3):
@@ -207,24 +211,25 @@ def test_cover_view_matches_graph():
             h = make_stream(g, AL, order)
             for _ in range(3):
                 members = rng.sample(range(g.n), rng.randint(0, g.n))
-                assert h.cover_view(members) == _reference_view(g, order, members)
+                expected = _grouped(reference_view(g, order, members))
+                assert h.class_index(members) == expected
             assert h.pass_meter.passes == 0
 
 
-def test_cover_view_keeps_only_last_members():
+def test_class_index_keeps_only_last_members():
     h = make_stream(path_graph(4), AL)
-    first = h.cover_view([1, 2])
-    assert h.cover_view((2, 1)) is first
-    assert h.cover_view([0]) is not first
-    assert h.cover_view([1, 2]) == first
+    first = h.class_index([1, 2])
+    assert h.class_index((2, 1)) is first
+    assert h.class_index([0]) is not first
+    assert h.class_index([1, 2]) == first
     assert cover_bits([2, 1]) == {1: 1, 2: 2}
 
 
 @pytest.mark.parametrize("model", [EA, VA])
-def test_cover_view_requires_al(model):
+def test_class_index_requires_al(model):
     h = make_stream(path_graph(3), model)
     with pytest.raises(NotALModel):
-        h.cover_view([1])
+        h.class_index([1])
     with pytest.raises(NotALModel):
         h.run_class_pass([1], lambda index: None)
     assert h.pass_meter.passes == 0
@@ -232,7 +237,7 @@ def test_cover_view_requires_al(model):
 
 def test_run_class_pass_charges_one_pass():
     h = make_stream(path_graph(3), AL)
-    assert h.run_class_pass([1], lambda index: [m for _, _, m, _ in index.view]) == [1, 0, 1]
+    assert h.run_class_pass([1], lambda index: index.classes) == {1: [0, 2]}
     assert h.pass_meter.passes == 1
 
     def bad(index):
@@ -243,7 +248,7 @@ def test_run_class_pass_charges_one_pass():
     assert h.pass_meter.passes == 2
 
 
-def test_cover_view_of_filtered_substream():
+def test_class_index_of_filtered_substream():
     rng = random.Random(3)
     for g in atlas_graphs(2, 5)[::3]:
         order = list(range(g.n))
@@ -254,7 +259,22 @@ def test_cover_view_of_filtered_substream():
         members = [v for v in range(g.n) if v % 2 == 0]
         sub_g, old = g.induced(keep)
         induced = Graph(g.n, [(old[u], old[v]) for u, v in sub_g.edges])
-        expected = _reference_view(induced, [v for v in order if v in keep], members)
-        assert sub.cover_view(members) == expected
+        expected = reference_view(induced, [v for v in order if v in keep], members)
+        assert sub.class_index(members) == _grouped(expected)
         sub.run_class_pass(members, lambda index: None)
         assert h.pass_meter.passes == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_covers(max_n=40, max_k=5), st.data())
+def test_outside_walks_chosen_classes_in_stream_order(case, data):
+    g, X, order = case
+    members = data.draw(st.sampled_from([X.members, tuple(range(0, g.n, 3))]))
+    keys = data.draw(st.sets(st.integers(0, (1 << len(members)) - 1)))
+    skip = data.draw(st.sets(st.integers(0, g.n - 1)))
+    index = make_stream(g, AL, order).class_index(members)
+    expected = [v for v, bit, m, _ in reference_view(g, order, members)
+                if not bit and m in keys and v not in skip]
+    assert list(index.outside(keys, skip)) == expected
+    if not skip:
+        assert list(index.outside(keys)) == expected
