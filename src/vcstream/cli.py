@@ -237,10 +237,7 @@ def _run_solver(args, inst, handle, meter, family=None):
             char = _char_from_args(args) if args.pfun else AdjacencyCharacterization(
                 args.cpi, lambda K: max(1, K), connected_only=True
             )
-        return solve_pifree_explicit(
-            handle, inst.cover, args.ell, family, char, meter,
-            strict_induced=args.strict_induced,
-        )
+        return solve_pifree_explicit(handle, inst.cover, args.ell, family, char, meter)
     if problem == "pifree-oracle":
         family = family if family is not None else _solver_family(args)
         nu = args.nu if args.nu is not None else family.nu
@@ -386,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cc", action="store_true")
         p.add_argument("--low-mem", action="store_true", dest="low_mem")
         p.add_argument("--cache-cover", action="store_true", dest="cache_cover")
-        p.add_argument("--no-strict-induced", action="store_false", dest="strict_induced")
 
     p_solve = sub.add_parser("solve", help="run a streaming solver")
     add_solver_args(p_solve)

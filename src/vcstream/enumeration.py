@@ -183,7 +183,9 @@ def permutation_next(c: PermutationCursor) -> PermutationCursor:
 
 
 def cursor_values(cursor):
-    """Yield every production of a cursor; convenience for tests and small loops."""
+    """Yield every production of a cursor, from its current element on.
+    Every solver walks its enumerations with this loop; only
+    `solve_with_a2` keeps a cursor itself, to resume it after recursion."""
     while not cursor.at_end:
         yield cursor.current
         cursor = cursor.next()

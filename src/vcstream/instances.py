@@ -128,9 +128,9 @@ def parse_family(text: str) -> ExplicitFamily:
 
     for ln in text.splitlines():
         ln = ln.strip()
-        if not ln or ln.startswith("c "):
-            continue
         tag, _, rest = ln.partition(" ")
+        if not ln or tag == "c":
+            continue
         if tag == "h":
             flush()
             n, expected = _int_pair(ln, rest, "pattern header")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .enumeration import AT_MOST, subset_first, subset_next
+from .enumeration import AT_MOST, cursor_values, subset_first
 from .errors import NotALModel
 from .graph import Graph, VertexCover, require_cover
 from .meters import MemoryMeter
@@ -48,14 +48,12 @@ def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str
     passes_before = passes_of()
     cover_set = X.member_set()
     with meter.scope(words):
-        cursor = subset_first(X.members, min(ell, X.K), AT_MOST)
-        while not cursor.at_end:
-            s_branch = frozenset(cursor.current)
+        for s in cursor_values(subset_first(X.members, min(ell, X.K), AT_MOST)):
+            s_branch = frozenset(s)
             solution = branch(s_branch, cover_set - s_branch, meter)
             if solution is not None:
                 return SolveOutcome(True, tuple(sorted(solution)),
                                     passes_of() - passes_before, meter.peak_words)
-            cursor = subset_next(cursor)
     return SolveOutcome(False, (), passes_of() - passes_before, meter.peak_words)
 
 

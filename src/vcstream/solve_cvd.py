@@ -12,7 +12,7 @@ records whether the pair is an edge, which is the single bit Phase 1 needs.
 
 from __future__ import annotations
 
-from .enumeration import EXACTLY, subset_first, subset_next
+from .enumeration import EXACTLY, cursor_values, subset_first
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome, branch_on_cover
@@ -63,10 +63,8 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
         y_sorted = tuple(sorted(y_set))
 
         # Phases 0 and 1, per unordered pair of Y.
-        pair_cursor = subset_first(y_sorted, 2, EXACTLY)
         with meter.scope(2):
-            while not pair_cursor.at_end:
-                y1, y2 = pair_cursor.current
+            for y1, y2 in cursor_values(subset_first(y_sorted, 2, EXACTLY)):
                 b1, b2 = bits[y1], bits[y2]
                 if pair_results is None:
                     p3_in_y, pair_edge = h.run_class_pass(
@@ -83,7 +81,6 @@ def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
                 )
                 if len(deletions) > ell:
                     return None
-                pair_cursor = subset_next(pair_cursor)
 
         # Phase 2: per y, keep the first outside neighbour, delete the rest.
         for y in y_sorted:

@@ -16,13 +16,7 @@ from __future__ import annotations
 import heapq
 from itertools import combinations, islice
 
-from .enumeration import (
-    EXACTLY,
-    permutation_first,
-    permutation_next,
-    subset_first,
-    subset_next,
-)
+from .enumeration import EXACTLY, cursor_values, permutation_first, subset_first
 from .errors import BadI, NotALModel, PreconditionViolated
 from .graph import Graph, VertexCover, canonical_edge
 from .meters import MemoryMeter, MeteredSet
@@ -69,32 +63,28 @@ def _role_requirements(H: PatternGraph, outside_roles: tuple[int, ...],
     return reqs
 
 
+def _placements(y_sorted: tuple[int, ...], size: int):
+    """Every sequence of `size` distinct members of `y_sorted`: the
+    permutations of each subset, subsets in cursor order; nothing when
+    `size` exceeds the members."""
+    for chosen in cursor_values(subset_first(y_sorted, size, EXACTLY)):
+        yield from cursor_values(permutation_first(chosen))
+
+
 def check_h_in_y(source: StreamHandle | Graph, H: PatternGraph, Y) -> bool:
     """Does G[Y] contain the pattern as an induced subgraph?  On a stream,
     one pass per candidate placement."""
-    y_sorted = tuple(sorted(Y))
-    h = H.h
-    if h > len(y_sorted):
-        return False
-    pairs = _placement_pairs(H, tuple(range(h)))
-    subset_cursor = subset_first(y_sorted, h, EXACTLY)
-    while not subset_cursor.at_end:
-        chosen = subset_cursor.current
-        perm_cursor = permutation_first(chosen)
-        while not perm_cursor.at_end:
-            placement = perm_cursor.current
-            observed = induced_edges(source, placement)
-            if all((canonical_edge(placement[a], placement[b]) in observed) == want
-                   for (a, b), want in pairs):
-                return True
-            perm_cursor = permutation_next(perm_cursor)
-        subset_cursor = subset_next(subset_cursor)
+    pairs = _placement_pairs(H, tuple(range(H.h)))
+    for placement in _placements(tuple(sorted(Y)), H.h):
+        observed = induced_edges(source, placement)
+        if all((canonical_edge(placement[a], placement[b]) in observed) == want
+               for (a, b), want in pairs):
+            return True
     return False
 
 
 def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
-           H: PatternGraph, strict_induced: bool = True,
-           meter: MemoryMeter | None = None) -> tuple[int, ...]:
+           H: PatternGraph, meter: MemoryMeter | None = None) -> tuple[int, ...]:
     """Find one induced occurrence of H avoiding S and X - Y, with exactly i
     vertices outside the cover; returns those outside vertices, or ()."""
     h = H.h
@@ -105,38 +95,25 @@ def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
     cover_set = X.member_set()
     bits = cover_bits(X.members)
     in_memory = isinstance(source, Graph)
-    inside_count = h - i
     meter = meter if meter is not None else MemoryMeter()
 
     with meter.scope(3 * h * h + 4 * h + 4):  # placement, profiles, scratch
         for outside_roles in _independent_role_sets(H, i):
             inside_roles = tuple(r for r in range(h) if r not in outside_roles)
-            if inside_count > len(y_sorted):
-                continue
-            subset_cursor = subset_first(y_sorted, inside_count, EXACTLY)
-            while not subset_cursor.at_end:
-                chosen = subset_cursor.current
-                perm_cursor = permutation_first(chosen)
-                while not perm_cursor.at_end:
-                    placement = perm_cursor.current
-                    pairs = _placement_pairs(H, inside_roles)
-                    reqs = _role_requirements(H, outside_roles, inside_roles, placement)
-                    if in_memory:
-                        assignment = _find_in_memory(
-                            source, cover_set, s_set, placement, pairs, reqs
-                        )
-                    else:
-                        assignment = source.run_class_pass(
-                            X.members,
-                            lambda index: _find_pass(index, bits, s_set, placement, pairs, reqs),
-                        )
-                    if assignment:
-                        if not strict_induced or _witness_is_induced(
-                            source, H, outside_roles, inside_roles, placement, assignment
-                        ):
-                            return tuple(v for v, _ in assignment)
-                    perm_cursor = permutation_next(perm_cursor)
-                subset_cursor = subset_next(subset_cursor)
+            pairs = _placement_pairs(H, inside_roles)
+            for placement in _placements(y_sorted, h - i):
+                reqs = _role_requirements(H, outside_roles, inside_roles, placement)
+                if in_memory:
+                    assignment = _find_in_memory(source, cover_set, s_set, placement, pairs, reqs)
+                else:
+                    assignment = source.run_class_pass(
+                        X.members,
+                        lambda index: _find_pass(index, bits, s_set, placement, pairs, reqs),
+                    )
+                if assignment and _witness_is_induced(
+                    source, H, outside_roles, inside_roles, placement, assignment
+                ):
+                    return tuple(v for v, _ in assignment)
     return ()
 
 
@@ -207,41 +184,35 @@ def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assig
 
 
 def solve_hfree_fpt(g: Graph, X: VertexCover, ell: int, H: PatternGraph,
-                    meter: MemoryMeter | None = None,
-                    strict_induced: bool = True) -> SolveOutcome:
+                    meter: MemoryMeter | None = None) -> SolveOutcome:
     """In-memory find-and-branch; the reference for the streaming variant."""
-    return solve_pifree_explicit(g, X, ell, ExplicitFamily((H,)), None, meter,
-                                 strict_induced)
+    return solve_pifree_explicit(g, X, ell, ExplicitFamily((H,)), None, meter)
 
 
 def solve_hfree_stream(h: StreamHandle, X: VertexCover, ell: int, H: PatternGraph,
-                       meter: MemoryMeter | None = None,
-                       strict_induced: bool = True) -> SolveOutcome:
+                       meter: MemoryMeter | None = None) -> SolveOutcome:
     """The one-member case of `solve_pifree_explicit`."""
     if h.model != AL:
         raise NotALModel("solve_hfree_stream requires an AL stream")
-    return solve_pifree_explicit(h, X, ell, ExplicitFamily((H,)), None, meter,
-                                 strict_induced)
+    return solve_pifree_explicit(h, X, ell, ExplicitFamily((H,)), None, meter)
 
 
-def _branch_family(source, X, Y, members, deletions, ell, strict, meter) -> bool:
+def _branch_family(source, X, Y, members, deletions, ell, meter) -> bool:
     """A branch succeeds only when no member occurs; on a hit, branch over
     the occurrence's outside vertices and restart from the first member."""
     for H in members:
         for i in range(1, H.h + 1):
-            witness = find_h(source, X, deletions.snapshot(), Y, i, H, strict, meter)
+            witness = find_h(source, X, deletions.snapshot(), Y, i, H, meter)
             if not witness:
                 continue
             if len(deletions) >= ell:
                 return False
             for idx in range(len(witness)):
                 if idx > 0:
-                    witness = find_h(
-                        source, X, deletions.snapshot(), Y, i, H, strict, meter
-                    )
+                    witness = find_h(source, X, deletions.snapshot(), Y, i, H, meter)
                 v = witness[idx]
                 deletions.add(v)
-                if _branch_family(source, X, Y, members, deletions, ell, strict, meter):
+                if _branch_family(source, X, Y, members, deletions, ell, meter):
                     return True
                 deletions.discard(v)
             return False
@@ -251,8 +222,7 @@ def _branch_family(source, X, Y, members, deletions, ell, strict, meter) -> bool
 def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
                           f: ExplicitFamily,
                           char: AdjacencyCharacterization | None = None,
-                          meter: MemoryMeter | None = None,
-                          strict_induced: bool = True) -> SolveOutcome:
+                          meter: MemoryMeter | None = None) -> SolveOutcome:
     """Family solver: prune to vertex-minimal members (and to members small
     enough for the cover when a characterization is supplied), then search
     every surviving member inside each branch."""
@@ -269,7 +239,7 @@ def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
             return None
         deletions = MeteredSet(meter, s_branch)
         try:
-            found = _branch_family(h, X, y_set, ordered, deletions, ell, strict_induced, meter)
+            found = _branch_family(h, X, y_set, ordered, deletions, ell, meter)
             return deletions.snapshot() if found else None
         finally:
             deletions.close()

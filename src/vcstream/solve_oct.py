@@ -10,7 +10,7 @@ staying at O(K) words.
 
 from __future__ import annotations
 
-from .enumeration import AT_MOST, subset_first, subset_next
+from .enumeration import AT_MOST, cursor_values, subset_first
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome, branch_on_cover
@@ -33,14 +33,6 @@ def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
             return False
         deletions.add(v)
     return success
-
-
-def _subsets(universe):
-    """Every subset of `universe`, in cursor order."""
-    cursor = subset_first(universe, len(universe), AT_MOST)
-    while not cursor.at_end:
-        yield cursor.current
-        cursor = subset_next(cursor)
 
 
 def _first_colouring(h, members, s_branch, y_mask, y1_masks, ell, check_cover, meter):
@@ -67,7 +59,8 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
     def branch(s_branch, y_set, meter):
         y_sorted = tuple(sorted(y_set))
         y_mask = sum(bits[v] for v in y_sorted)
-        y1_masks = (sum(bits[v] for v in y1) for y1 in _subsets(y_sorted))
+        y1_masks = (sum(bits[v] for v in y1)
+                    for y1 in cursor_values(subset_first(y_sorted, len(y_sorted), AT_MOST)))
         return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, True, meter)
 
     return branch_on_cover(h, X, ell, "solve_oct", 4 * X.K, branch, meter)
@@ -181,7 +174,7 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
         roots, colour, comp = found
         y1_masks = (
             sum(bits[v] for v in y_set if colour[v] ^ (1 if comp[v] in flips else 0) == 0)
-            for flips in map(frozenset, _subsets(tuple(roots)))
+            for flips in map(frozenset, cursor_values(subset_first(roots, len(roots), AT_MOST)))
         )
         with meter.scope(2 * len(y_set) + len(roots)):
             return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)

@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import (
-    AT_MOST,
-    multiset_first,
-    multiset_next,
-    subset_first,
-    subset_next,
-)
+from .enumeration import AT_MOST, cursor_values, multiset_first, subset_first, subset_next
 from .errors import BadParams, MemoryBudgetExceeded, OracleFault
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -150,23 +144,15 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
     """Ask the oracle about J | fixed for each J of at most `bound` members of
     Y, in subset-cursor order, up to the first yes."""
-    cursor = subset_first(y_order, min(bound, len(y_order)), AT_MOST)
-    while not cursor.at_end:
-        if _call_oracle(h, oracle, frozenset(cursor.current) | fixed, meter):
-            return True
-        cursor = subset_next(cursor)
-    return False
+    return any(_call_oracle(h, oracle, frozenset(j_part) | fixed, meter)
+               for j_part in cursor_values(subset_first(y_order, bound, AT_MOST)))
 
 
 def _search_a1(h, a1, cover, y_order, deletions, ec, ell, nu, meter):
     """Returns the completed deletion set on success, None on failure."""
-    j_cursor = subset_first(y_order, min(nu, len(y_order)), AT_MOST)
-    while not j_cursor.at_end:
-        j_part = frozenset(j_cursor.current)
-        classes = tuple(sorted(ec.items()))
-        i_cursor = multiset_first(classes, max(0, nu - len(j_part)))
-        while not i_cursor.at_end:
-            picks = dict(i_cursor.current)
+    classes = tuple(sorted(ec.items()))
+    for j_part in map(frozenset, cursor_values(subset_first(y_order, nu, AT_MOST))):
+        for picks in map(dict, cursor_values(multiset_first(classes, max(0, nu - len(j_part))))):
             with meter.scope(3 * nu + 2):
                 if picks:
                     chosen = _materialize_from_classes(h, y_order, cover, picks, deletions)
@@ -200,8 +186,6 @@ def _search_a1(h, a1, cover, y_order, deletions, ec, ell, nu, meter):
                     for v in removed:
                         deletions.discard(v)
                 return None
-            i_cursor = multiset_next(i_cursor)
-        j_cursor = subset_next(j_cursor)
     return deletions.snapshot()
 
 
@@ -297,9 +281,7 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         table = tables[0]
         remaining_budget = ell - len(drop_cover)
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.rows)
-        pick_cursor = multiset_first(classes, remaining_budget)
-        while not pick_cursor.at_end:
-            picks = dict(pick_cursor.current)
+        for picks in map(dict, cursor_values(multiset_first(classes, remaining_budget))):
             with meter.scope(2 * K + 2):
                 residual = _residual(h, cover_set, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
@@ -310,7 +292,6 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
                     else ()
                 )
                 return drop_cover | set(chosen)
-            pick_cursor = multiset_next(pick_cursor)
         return None
 
     try:

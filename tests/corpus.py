@@ -112,6 +112,28 @@ def planted_covers(draw, max_n=40, max_k=5):
     return g, VertexCover.validated(g, cover), draw(st.permutations(range(n)))
 
 
+@st.composite
+def twin_classes(draw, max_n=40, max_k=5):
+    """K cover vertices with random edges among them, one to three twin
+    classes of 2 or 3 outside vertices that see the same one or two cover
+    vertices, and isolated vertices up to n; ids and order are shuffled.
+    Two twins and a cover vertex they both see induce a P3, so a solution
+    that keeps that cover vertex deletes all but one twin of the class."""
+    k = draw(st.integers(1, max_k))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k) if rnd.random() < 0.25]
+    n = k
+    for _ in range(draw(st.integers(1, 3))):
+        seen = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True))
+        size = draw(st.integers(2, 3))
+        edges += [(c, v) for v in range(n, n + size) for c in seen]
+        n += size
+    n = draw(st.integers(n, max(n, max_n)))
+    label = draw(st.permutations(range(n)))
+    g = Graph(n, [(label[u], label[v]) for u, v in edges])
+    return g, VertexCover.validated(g, label[:k]), draw(st.permutations(range(n)))
+
+
 # Bad `.vcs` texts: (id, text, exception class from `parse_instance`, a
 # fragment of its message).  Most are a spoiled copy of P3 0-1-2 with cover
 # {1}; every one must make the CLI exit 3.

@@ -191,6 +191,14 @@ def test_family_round_trip():
         parse_family("e 0 1\n")
 
 
+@pytest.mark.parametrize("comment", ["c two patterns", "c", "c   "])
+def test_family_comment_lines(comment):
+    f = ExplicitFamily.from_graphs([path_graph(3), cycle_graph(4)])
+    head, *rest = format_family(f).splitlines()
+    back = parse_family("\n".join([comment, head, comment, *rest, comment]) + "\n")
+    assert format_family(back) == format_family(f)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_round_trip_random(data):

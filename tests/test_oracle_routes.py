@@ -1,7 +1,9 @@
 """The oracle routes against the family solver, past desk scale.
 
 a1 and ecenum run at n <= 40; a2 and a1_subsets at n <= 16, since on a YES
-a2 asks the oracle about every outside subset of size at most nu.  Each
+a2 asks the oracle about every outside subset of size at most nu.  Planted
+twin classes make a1 delete outside vertices, several from one class, which
+random planted covers almost never do; ecenum also runs at ell up to K.  Each
 verdict must equal `solve_pifree_explicit` on the same stream, and the brute
 force where it runs.  A YES's residual graph must be free of the family, and
 stay free when a deleted outside vertex is swapped for an undeleted twin
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import planted_covers
+from corpus import planted_covers, twin_classes
 from vcstream.brute import PI_FREE_LIMIT, brute_min_deletion
 from vcstream.graph import Graph, VertexCover, complete_graph, cycle_graph, path_graph
 from vcstream.properties import ExplicitFamily, family_oracle, is_induced_subgraph
@@ -89,3 +91,19 @@ def test_route_agrees_with_family_solver_to_40(route, fam, case, ell, rnd):
 @example(case=TWIN_FAN, ell=2, rnd=random.Random(0))
 def test_route_agrees_with_family_solver_to_16(route, fam, case, ell, rnd):
     _check_route(route, fam, case, ell, rnd)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(case=twin_classes(max_n=40, max_k=4), ell=st.integers(0, 4),
+       rnd=st.randoms(use_true_random=False))
+def test_a1_deletes_twins_to_40(fam, case, ell, rnd):
+    _check_route("a1", fam, case, ell, rnd)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(planted_covers(max_n=40, max_k=4), twin_classes(max_n=40, max_k=4)),
+       ell=st.integers(0, 4), rnd=st.randoms(use_true_random=False))
+def test_ecenum_to_ell_k(fam, case, ell, rnd):
+    _check_route("ecenum", fam, case, ell, rnd)

@@ -1,3 +1,6 @@
+from itertools import combinations, permutations
+from math import comb, factorial
+
 import pytest
 
 from corpus import all_covers, atlas_graphs, disconnected_sample
@@ -19,6 +22,8 @@ from vcstream.properties import (
     is_induced_subgraph,
 )
 from vcstream.solve_hfree import (
+    _independent_role_sets,
+    _placements,
     check_h_in_y,
     find_h,
     solve_hfree_fpt,
@@ -78,25 +83,48 @@ def test_find_h_no_independent_roles_uses_no_pass():
     assert h.pass_meter.passes == 0
 
 
-def test_find_h_pass_budget():
-    # passes <= sum over role sets of placements, plus one witness check
-    from math import comb, factorial
+@pytest.mark.parametrize("size", range(6))
+def test_placements_are_each_subsets_permutations(size):
+    y = (2, 5, 7, 11)
+    expected = [p for c in combinations(y, size) for p in permutations(c)]
+    assert list(_placements(y, size)) == expected
 
-    for g in atlas_graphs(3, 5)[::3]:
-        covers = all_covers(g, 3)
-        if not covers:
-            continue
-        X = VertexCover.validated(g, covers[-1])
-        y = set(X.members)
-        for H in (P3, P4):
-            for i in range(1, H.h + 1):
+
+def test_check_h_in_y_pass_count():
+    # one pass per placement, so C(|Y|, h) * h! when the pattern is absent
+    absent = 0
+    for g in atlas_graphs(3, 6)[::3]:
+        for cover in all_covers(g, 5)[-3:]:
+            for H in PATTERNS:
                 handle = stream(g)
-                find_h(handle, X, set(), y, i, H)
-                placements = comb(len(y), H.h - i) * factorial(H.h - i)
-                from vcstream.solve_hfree import _independent_role_sets
+                if check_h_in_y(handle, H, set(cover)):
+                    continue
+                assert handle.pass_meter.passes == comb(len(cover), H.h) * factorial(H.h)
+                absent += len(cover) >= H.h
+    assert absent >= 100
 
-                budget = len(_independent_role_sets(H, i)) * placements + 1
-                assert handle.pass_meter.passes <= budget
+
+def test_find_h_pass_budget():
+    # one pass per role set and placement: exactly (role sets) * C(|Y|, h-i)
+    # * (h-i)! when nothing occurs, at most one more (the witness check) when
+    # something does
+    absent = 0
+    for g in atlas_graphs(3, 6)[::3]:
+        for cover in all_covers(g, 4)[-2:]:
+            X = VertexCover.validated(g, cover)
+            y = set(X.members)
+            for H in (P3, P4, C4):
+                for i in range(1, H.h + 1):
+                    handle = stream(g)
+                    found = find_h(handle, X, set(), y, i, H)
+                    placements = comb(len(y), H.h - i) * factorial(H.h - i)
+                    budget = len(_independent_role_sets(H, i)) * placements
+                    if found:
+                        assert handle.pass_meter.passes <= budget + 1
+                    else:
+                        assert handle.pass_meter.passes == budget
+                        absent += placements > 1
+    assert absent >= 100
 
 
 def test_solver_examples():
@@ -148,16 +176,6 @@ def test_differential_stream_fpt_brute():
                         residual, _ = g.induced(keep)
                         assert not is_induced_subgraph(residual, H)
                     assert meter.live_words == 0
-
-
-def test_strict_and_literal_agree_on_valid_covers():
-    for g in atlas_graphs(3, 5)[::2]:
-        for cover in all_covers(g, 3)[:3]:
-            X = VertexCover.validated(g, cover)
-            for ell in (0, 1):
-                a = solve_hfree_stream(stream(g), X, ell, P4, strict_induced=True)
-                b = solve_hfree_stream(stream(g), X, ell, P4, strict_induced=False)
-                assert a.feasible == b.feasible
 
 
 def test_find_h_completeness():
