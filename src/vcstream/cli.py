@@ -145,9 +145,7 @@ def _cmd_gen(args) -> int:
 def _char_from_args(args) -> AdjacencyCharacterization:
     if args.cpi is None or args.pfun is None:
         raise UsageError("this wrapper needs --cpi and --pfun")
-    return AdjacencyCharacterization(
-        args.cpi, parse_pfun(args.pfun), connected_only=True, p_label=args.pfun
-    )
+    return AdjacencyCharacterization(args.cpi, parse_pfun(args.pfun), connected_only=True)
 
 
 def _cmd_kernelize(args) -> int:
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a solver and the brute oracle")
     add_solver_args(p_verify)
-    p_verify.add_argument("--against", choices=["brute"], default="brute")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -16,7 +16,7 @@ from .kernel_lowrank import incidence_pair_index, matching_splits, pair_masks
 from .meters import MemoryMeter, MeteredSet, words_for_bits
 from .properties import AdjacencyCharacterization
 from .results import KernelOutput
-from .streams import AL, PASS_END_EVENT, StreamHandle, edge_event
+from .streams import AL, StreamHandle
 
 
 def mark_table_size(K: int, c: int) -> int:
@@ -91,12 +91,9 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
         finally:
             seen_cover.close()
 
-    kept = tuple(sorted(set(X.members) | set(marked)))
-    events = tuple(edge_event(u, v) for u, v in out_edges) + (PASS_END_EVENT,)
     return KernelOutput(
-        kept_vertices=kept,
+        kept_vertices=tuple(sorted(set(X.members) | set(marked))),
         edges=tuple(out_edges),
-        events=events,
         passes=h.pass_meter.passes - passes_before,
         peak_words=meter.peak_words,
     )
@@ -131,11 +128,8 @@ def reduce_in_memory(g: Graph, X: VertexCover, r: int, c: int,
 
 def kernel_pifree(h: StreamHandle, X: VertexCover, ell: int,
                   char: AdjacencyCharacterization,
-                  meter: MemoryMeter | None = None,
-                  pi_has_edges: bool = True) -> KernelOutput:
+                  meter: MemoryMeter | None = None) -> KernelOutput:
     """Deletion kernel: keep ell + p(K) witnesses per pattern, c_pi-wide."""
-    if not pi_has_edges:
-        raise BadParams("kernel requires every member of the family to have an edge")
     if ell < 0:
         raise BadParams("ell must be non-negative")
     return reduce_str(h, X, ell + char.p_of(X.K), char.c_pi, meter)

@@ -14,10 +14,10 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import BadParams, DimensionMismatch, NeighborOutsideCover, NotALModel
-from .graph import Graph, VertexCover, require_cover
+from .graph import Graph, VertexCover, canonical_edge, require_cover
 from .meters import MemoryMeter, words_for_bits
 from .results import KernelOutput
-from .streams import AL, EDGE, StreamHandle, cover_bits
+from .streams import AL, StreamHandle, cover_bits
 
 
 def incidence_pair_index(X: VertexCover, c: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -188,21 +188,18 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                 meter.release(charged_basis)
                 charged_basis = 0
 
+            # the output pass: each kept edge at its first kept block
             kept = cover_set | {order[pos] for pos in kept_positions}
             kept_order = map(order.__getitem__,
                              sorted(index.member_positions + tuple(kept_positions)))
-            blocks = {v: tuple(filter(kept.__contains__, h.blocks[v])) for v in kept_order}
-            out_events = StreamHandle(h.source, h.model, blocks, h.pass_meter).run_pass(list)
-            out_edges = list(
-                dict.fromkeys((ev.u, ev.v) for ev in out_events if ev.kind == EDGE)
-            )
+            out_edges = h.run_pass(lambda: tuple(dict.fromkeys(
+                canonical_edge(v, w) for v in kept_order for w in h.blocks[v] if w in kept)))
         finally:
             meter.release(charged_a + charged_basis)
 
     return KernelOutput(
         kept_vertices=tuple(sorted(kept)),
-        edges=tuple(out_edges),
-        events=tuple(out_events),
+        edges=out_edges,
         passes=h.pass_meter.passes - passes_before,
         peak_words=meter.peak_words,
     )

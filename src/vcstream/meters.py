@@ -2,16 +2,12 @@
 
 Memory is counted in words: one word per vertex id, edge pair, or counter,
 and ceil(bits/64) words for a bit vector.  Only algorithm working state is
-charged; the instance, the stream machinery, and output sinks are free.  A
-handle's blocks are stream machinery, and a pass may be answered from them
-(the class index of twin classes, `induced_edges`, the family oracle's
-buffer of a substream's kept blocks) only when the answer is a pure
-function of one pass's events and the pass is still charged through
-`run_pass`.  A consumer pays for what it keeps of a block, not for the
-index.  The kernels read the index too: a twin is skipped
-only when an earlier twin fixed its outcome and a later visited one takes
-at least its charge.  State is charged as it grows, one allocation per
-item found, so a budget trips at the first word past it.
+charged; the instance, the stream machinery (a handle's blocks and its
+class index), and output sinks are free.  A consumer pays for what it keeps
+of a block.  The kernels skip a twin only when an earlier twin fixed its
+outcome and a later visited one takes at least its charge.  State is
+charged as it grows, one allocation per item found, so a budget trips at
+the first word past it.
 """
 
 from __future__ import annotations
@@ -80,14 +76,13 @@ class MemoryMeter:
 
 
 class MeteredSet:
-    """Mutable set whose cardinality is charged to a meter, per-item."""
+    """Mutable set charged to a meter, one word per item."""
 
-    __slots__ = ("_meter", "_items", "_wpi")
+    __slots__ = ("_meter", "_items")
 
-    def __init__(self, meter: MemoryMeter, items=(), words_per_item: int = 1):
+    def __init__(self, meter: MemoryMeter, items=()):
         self._meter = meter
         self._items: set = set()
-        self._wpi = words_per_item
         try:
             for x in items:
                 self.add(x)
@@ -97,16 +92,16 @@ class MeteredSet:
 
     def add(self, x) -> None:
         if x not in self._items:
-            self._meter.allocate(self._wpi)
+            self._meter.allocate(1)
             self._items.add(x)
 
     def discard(self, x) -> None:
         if x in self._items:
             self._items.discard(x)
-            self._meter.release(self._wpi)
+            self._meter.release(1)
 
     def close(self) -> None:
-        self._meter.release(self._wpi * len(self._items))
+        self._meter.release(len(self._items))
         self._items.clear()
 
     def snapshot(self) -> frozenset:

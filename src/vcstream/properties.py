@@ -156,7 +156,6 @@ class AdjacencyCharacterization:
     c_pi: int
     p: Callable[[int], int]
     connected_only: bool = False
-    p_label: str = ""
 
     def __post_init__(self):
         if self.c_pi < 0:
@@ -220,7 +219,7 @@ class StreamOracle:
     Kind 'a1' answers whether the streamed graph is isomorphic to some family
     member; kind 'a2' answers whether it is free of induced occurrences of
     every member.  It reads the handle's blocks inside its one pass and keeps
-    exactly what that pass's events show: on EA, no vertex without an edge.
+    exactly what that pass shows: on EA, no vertex without an edge.
     """
 
     __slots__ = ("kind", "family", "declared_passes", "_plans")
@@ -239,7 +238,7 @@ class StreamOracle:
         adj: list[int] = []
         charged = 0
 
-        def buffer(_events):
+        def buffer():
             nonlocal charged
             bit_of: dict[int, int] = {}
             isolated_shown = handle.model != EA

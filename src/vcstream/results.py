@@ -10,7 +10,7 @@ from .enumeration import AT_MOST, cursor_values, subset_first
 from .errors import NotALModel
 from .graph import Graph, VertexCover, require_cover
 from .meters import MemoryMeter
-from .streams import AL, StreamEvent, StreamHandle
+from .streams import AL, StreamHandle
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,11 @@ def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str
 
 @dataclass(frozen=True)
 class KernelOutput:
-    """Kept vertex set and the emitted kernel edge stream."""
+    """Kept vertex set and the emitted kernel: its edges as an EA stream, in
+    emission order."""
 
     kept_vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    events: tuple[StreamEvent, ...]
     passes: int
     peak_words: int
 

@@ -11,8 +11,6 @@ substream is re-generated on the fly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .enumeration import AT_MOST, cursor_values, multiset_first, subset_first, subset_next
 from .errors import BadParams, MemoryBudgetExceeded, OracleFault
 from .graph import VertexCover
@@ -22,25 +20,15 @@ from .results import SolveOutcome, branch_on_cover
 from .streams import ClassIndex, StreamHandle, filtered_substream
 
 
-@dataclass(frozen=True)
-class EquivalenceClassTable:
-    """Counts of untouched outside vertices per adjacency key toward Y; a key
-    is a bitmask over Y's members in ascending order."""
-
-    y_order: tuple[int, ...]
-    rows: tuple[tuple[int, int], ...]  # (key, count), key-sorted, every count >= 1
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.rows)
-
-
 def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
-                                meter: MemoryMeter | None = None) -> EquivalenceClassTable:
+                                meter: MemoryMeter | None = None) -> dict[int, int]:
     """One pass tallying, for every vertex outside Y and exclude, its
-    adjacency bitstring toward Y: per twin class of the class index of Y,
-    its members not in exclude.  Callers pass the deleted cover part (and
-    any deleted outside vertices) via exclude.  Each row (key and count) is
-    charged 2 words as it appears; the caller releases `2 * len(rows)`."""
+    adjacency bitstring toward Y (a bitmask over Y's members in ascending
+    order): per twin class of the class index of Y, its members not in
+    exclude.  Returns the nonzero counts, sorted by key.  Callers pass the
+    deleted cover part (and any deleted outside vertices) via exclude.  Each
+    row (key and count) is charged 2 words as it appears; the caller
+    releases 2 words per row."""
     meter = meter if meter is not None else MemoryMeter()
     y_order = tuple(sorted(Y))
     gone = frozenset(exclude)
@@ -59,7 +47,7 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
     except MemoryBudgetExceeded:
         meter.release(2 * len(counts))
         raise
-    return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
+    return dict(sorted(counts.items()))
 
 
 def _first_members(index: ClassIndex, picks: dict[int, int], cover, skip) -> list[int]:
@@ -128,7 +116,7 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         # literal rejection step: one membership call per subset of Y
         if _any_subset_hit(h, a1, y_order, len(y_order), frozenset(), meter):
             return None
-        ec = compute_equivalence_classes(h, y_order, s_branch, meter).as_dict()
+        ec = compute_equivalence_classes(h, y_order, s_branch, meter)
         try:
             deletions = MeteredSet(meter, s_branch)
             try:
@@ -273,21 +261,21 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
     meter = meter if meter is not None else MemoryMeter()
     cover_set = X.member_set()
     K = X.K
-    tables: list[EquivalenceClassTable] = []  # built by the first branch
+    tables: list[dict[int, int]] = []  # built by the first branch
 
     def branch(drop_cover, _, meter):
         if not tables:
             tables.append(compute_equivalence_classes(h, X.members, frozenset(), meter))
         table = tables[0]
         remaining_budget = ell - len(drop_cover)
-        classes = tuple((key, min(count, remaining_budget)) for key, count in table.rows)
+        classes = tuple((key, min(count, remaining_budget)) for key, count in table.items())
         for picks in map(dict, cursor_values(multiset_first(classes, remaining_budget))):
             with meter.scope(2 * K + 2):
                 residual = _residual(h, cover_set, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
             if free:
                 chosen = (
-                    _materialize_from_classes(h, table.y_order, cover_set, picks, ())
+                    _materialize_from_classes(h, X.members, cover_set, picks, ())
                     if picks
                     else ()
                 )
@@ -298,4 +286,4 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         # X and the S cursor
         return branch_on_cover(h, X, ell, "solve_equivclass_enum", 2 * K, branch, meter)
     finally:
-        meter.release(sum(2 * len(t.rows) for t in tables))
+        meter.release(sum(2 * len(t) for t in tables))

@@ -2,28 +2,27 @@
 
 A handle stores one block per vertex: the vertex's neighbours in stream
 order, with the blocks themselves in stream order.  That is the AL model's
-unit of arrival, and every pass is derived from it.  `events()` replays a
-byte-identical event sequence for a fixed (graph, model, order): in AL every
-edge is emitted twice per pass (once inside each endpoint's block); VA keeps
-an edge only in its later endpoint's block, and EA emits it alone, at its
-earlier endpoint, with no vertex events.  PassEnd is an explicit event so
-consumers never need to know n in advance.  An induced substream is a handle
-over the kept blocks, charging its passes to the parent's meter.
+unit of arrival.  A pass is one counted read of the blocks: `run_pass(read)`
+runs `read()` and counts the pass even when it fails, and what `read`
+computes must be a pure function of what one pass shows.  `events()` is that
+pass as each model shows it, a byte-identical event sequence for a fixed
+(graph, model, order): in AL every edge is emitted twice per pass (once
+inside each endpoint's block); VA keeps an edge only in its later
+endpoint's block, and EA emits it alone, at its earlier endpoint, with no
+vertex events.  PassEnd is an explicit event so a reader never needs to
+know n in advance.  An induced substream is a handle over the kept blocks,
+charging its passes to the parent's meter.
 
-A pass may be answered from the blocks instead of the events only when the
-answer is a pure function of one pass's events, and the pass is still
-charged through `run_pass`.  Three such passes exist.  Given a vertex cover
-X, an outside vertex is fully described by N(v) & X, and outside vertices
-with one such mask are twins.  So an AL handle reads each block's mask once
-into a class index: the member blocks as (v, bit, mask, nbrs) tuples, where
-`mask` holds N(v) & members as bits in ascending member order, and per mask
-the stream positions of its outside blocks, read through `run_class_pass`;
-a pass over it visits the K member blocks and a few blocks per class, at
-most 2^K classes, not every block.  `induced_edges` reads only the blocks of
-the vertices it keeps.  And the family oracle buffers the graph a pass
-shows, in any model, from the blocks (an EA pass shows no vertex without an
-edge).  Raw events remain the interface for EA/VA consumers and for those
-that must see the event sequence itself (kernel output).
+Given a vertex cover X, an outside vertex is fully described by N(v) & X,
+and outside vertices with one such mask are twins.  So an AL handle reads
+each block's mask once into a class index: the member blocks as
+(v, bit, mask, nbrs) tuples, where `mask` holds N(v) & members as bits in
+ascending member order, and per mask the stream positions of its outside
+blocks, read through `run_class_pass`; a pass over it visits the K member
+blocks and a few blocks per class, at most 2^K classes, not every block.
+`induced_edges` reads only the blocks of the vertices it keeps, and the
+family oracle buffers the graph a pass shows, in any model (an EA pass
+shows no vertex without an edge).
 """
 
 from __future__ import annotations
@@ -127,10 +126,10 @@ class StreamHandle:
                 yield vertex_end(v)
         yield PASS_END_EVENT
 
-    def run_pass(self, consumer: Callable[[Iterator[StreamEvent]], object]):
-        """Feed one full pass to `consumer`; the pass is counted even on failure."""
+    def run_pass(self, read: Callable[[], object]):
+        """Run `read()` as one pass; the pass is counted even on failure."""
         try:
-            return consumer(iter(self.events()))
+            return read()
         finally:
             self.pass_meter.increment()
 
@@ -177,7 +176,7 @@ class StreamHandle:
                        consumer: Callable[[ClassIndex], object]):
         """Feed the class index of `members` to `consumer` as one `run_pass`."""
         index = self.class_index(members)
-        return self.run_pass(lambda _events: consumer(index))
+        return self.run_pass(lambda: consumer(index))
 
 
 def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> StreamHandle:
@@ -210,9 +209,7 @@ def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int],
     if isinstance(source, Graph):
         return _edges_among(keep, source.neighbors, meter)
     blocks = source.blocks
-    return source.run_pass(
-        lambda _events: _edges_among(keep, lambda v: blocks.get(v, ()), meter)
-    )
+    return source.run_pass(lambda: _edges_among(keep, lambda v: blocks.get(v, ()), meter))
 
 
 def _edges_among(keep: frozenset[int], nbrs_of: Callable[[int], Iterable[int]],

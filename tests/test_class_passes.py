@@ -19,7 +19,7 @@ from vcstream.meters import MemoryMeter, MeteredSet
 from vcstream.solve_cvd import _pair_scan, _phase1_pass, _phase2_pass
 from vcstream.solve_hfree import _find_pass
 from vcstream.solve_oct import _colour_pass, _propagated_components
-from vcstream.solve_oracle import EquivalenceClassTable, compute_equivalence_classes
+from vcstream.solve_oracle import compute_equivalence_classes
 from vcstream.streams import AL, cover_bits, make_stream
 
 
@@ -125,7 +125,7 @@ def _frozen_propagated_components(h, meter, members, y_set, y_mask):
                             parent[max(ra, rb)] = min(ra, rb)
 
     with meter.scope(len(y_set)):
-        h.run_pass(lambda _e: union_pass(_view(h, members)))
+        h.run_pass(lambda: union_pass(_view(h, members)))
         comp = {v: find(v) for v in y_set}
         roots = sorted(set(comp.values()))
         colour = {root: 0 for root in roots}
@@ -152,10 +152,10 @@ def _frozen_propagated_components(h, meter, members, y_set, y_mask):
         with meter.scope(len(y_set)):
             rounds = 0
             while len(colour) < len(y_set) and rounds <= len(y_set) + 1:
-                if not h.run_pass(lambda _e: propagate(_view(h, members))):
+                if not h.run_pass(lambda: propagate(_view(h, members))):
                     break
                 rounds += 1
-            h.run_pass(lambda _e: propagate(_view(h, members)))
+            h.run_pass(lambda: propagate(_view(h, members)))
             if conflict:
                 return None
             return roots, dict(colour), comp
@@ -176,11 +176,11 @@ def _frozen_equivalence_classes(h, Y, exclude, meter):
                     counts[key] = 1
 
     try:
-        h.run_pass(lambda _e: tally(_view(h, y_order)))
+        h.run_pass(lambda: tally(_view(h, y_order)))
     except MemoryBudgetExceeded:
         meter.release(2 * len(counts))
         raise
-    return EquivalenceClassTable(y_order, tuple(sorted(counts.items())))
+    return dict(sorted(counts.items()))
 
 
 # --- harness ---------------------------------------------------------------
@@ -225,7 +225,7 @@ def _agree(g, order, frozen, current, prefill=()):
 
 def _view_run(members, consumer):
     return lambda h, deletions, meter: h.run_pass(
-        lambda _e: consumer(_view(h, members), deletions))
+        lambda: consumer(_view(h, members), deletions))
 
 
 def _class_run(members, consumer):

@@ -59,6 +59,13 @@ def test_non_al_model_rejected(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_verify_has_no_against_flag(tmp_path, capsys):
+    inst = write_p3(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", inst, "--problem", "cvd", "--against", "brute"])
+    assert exc.value.code == 2
+
+
 def test_missing_instance_exit_3(capsys):
     code = main(["solve", "/nonexistent/file.vcs", "--problem", "cvd"])
     assert code == 3
@@ -76,7 +83,7 @@ def test_bad_instance_exit_3(tmp_path, capsys, text):
 
 def test_verify_agreement(tmp_path, capsys):
     inst = write_p3(tmp_path, ell=1)
-    code = main(["verify", inst, "--problem", "cvd", "--against", "brute"])
+    code = main(["verify", inst, "--problem", "cvd"])
     report = parse_report(capsys.readouterr().out.strip())
     assert code == 0
     assert report["agreement"] == "true"

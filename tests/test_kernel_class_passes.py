@@ -3,8 +3,8 @@
 `_frozen_reduce_str` and `_frozen_low_rank_reduce_str` are the kernels as
 they were before they read the twin-class index: every pass walks every
 block of `reference_view`, and a per-mask memo stands in for the class.  The
-class-index kernels must keep the same vertices, emit the same edges and
-events, and take the same passes and peak words.  Under every word budget
+class-index kernels must keep the same vertices, emit the same edges in the
+same order, and take the same passes and peak words.  Under every word budget
 from 0 to the peak they must trip, or not, in the same pass, and leave no
 word live.
 """
@@ -31,14 +31,7 @@ from vcstream.kernel_lowrank import (
 )
 from vcstream.meters import MemoryMeter, MeteredSet, words_for_bits
 from vcstream.results import KernelOutput
-from vcstream.streams import (
-    AL,
-    EDGE,
-    PASS_END_EVENT,
-    edge_event,
-    filtered_substream,
-    make_stream,
-)
+from vcstream.streams import AL, EDGE, filtered_substream, make_stream
 
 
 # --- frozen per-block kernels ----------------------------------------------
@@ -83,13 +76,12 @@ def _frozen_reduce_str(h, X, r, c, meter):
                 meter.release(len(nbrs))
 
         try:
-            h.run_pass(lambda _e: pass_fn(_view(h, X.members)))
+            h.run_pass(lambda: pass_fn(_view(h, X.members)))
         finally:
             seen_cover.close()
 
     kept = tuple(sorted(set(X.members) | set(marked)))
-    events = tuple(edge_event(u, v) for u, v in out_edges) + (PASS_END_EVENT,)
-    return KernelOutput(kept, tuple(out_edges), events,
+    return KernelOutput(kept, tuple(out_edges),
                         h.pass_meter.passes - passes_before, meter.peak_words)
 
 
@@ -142,19 +134,21 @@ def _frozen_low_rank_reduce_str(h, X, ell, c, meter):
                         finally:
                             meter.release(len(nbrs))
 
-                h.run_pass(lambda _e, scan=scan: scan(_view(h, X.members)))
+                h.run_pass(lambda scan=scan: scan(_view(h, X.members)))
                 meter.release(charged_basis)
                 charged_basis = 0
 
             kept = cover_set | set(kept_outside)
-            out_events = filtered_substream(h, kept.__contains__).run_pass(list)
+            # the kernel's AL events, each edge kept at its first sight
+            sub = filtered_substream(h, kept.__contains__)
+            out_events = sub.run_pass(lambda: list(sub.events()))
             out_edges = list(
                 dict.fromkeys((ev.u, ev.v) for ev in out_events if ev.kind == EDGE)
             )
         finally:
             meter.release(charged_a + charged_basis)
 
-    return KernelOutput(tuple(sorted(kept)), tuple(out_edges), tuple(out_events),
+    return KernelOutput(tuple(sorted(kept)), tuple(out_edges),
                         h.pass_meter.passes - passes_before, meter.peak_words)
 
 

@@ -25,7 +25,7 @@ from vcstream.kernel_lowrank import (
     low_rank_reduce_str,
 )
 from vcstream.meters import MemoryMeter
-from vcstream.streams import AL, EA, make_stream
+from vcstream.streams import AL, EA, filtered_substream, make_stream
 
 
 def bits_tuple(vec):
@@ -177,11 +177,15 @@ def test_kernel_size_bound():
 
 def test_output_stream_is_al_of_kernel():
     g, X = gen_planted(PlantedSpec(12, 3, 0.5, 2))
-    out = low_rank_reduce_str(make_stream(g, AL), X, 2, 1)
+    h = make_stream(g, AL, random.Random(2).sample(range(g.n), g.n))
+    out = low_rank_reduce_str(h, X, 2, 1)
     kept = set(out.kept_vertices)
-    edge_events = [e for e in out.events if e.kind == "edge"]
-    # AL form: every kernel edge appears exactly twice
+    edge_events = [(e.u, e.v) for e in filtered_substream(h, kept.__contains__).events()
+                   if e.kind == "edge"]
+    # the kernel's AL stream shows every edge twice; each is emitted once, at
+    # its first sight
     assert len(edge_events) == 2 * len(out.edges)
+    assert list(out.edges) == list(dict.fromkeys(edge_events))
     assert {*out.edges} == {e for e in g.edges if e[0] in kept and e[1] in kept}
 
 

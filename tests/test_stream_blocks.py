@@ -235,7 +235,7 @@ def frozen_oracle_answer(kind, family, handle, meter):
                     edges.add((u, v))
 
     try:
-        handle.run_pass(consume)
+        handle.run_pass(lambda: consume(handle.events()))
         index = {v: i for i, v in enumerate(sorted(vertices))}
         g = Graph(len(index), [(index[u], index[v]) for u, v in edges])
         if kind == "a1":
