@@ -54,28 +54,47 @@ def incidence_vector(neighbors_in_X: Iterable[int], X: VertexCover, c: int,
     return IncidenceVector(bits, len(pairs))
 
 
-def pair_masks(X: VertexCover, index) -> list[tuple[int, int]]:
-    """Each (Q, R) pair of `index` as two masks over `X`'s `cover_bits`:
-    the split table both streaming kernels match cover masks against."""
+@dataclass(frozen=True)
+class SplitTable:
+    """The split table both streaming kernels match cover masks against.  A
+    vertex sees none of Q and all of R exactly when mask & (Q | R) == R, so it
+    matches one split of each cover subset S = Q | R, and one lookup of
+    mask & S per S finds every match.  Per S, in table order: S as a mask
+    over `X`'s `cover_bits`, then each split's index and its bit, by R.
+    `len` is `size`, the number of splits."""
+
+    subsets: tuple[tuple[int, dict[int, int], dict[int, int]], ...]
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def pair_masks(X: VertexCover, index) -> SplitTable:
+    """The table of `index`, whose splits of one subset are adjacent."""
     bit_of = cover_bits(X.members)
-    return [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
+    by_subset: dict[int, dict[int, int]] = {}
+    for i, (q, r) in enumerate(index):
+        r_mask = sum(bit_of[v] for v in r)
+        by_subset.setdefault(r_mask + sum(bit_of[v] for v in q), {})[r_mask] = i
+    return SplitTable(tuple((s, sub, {r: 1 << i for r, i in sub.items()})
+                            for s, sub in by_subset.items()), len(index))
 
 
-def matching_splits(mask: int, splits) -> list[int]:
-    """The indices of the splits (`pair_masks`) that a vertex whose cover
+def matching_splits(mask: int, splits: SplitTable) -> list[int]:
+    """The indices, ascending, of the splits that a vertex whose cover
     neighbours are `mask` matches: it sees none of Q and all of R."""
-    return [i for i, (q_mask, r_mask) in enumerate(splits)
-            if not mask & q_mask and mask & r_mask == r_mask]
+    return [sub[mask & s] for s, sub, _ in splits.subsets]
 
 
-def mask_vector(mask: int, splits) -> IncidenceVector:
+def mask_vector(mask: int, splits: SplitTable) -> IncidenceVector:
     """`incidence_vector` of a vertex whose cover neighbours are `mask`."""
-    return IncidenceVector(sum(1 << i for i in matching_splits(mask, splits)), len(splits))
+    return IncidenceVector(sum([bits[mask & s] for s, _, bits in splits.subsets]), len(splits))
 
 
 @dataclass
 class F2Basis:
-    """Reduced GF(2) basis with a pivot map and one chosen vertex per row."""
+    """Echelon GF(2) basis with a pivot map and one chosen vertex per row."""
 
     dim: int
     rows: list[int] = field(default_factory=list)
@@ -97,19 +116,18 @@ class F2Basis:
 
 
 def basis_insert(b: F2Basis, vec: IncidenceVector, v: int) -> tuple[F2Basis, bool]:
-    """Insert if independent; returns the updated basis and the independence flag."""
+    """Insert `vec`, chosen by `v`, if it is independent of `b`; returns `b`
+    and the independence flag.  Mutates `b` in place: the residual's top bit
+    is no row's pivot, so appending it as a row keeps the pivots distinct."""
     if vec.length != b.dim:
         raise DimensionMismatch(f"vector length {vec.length} != basis dim {b.dim}")
     residual = b.reduce(vec.bits)
     if residual == 0:
         return b, False
-    top = residual.bit_length() - 1
-    rows = [r ^ residual if r >> top & 1 else r for r in b.rows]
-    rows.append(residual)
-    pivots = {}
-    for idx, row in enumerate(rows):
-        pivots[row.bit_length() - 1] = idx
-    return F2Basis(b.dim, rows, pivots, b.chosen + [v]), True
+    b.pivots[residual.bit_length() - 1] = len(b.rows)
+    b.rows.append(residual)
+    b.chosen.append(v)
+    return b, True
 
 
 def _basis_words(b: F2Basis) -> int:
@@ -150,7 +168,7 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
             # dependent, as the round's span holds their vector.  Of those only
             # the last is visited, for its charge: live words only grow within
             # a round.
-            nonlocal basis, charged_a, charged_basis
+            nonlocal charged_a, charged_basis
             visits = []
             for m, positions in index.classes.items():
                 first, last = taken[m], len(positions) - 1
@@ -164,14 +182,11 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                 try:
                     meter.allocate(vec_words)
                     try:
-                        independent = False
-                        if head:
-                            new_basis, independent = basis_insert(basis, vectors[m], v)
+                        independent = head and basis_insert(basis, vectors[m], v)[1]
                     finally:
                         meter.release(vec_words)
                     if independent:
-                        basis = new_basis
-                        grown = _basis_words(new_basis)
+                        grown = _basis_words(basis)
                         meter.allocate(grown - charged_basis)
                         charged_basis = grown
                         kept_positions.append(pos)

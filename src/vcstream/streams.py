@@ -14,8 +14,9 @@ know n in advance.  An induced substream is a handle over the kept blocks,
 charging its passes to the parent's meter.
 
 Given a vertex cover X, an outside vertex is fully described by N(v) & X,
-and outside vertices with one such mask are twins.  So an AL handle reads
-each block's mask once into a class index: the member blocks as
+and outside vertices with one such mask are twins.  So an AL handle ORs
+each member's bit into its neighbours' masks, then groups the blocks in one
+walk over positions into a class index: the member blocks as
 (v, bit, mask, nbrs) tuples, where `mask` holds N(v) & members as bits in
 ascending member order, and per mask the stream positions of its outside
 blocks, read through `run_class_pass`; a pass over it visits the K member
@@ -134,22 +135,23 @@ class StreamHandle:
             self.pass_meter.increment()
 
     def class_index(self, members: Iterable[int]) -> ClassIndex:
-        """The class index of `members`, built in one walk over the blocks.
-        Only the index of the last `members` is kept; building it is not a
-        pass."""
+        """The class index of `members`, built from the member blocks and one
+        walk over positions.  Only the index of the last `members` is kept;
+        building it is not a pass."""
         if self.model != AL:
             raise NotALModel("the class index requires an AL stream")
         key = tuple(sorted(members))
         if key != self._index_members:
             bit_of = cover_bits(key)
+            masks = dict.fromkeys(self.blocks, 0)  # v -> N(v) & members, from the member side
+            for x, bit in bit_of.items():
+                for w in self.blocks.get(x, ()):
+                    masks[w] |= bit
             member_blocks: list[CoverBlock] = []
             member_positions: list[int] = []
             classes: dict[int, list[int]] = {}
             covers = True
-            for pos, (v, nbrs) in enumerate(self.blocks.items()):
-                mask = 0
-                for w in nbrs:
-                    mask |= bit_of.get(w, 0)
+            for pos, ((v, nbrs), mask) in enumerate(zip(self.blocks.items(), masks.values())):
                 bit = bit_of.get(v, 0)
                 if bit:
                     member_blocks.append((v, bit, mask, nbrs))

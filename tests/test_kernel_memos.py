@@ -5,6 +5,7 @@ must keep what its in-memory reference keeps and trip a budget below its
 peak with nothing left charged."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,38 @@ def test_matching_entries_equal_set_rule(K, c):
         expected = [i for i, (plus, minus) in enumerate(table)
                     if plus <= nbrs and not minus & nbrs]
         assert matching_splits(mask, splits) == expected
+
+
+def _frozen_pair_masks(X, index):
+    """The split table as it was: each (Q, R) pair as two cover masks."""
+    bit_of = cover_bits(X.members)
+    return [(sum(bit_of[v] for v in q), sum(bit_of[v] for v in r)) for q, r in index]
+
+
+def _frozen_matching_splits(mask, splits):
+    """The matcher as it was: one test per split of the table."""
+    return [i for i, (q_mask, r_mask) in enumerate(splits)
+            if not mask & q_mask and mask & r_mask == r_mask]
+
+
+@pytest.mark.parametrize("K", range(9))
+@pytest.mark.parametrize("c", range(4))
+def test_matching_splits_one_per_cover_subset(K, c):
+    """Up to K = 8: the matched indices ascend, name each cover subset of
+    size at most min(c, K) exactly once, and equal the per-split scan."""
+    X = spread_cover(K)
+    index = incidence_pair_index(X, c)
+    splits = pair_masks(X, index)
+    frozen = _frozen_pair_masks(X, index)
+    subsets = {frozenset(s) for size in range(min(c, K) + 1)
+               for s in combinations(X.members, size)}
+    assert len(subsets) == sum(comb(K, i) for i in range(min(c, K) + 1))
+    for mask in range(1 << K):
+        hits = matching_splits(mask, splits)
+        assert hits == sorted(hits)
+        assert len(hits) == len(subsets)
+        assert {frozenset(index[i][0] + index[i][1]) for i in hits} == subsets
+        assert hits == _frozen_matching_splits(mask, frozen)
 
 
 @st.composite
