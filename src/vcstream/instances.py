@@ -90,8 +90,16 @@ def parse_instance(text: str) -> Instance:
     return Instance(graph, cover, ell, tuple(comments))
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's text; ParseError when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(path))
 
 
 def write_instance(g: Graph, cover: VertexCover, ell: int, path: str | Path, comments=()) -> None:
@@ -148,7 +156,7 @@ def parse_family(text: str) -> ExplicitFamily:
 
 
 def load_family(path: str | Path) -> ExplicitFamily:
-    return parse_family(Path(path).read_text())
+    return parse_family(_read_text(path))
 
 
 @dataclass(frozen=True)

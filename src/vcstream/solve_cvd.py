@@ -16,7 +16,7 @@ from .enumeration import EXACTLY, cursor_values, subset_first
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome, branch_on_cover
-from .streams import StreamHandle, cover_bits, induced_edges
+from .streams import StreamHandle, cover_bits, cover_edges
 
 
 def _pair_scan(index, b1: int, b2: int, rest: int):
@@ -39,20 +39,21 @@ def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
               meter: MemoryMeter | None = None,
               cache_cover: bool = False) -> SolveOutcome:
     def branch(s_branch, y_set, meter):
-        return _run_branch(h, meter, X.members, y_set, s_branch, ell, cache_cover)
+        return _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover)
 
     # X, S cursor, Y
     return branch_on_cover(h, X, ell, "solve_cvd", 3 * X.K, branch, meter)
 
 
-def _run_branch(h, meter, members, y_set, s_branch, ell, cache_cover):
+def _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover):
+    members = X.members
     bits = cover_bits(members)
     y_mask = sum(bits[y] for y in y_set)
     deletions = MeteredSet(meter, s_branch)
     cached_words = 0
     try:
         if cache_cover:
-            edge_bits = induced_edges(h, y_set, meter)
+            edge_bits = cover_edges(h, X, y_set, meter)
             cached_words = len(edge_bits)
             if _p3_within(y_set, edge_bits):
                 return None

@@ -28,7 +28,7 @@ from .properties import (
     vertex_minimal_members,
 )
 from .results import SolveOutcome, branch_on_cover
-from .streams import AL, StreamHandle, cover_bits, induced_edges
+from .streams import AL, StreamHandle, cover_bits, cover_edges, induced_edges
 
 
 def _independent_role_sets(H: PatternGraph, i: int) -> list[tuple[int, ...]]:
@@ -71,12 +71,12 @@ def _placements(y_sorted: tuple[int, ...], size: int):
         yield from cursor_values(permutation_first(chosen))
 
 
-def check_h_in_y(source: StreamHandle | Graph, H: PatternGraph, Y) -> bool:
-    """Does G[Y] contain the pattern as an induced subgraph?  On a stream,
-    one pass per candidate placement."""
+def check_h_in_y(source: StreamHandle | Graph, X: VertexCover, H: PatternGraph, Y) -> bool:
+    """Does G[Y], Y inside the cover X, contain the pattern as an induced
+    subgraph?  On a stream, one class pass per candidate placement."""
     pairs = _placement_pairs(H, tuple(range(H.h)))
     for placement in _placements(tuple(sorted(Y)), H.h):
-        observed = induced_edges(source, placement)
+        observed = cover_edges(source, X, placement)
         if all((canonical_edge(placement[a], placement[b]) in observed) == want
                for (a, b), want in pairs):
             return True
@@ -235,7 +235,7 @@ def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
     ordered = tuple(sorted(members.members, key=lambda p: p.h))
 
     def branch(s_branch, y_set, meter):
-        if any(check_h_in_y(h, H, y_set) for H in ordered):
+        if any(check_h_in_y(h, X, H, y_set) for H in ordered):
             return None
         deletions = MeteredSet(meter, s_branch)
         try:

@@ -14,7 +14,7 @@ from .enumeration import AT_MOST, cursor_values, subset_first
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome, branch_on_cover
-from .streams import StreamHandle, cover_bits, induced_edges
+from .streams import StreamHandle, cover_bits, cover_edges
 
 
 def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
@@ -66,10 +66,10 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
     return branch_on_cover(h, X, ell, "solve_oct", 4 * X.K, branch, meter)
 
 
-def _cached_components(h, meter, y_set):
+def _cached_components(h, meter, X, y_set):
     """One pass caching G[Y]'s edges, then in-memory components and a base
     2-colouring; returns None when G[Y] is odd (branch rejected)."""
-    edges = induced_edges(h, y_set, meter)
+    edges = cover_edges(h, X, y_set, meter)
     try:
         adj = {v: set() for v in y_set}
         for u, v in edges:
@@ -109,14 +109,17 @@ def _propagated_components(h, meter, members, y_set, y_mask):
             v = parent[v]
         return v
 
+    def y_nbrs(index):
+        """Each Y member v with each of its Y neighbours w, both in stream
+        order, read off the member masks."""
+        ys = [(v, bit, m) for v, bit, m, _ in index.members if bit & y_mask]
+        return ((v, w) for v, _, m in ys for w, bit, _ in ys if bit & m)
+
     def union_pass(index):
-        for v, bit, _, nbrs in index.members:
-            if bit & y_mask:
-                for w in nbrs:
-                    if w in y_set:
-                        ra, rb = find(v), find(w)
-                        if ra != rb:
-                            parent[max(ra, rb)] = min(ra, rb)
+        for v, w in y_nbrs(index):
+            ra, rb = find(v), find(w)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
 
     with meter.scope(len(y_set)):
         h.run_class_pass(members, union_pass)
@@ -129,19 +132,16 @@ def _propagated_components(h, meter, members, y_set, y_mask):
         def propagate(index):
             nonlocal conflict
             progress = False
-            for v, bit, _, nbrs in index.members:
-                if bit & y_mask:
-                    for w in nbrs:
-                        if w in y_set:
-                            cv, cw = colour.get(v), colour.get(w)
-                            if cv is None and cw is not None:
-                                colour[v] = 1 - cw
-                                progress = True
-                            elif cw is None and cv is not None:
-                                colour[w] = 1 - cv
-                                progress = True
-                            elif cv is not None and cv == cw:
-                                conflict = True
+            for v, w in y_nbrs(index):
+                cv, cw = colour.get(v), colour.get(w)
+                if cv is None and cw is not None:
+                    colour[v] = 1 - cw
+                    progress = True
+                elif cw is None and cv is not None:
+                    colour[w] = 1 - cv
+                    progress = True
+                elif cv is not None and cv == cw:
+                    conflict = True
             return progress
 
         with meter.scope(len(y_set)):
@@ -167,7 +167,7 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
         found = (
             _propagated_components(h, meter, X.members, y_set, y_mask)
             if low_mem
-            else _cached_components(h, meter, y_set)
+            else _cached_components(h, meter, X, y_set)
         )
         if found is None:
             return None

@@ -21,9 +21,11 @@ walk over positions into a class index: the member blocks as
 ascending member order, and per mask the stream positions of its outside
 blocks, read through `run_class_pass`; a pass over it visits the K member
 blocks and a few blocks per class, at most 2^K classes, not every block.
-`induced_edges` reads only the blocks of the vertices it keeps, and the
-family oracle buffers the graph a pass shows, in any model (an EA pass
-shows no vertex without an edge).
+The member masks also answer G[Y] for Y inside the members: `cover_edges`
+reads it in one class pass at O(K) per member of Y, whatever the degrees.
+`induced_edges` reads the blocks of the vertices it keeps, members or not,
+and the family oracle buffers the graph a pass shows, in any model (an EA
+pass shows no vertex without an edge).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import heapq
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import BadParams, BadPermutation, InvalidCover, MemoryBudgetExceeded, NotALModel
-from .graph import Edge, Graph, canonical_edge
+from .graph import Edge, Graph, VertexCover, canonical_edge
 from .meters import MemoryMeter, PassMeter
 
 EA = "EA"
@@ -90,6 +92,19 @@ class ClassIndex(NamedTuple):
         order, classes = self.order, self.classes
         merged = heapq.merge(*(classes.get(key, ()) for key in keys))
         return (v for v in map(order.__getitem__, merged) if v not in skip)
+
+    def member_edges(self, mask: int) -> Iterator[Edge]:
+        """The edges among the members whose bits are in `mask`, read off the
+        member masks.  Bits ascend with member id, so each edge comes out
+        canonical, from its lower member's mask."""
+        vertex_of = {bit: v for v, bit, _, _ in self.members if bit & mask}
+        for v, bit, m, _ in self.members:
+            if bit & mask:
+                higher = m & mask & -(bit << 1)  # mask's neighbours above v
+                while higher:
+                    low = higher & -higher
+                    yield v, vertex_of[low]
+                    higher ^= low
 
 
 def cover_bits(members: Iterable[int]) -> dict[int, int]:
@@ -204,26 +219,51 @@ def filtered_substream(h: StreamHandle, keep: Callable[[int], bool]) -> StreamHa
 
 def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int],
                   meter: MemoryMeter | None = None) -> frozenset[Edge]:
-    """Canonical edge set of G[vertices]: one pass on a handle, none on a
-    Graph.  With a meter, each edge is charged one word as it is found; if
-    the budget trips, the call releases what it charged."""
+    """Canonical edge set of G[vertices]: one pass on a handle, reading the
+    whole block of every kept vertex, none on a Graph.  With a meter, each
+    edge is charged one word as it is found; if the budget trips, the call
+    releases what it charged.  For vertices inside a cover, `cover_edges`
+    reads the same edges off the class index."""
     keep = frozenset(vertices)
     if isinstance(source, Graph):
-        return _edges_among(keep, source.neighbors, meter)
+        return _charged(_edges_among(keep, source.neighbors), meter)
     blocks = source.blocks
-    return source.run_pass(lambda: _edges_among(keep, lambda v: blocks.get(v, ()), meter))
+    return source.run_pass(
+        lambda: _charged(_edges_among(keep, lambda v: blocks.get(v, ())), meter))
 
 
-def _edges_among(keep: frozenset[int], nbrs_of: Callable[[int], Iterable[int]],
-                 meter: MemoryMeter | None) -> frozenset[Edge]:
+def cover_edges(source: StreamHandle | Graph, X: VertexCover, vertices: Iterable[int],
+                meter: MemoryMeter | None = None) -> frozenset[Edge]:
+    """`induced_edges` for vertices among X's members: on a handle, one class
+    pass reading the member masks of X's class index; on a Graph, the
+    in-memory path.  Charges and releases as `induced_edges` does."""
+    if isinstance(source, Graph):
+        return induced_edges(source, vertices, meter)
+    keep = frozenset(vertices)
+
+    def read(index: ClassIndex) -> frozenset[Edge]:
+        mask = sum(bit for v, bit, _, _ in index.members if v in keep)
+        return _charged(index.member_edges(mask), meter)
+
+    return source.run_class_pass(X.members, read)
+
+
+def _edges_among(keep: frozenset[int], nbrs_of: Callable[[int], Iterable[int]]) -> Iterator[Edge]:
+    for u in keep:
+        for w in nbrs_of(u):
+            if u < w and w in keep:
+                yield u, w
+
+
+def _charged(found: Iterable[Edge], meter: MemoryMeter | None) -> frozenset[Edge]:
+    """The edges of `found`, one word charged to `meter` as each arrives; on
+    a budget trip, what was charged is released before the error goes on."""
     edges: set[Edge] = set()
     try:
-        for u in keep:
-            for w in nbrs_of(u):
-                if u < w and w in keep:
-                    if meter is not None:
-                        meter.allocate(1)
-                    edges.add((u, w))
+        for edge in found:
+            if meter is not None:
+                meter.allocate(1)
+            edges.add(edge)
     except MemoryBudgetExceeded:
         meter.release(len(edges))
         raise

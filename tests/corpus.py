@@ -83,14 +83,16 @@ def reference_view(g: Graph, order, members) -> tuple[tuple[int, int, int, tuple
     """The per-block reference for a class index of `members`, recomputed
     from the graph: one (v, bit, mask, nbrs) per vertex of `order`, in that
     order, with v's own bit (0 outside `members`), N(v) & members as bits
-    over the sorted members, and v's neighbours by stream position."""
+    over the sorted members, and v's neighbours by stream position.  Where
+    `order` is a substream's, N(v) is taken inside it."""
     pos = {v: i for i, v in enumerate(order)}
     ranked = sorted(members)
     out = []
     for v in order:
-        mask = sum(1 << i for i, x in enumerate(ranked) if x in g.neighbors(v))
+        nbrs = [w for w in g.neighbors(v) if w in pos]
+        mask = sum(1 << i for i, x in enumerate(ranked) if x in nbrs)
         bit = 1 << ranked.index(v) if v in members else 0
-        out.append((v, bit, mask, tuple(sorted(g.neighbors(v), key=pos.__getitem__))))
+        out.append((v, bit, mask, tuple(sorted(nbrs, key=pos.__getitem__))))
     return tuple(out)
 
 

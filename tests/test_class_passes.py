@@ -6,6 +6,11 @@ class index, built from the graph and the stream's order.  A class pass
 must return the same value and make the same `deletions.add` calls in the
 same order, so a word budget trips at the same word, with the same message
 and live words.
+
+The `_frozen_*_solver` functions are the solvers that read G[Y] from the
+members' whole blocks through `induced_edges`, as they were.  A solver that
+reads it off the class index must give the same verdict, solution, passes
+and peak words, and trip where they trip.
 """
 
 from __future__ import annotations
@@ -14,13 +19,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import planted_covers, reference_view
+from vcstream.enumeration import AT_MOST, EXACTLY, cursor_values, subset_first
 from vcstream.errors import MemoryBudgetExceeded
+from vcstream.graph import canonical_edge, complete_graph, cycle_graph, path_graph
 from vcstream.meters import MemoryMeter, MeteredSet
-from vcstream.solve_cvd import _pair_scan, _phase1_pass, _phase2_pass
-from vcstream.solve_hfree import _find_pass
-from vcstream.solve_oct import _colour_pass, _propagated_components
+from vcstream.properties import ExplicitFamily, PatternGraph, vertex_minimal_members
+from vcstream.results import branch_on_cover
+from vcstream.solve_cvd import _p3_within, _pair_scan, _phase1_pass, _phase2_pass, solve_cvd
+from vcstream.solve_hfree import (
+    _branch_family,
+    _find_pass,
+    _placement_pairs,
+    _placements,
+    solve_pifree_explicit,
+)
+from vcstream.solve_oct import (
+    _colour_pass,
+    _first_colouring,
+    _propagated_components,
+    solve_oct_cc,
+)
 from vcstream.solve_oracle import compute_equivalence_classes
-from vcstream.streams import AL, cover_bits, make_stream
+from vcstream.streams import AL, cover_bits, filtered_substream, induced_edges, make_stream
 
 
 # --- frozen per-block consumers ------------------------------------------
@@ -181,6 +201,124 @@ def _frozen_equivalence_classes(h, Y, exclude, meter):
         meter.release(2 * len(counts))
         raise
     return dict(sorted(counts.items()))
+
+
+# --- frozen solvers that read G[Y] from the members' blocks ----------------
+
+def _frozen_cvd_cached_solver(h, X, ell, meter):
+    members = X.members
+    bits = cover_bits(members)
+
+    def branch(s_branch, y_set, meter):
+        deletions = MeteredSet(meter, s_branch)
+        cached_words = 0
+        try:
+            edge_bits = induced_edges(h, y_set, meter)
+            cached_words = len(edge_bits)
+            if _p3_within(y_set, edge_bits):
+                return None
+            y_sorted = tuple(sorted(y_set))
+            with meter.scope(2):
+                for y1, y2 in cursor_values(subset_first(y_sorted, 2, EXACTLY)):
+                    b1, b2 = bits[y1], bits[y2]
+                    pair_edge = (y1, y2) in edge_bits
+                    h.run_class_pass(
+                        members,
+                        lambda index: _phase1_pass(index, b1, b2, pair_edge, deletions, ell),
+                    )
+                    if len(deletions) > ell:
+                        return None
+            for y in y_sorted:
+                h.run_class_pass(
+                    members, lambda index: _phase2_pass(index, bits[y], deletions, ell)
+                )
+                if len(deletions) > ell:
+                    return None
+            return deletions.snapshot()
+        finally:
+            meter.release(cached_words)
+            deletions.close()
+
+    return branch_on_cover(h, X, ell, "solve_cvd", 3 * X.K, branch, meter)
+
+
+def _frozen_cached_components(h, meter, y_set):
+    edges = induced_edges(h, y_set, meter)
+    try:
+        adj = {v: set() for v in y_set}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        colour, comp, roots = {}, {}, []
+        for root in sorted(y_set):
+            if root in colour:
+                continue
+            roots.append(root)
+            colour[root] = 0
+            comp[root] = root
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w in adj[v]:
+                    if w not in colour:
+                        colour[w] = 1 - colour[v]
+                        comp[w] = root
+                        stack.append(w)
+                    elif colour[w] == colour[v]:
+                        return None
+        return roots, colour, comp
+    finally:
+        meter.release(len(edges))
+
+
+def _frozen_oct_cc_solver(h, X, ell, meter, low_mem):
+    bits = cover_bits(X.members)
+
+    def branch(s_branch, y_set, meter):
+        y_mask = sum(bits[v] for v in y_set)
+        found = (
+            _frozen_propagated_components(h, meter, X.members, y_set, y_mask)
+            if low_mem
+            else _frozen_cached_components(h, meter, y_set)
+        )
+        if found is None:
+            return None
+        roots, colour, comp = found
+        y1_masks = (
+            sum(bits[v] for v in y_set if colour[v] ^ (1 if comp[v] in flips else 0) == 0)
+            for flips in map(frozenset, cursor_values(subset_first(roots, len(roots), AT_MOST)))
+        )
+        with meter.scope(2 * len(y_set) + len(roots)):
+            return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)
+
+    return branch_on_cover(h, X, ell, "solve_oct_cc", 3 * X.K, branch, meter)
+
+
+def _frozen_check_h_in_y(source, H, Y):
+    pairs = _placement_pairs(H, tuple(range(H.h)))
+    for placement in _placements(tuple(sorted(Y)), H.h):
+        observed = induced_edges(source, placement)
+        if all((canonical_edge(placement[a], placement[b]) in observed) == want
+               for (a, b), want in pairs):
+            return True
+    return False
+
+
+def _frozen_pifree_solver(h, X, ell, f, meter):
+    ordered = tuple(sorted(vertex_minimal_members(f).members, key=lambda p: p.h))
+
+    def branch(s_branch, y_set, meter):
+        if any(_frozen_check_h_in_y(h, H, y_set) for H in ordered):
+            return None
+        deletions = MeteredSet(meter, s_branch)
+        try:
+            found = _branch_family(h, X, y_set, ordered, deletions, ell, meter)
+            return deletions.snapshot() if found else None
+        finally:
+            deletions.close()
+
+    words = 3 * X.K + sum(p.h * p.h + p.h for p in ordered)
+    return branch_on_cover(h, X, ell, "solve_pifree_explicit", words, branch, meter)
 
 
 # --- harness ---------------------------------------------------------------
@@ -346,3 +484,51 @@ def test_tally_matches_per_block(case, rnd):
     _agree(g, order,
            lambda h, d, m: _frozen_equivalence_classes(h, y_sorted, exclude, m),
            lambda h, d, m: compute_equivalence_classes(h, y_sorted, exclude, m))
+
+
+FAMILIES = [
+    ExplicitFamily((PatternGraph(path_graph(3)),)),
+    ExplicitFamily((PatternGraph(complete_graph(3)),)),
+    ExplicitFamily((PatternGraph(path_graph(4)), PatternGraph(cycle_graph(4)))),
+]
+SOLVERS = {
+    "cvd-cached": (lambda h, X, ell, m, f: solve_cvd(h, X, ell, m, cache_cover=True),
+                   lambda h, X, ell, m, f: _frozen_cvd_cached_solver(h, X, ell, m)),
+    "oct-cc": (lambda h, X, ell, m, f: solve_oct_cc(h, X, ell, m),
+               lambda h, X, ell, m, f: _frozen_oct_cc_solver(h, X, ell, m, False)),
+    "oct-cc-low-mem": (lambda h, X, ell, m, f: solve_oct_cc(h, X, ell, m, low_mem=True),
+                       lambda h, X, ell, m, f: _frozen_oct_cc_solver(h, X, ell, m, True)),
+    "pifree": (lambda h, X, ell, m, f: solve_pifree_explicit(h, X, ell, f, None, m),
+               lambda h, X, ell, m, f: _frozen_pifree_solver(h, X, ell, f, m)),
+}
+
+
+def _solve_outcome(g, order, keep, solve, budget=None):
+    """`solve(handle, meter)` on a fresh substream of the kept vertices: the
+    verdict, solution, passes and peak words; or, on a budget trip, the
+    message, live words and passes."""
+    h = filtered_substream(make_stream(g, AL, order), keep.__contains__)
+    meter = MemoryMeter(budget)
+    try:
+        out = solve(h, meter)
+        return ("ok", out.verdict, out.solution, out.passes, out.peak_words)
+    except MemoryBudgetExceeded as exc:
+        return ("trip", str(exc), meter.live_words, h.pass_meter.passes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_covers(max_n=24, max_k=5), RANDOMS, st.integers(0, 2),
+       st.sampled_from(sorted(SOLVERS)), st.sampled_from(FAMILIES))
+def test_cover_reading_solvers_match_block_reading(case, rnd, ell, name, family):
+    g, X, order = case
+    # a substream that drops some outside vertices, so X still covers it
+    keep = frozenset(v for v in range(g.n) if v in X.member_set() or rnd.random() < 0.8)
+    current, frozen = SOLVERS[name]
+    expected = _solve_outcome(g, order, keep, lambda h, m: frozen(h, X, ell, m, family))
+    assert _solve_outcome(g, order, keep,
+                          lambda h, m: current(h, X, ell, m, family)) == expected
+    peak = expected[-1]
+    for budget in {peak - 1, rnd.randint(0, peak)} - {-1}:
+        assert (_solve_outcome(g, order, keep, lambda h, m: current(h, X, ell, m, family), budget)
+                == _solve_outcome(g, order, keep, lambda h, m: frozen(h, X, ell, m, family),
+                                  budget))

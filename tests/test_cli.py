@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from corpus import BAD_INSTANCES
 
+import vcstream
 from vcstream import cli
 from vcstream.brute import OCT_LIMIT, PI_FREE_LIMIT
 from vcstream.cli import main
@@ -79,6 +85,33 @@ def test_bad_instance_exit_3(tmp_path, capsys, text):
     assert main(["solve", str(inst), "--problem", "cvd"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("bad", ["instance", "family"])
+def test_non_utf8_input_exit_3(tmp_path, capsys, bad):
+    inst = write_p3(tmp_path, ell=1)
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe")
+    argv = (["solve", str(path), "--problem", "cvd"] if bad == "instance"
+            else ["solve", inst, "--problem", "hfree", "--pattern", str(path)])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("ell, argv, code", [
+    (1, ["solve", "{inst}", "--problem", "cvd"], 0),
+    (0, ["solve", "{inst}", "--problem", "cvd"], 1),
+    (1, ["--bogus"], 2),
+], ids=["yes", "no", "bogus"])
+def test_python_dash_m_exit_codes(tmp_path, ell, argv, code):
+    inst = write_p3(tmp_path, ell)
+    src = Path(vcstream.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "vcstream", *(a.format(inst=inst) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == code, run.stderr
 
 
 def test_verify_agreement(tmp_path, capsys):

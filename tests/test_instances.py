@@ -22,6 +22,7 @@ from vcstream.instances import (
     format_instance,
     gen_double_fan,
     gen_planted,
+    load_family,
     load_instance,
     parse_family,
     parse_instance,
@@ -37,6 +38,14 @@ def test_round_trip_smallest():
     inst = parse_instance(text)
     assert inst.graph == g and inst.cover.members == (1,) and inst.ell == 1
     assert format_instance(inst.graph, inst.cover, inst.ell, inst.comments) == text
+
+
+@pytest.mark.parametrize("load", [load_instance, load_family], ids=["vcs", "fam"])
+def test_non_utf8_file_is_parse_error(tmp_path, load):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load(path)
 
 
 def test_round_trip_file(tmp_path):

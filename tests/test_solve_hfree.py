@@ -46,20 +46,22 @@ def stream(g, order=None):
 
 def test_check_examples():
     tri = complete_graph(3)
-    assert check_h_in_y(tri, K3, {0, 1, 2})
-    assert not check_h_in_y(tri, P3, {0, 1, 2})
-    assert check_h_in_y(stream(tri), K3, {0, 1, 2})
-    assert not check_h_in_y(stream(tri), P3, {0, 1, 2})
+    X = VertexCover.validated(tri, [0, 1, 2])
+    assert check_h_in_y(tri, X, K3, {0, 1, 2})
+    assert not check_h_in_y(tri, X, P3, {0, 1, 2})
+    assert check_h_in_y(stream(tri), X, K3, {0, 1, 2})
+    assert not check_h_in_y(stream(tri), X, P3, {0, 1, 2})
 
 
 def test_check_agrees_with_matcher():
     for g in atlas_graphs(2, 5)[::2]:
         for cover in all_covers(g, 4)[:5]:
+            X = VertexCover.validated(g, cover)
             for H in (P3, C4):
                 sub, _ = g.induced(cover)
                 expected = is_induced_subgraph(sub, H)
-                assert check_h_in_y(g, H, set(cover)) == expected
-                assert check_h_in_y(stream(g), H, set(cover)) == expected
+                assert check_h_in_y(g, X, H, set(cover)) == expected
+                assert check_h_in_y(stream(g), X, H, set(cover)) == expected
 
 
 def test_find_h_examples():
@@ -95,9 +97,10 @@ def test_check_h_in_y_pass_count():
     absent = 0
     for g in atlas_graphs(3, 6)[::3]:
         for cover in all_covers(g, 5)[-3:]:
+            X = VertexCover.validated(g, cover)
             for H in PATTERNS:
                 handle = stream(g)
-                if check_h_in_y(handle, H, set(cover)):
+                if check_h_in_y(handle, X, H, set(cover)):
                     continue
                 assert handle.pass_meter.passes == comb(len(cover), H.h) * factorial(H.h)
                 absent += len(cover) >= H.h
@@ -186,7 +189,7 @@ def test_find_h_completeness():
             X = VertexCover.validated(g, cover)
             y = set(cover)
             for H in (P3, K3):
-                if check_h_in_y(g, H, y):
+                if check_h_in_y(g, X, H, y):
                     continue
                 if any(find_h(g, X, set(), y, i, H) for i in range(1, H.h + 1)):
                     continue

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import atlas_graphs
+from corpus import atlas_graphs, planted_covers
 from vcstream.brute import _occurs_induced
 from vcstream.errors import MemoryBudgetExceeded
 from vcstream.graph import (
@@ -34,6 +34,7 @@ from vcstream.streams import (
     PASS_END_EVENT,
     VA,
     cover_bits,
+    cover_edges,
     edge_event,
     filtered_substream,
     induced_edges,
@@ -145,6 +146,67 @@ def test_induced_edges_charge_each_edge_as_found():
     meter = MemoryMeter()
     assert len(induced_edges(h, range(5), meter)) == 10
     assert (meter.live_words, meter.peak_words) == (10, 10)
+
+
+def covered_sources(g, order, rnd):
+    """A handle of `g` in `order`, a substream of it without a random part
+    (cover members included), and one nested in that."""
+    h = make_stream(g, AL, order)
+    outer = frozenset(v for v in range(g.n) if rnd.random() < 0.8)
+    sub = filtered_substream(h, outer.__contains__)
+    inner = frozenset(v for v in outer if rnd.random() < 0.8)
+    return h, sub, filtered_substream(sub, inner.__contains__)
+
+
+def member_subsets(X):
+    return [frozenset(x for i, x in enumerate(X.members) if mask >> i & 1)
+            for mask in range(1 << X.K)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_covers(max_n=40, max_k=5), st.randoms(use_true_random=False))
+def test_cover_edges_equal_induced_edges_for_every_y(case, rnd):
+    g, X, order = case
+    for y in member_subsets(X):
+        assert cover_edges(g, X, y) == induced_edges(g, y) == graph_edges_among(g, y)
+        for source in covered_sources(g, order, rnd):
+            before = source.pass_meter.passes
+            by_blocks, by_masks = MemoryMeter(), MemoryMeter()
+            expected = induced_edges(source, y, by_blocks)
+            assert cover_edges(source, X, y, by_masks) == expected
+            assert source.pass_meter.passes - before == 2
+            assert (by_masks.live_words, by_masks.peak_words) == (len(expected), len(expected))
+
+
+def _charged_outcome(read, prefill, budget):
+    """`read(meter)` with `prefill` words live, under `budget`: the edges,
+    live and peak words; or, on a trip, the message and live words."""
+    meter = MemoryMeter(budget)
+    meter.allocate(prefill)
+    try:
+        return ("ok", read(meter), meter.live_words, meter.peak_words)
+    except MemoryBudgetExceeded as exc:
+        return ("trip", str(exc), meter.live_words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_covers(max_n=40, max_k=5), st.randoms(use_true_random=False),
+       st.integers(0, 3))
+def test_cover_edges_trip_where_induced_edges_trip(case, rnd, prefill):
+    g, X, order = case
+    y = rnd.choice(member_subsets(X))
+    for source in covered_sources(g, order, rnd):
+        peak = prefill + len(induced_edges(source, y))
+        for budget in range(prefill, peak + 1):
+            before = source.pass_meter.passes
+            expected = _charged_outcome(lambda m: induced_edges(source, y, m), prefill, budget)
+            middle = source.pass_meter.passes
+            got = _charged_outcome(lambda m: cover_edges(source, X, y, m), prefill, budget)
+            assert got == expected
+            assert source.pass_meter.passes - middle == middle - before == 1
+            assert (got[0] == "trip") == (budget < peak)
+            if budget < peak:
+                assert got[2] == prefill
 
 
 def test_residual_equals_induced_graph_on_survivors():
