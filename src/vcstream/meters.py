@@ -12,8 +12,6 @@ the first word past it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from .errors import MemoryBudgetExceeded, MeterUnderflow
 
 
@@ -63,16 +61,29 @@ class MemoryMeter:
         if self.live_words < 0:
             raise MeterUnderflow("released more words than allocated")
 
-    @contextmanager
-    def scope(self, words: int):
-        self.allocate(words)
-        try:
-            yield
-        finally:
-            self.release(words)
+    def scope(self, words: int) -> "MeterScope":
+        """`with meter.scope(words):` holds `words` for the body."""
+        return MeterScope(self, words)
 
     def __repr__(self) -> str:
         return f"MemoryMeter(live={self.live_words}, peak={self.peak_words})"
+
+
+class MeterScope:
+    """Allocates its words on entry and releases them on exit, whatever the
+    body raises; a budget trip on entry charges nothing."""
+
+    __slots__ = ("meter", "words")
+
+    def __init__(self, meter: MemoryMeter, words: int):
+        self.meter = meter
+        self.words = words
+
+    def __enter__(self) -> None:
+        self.meter.allocate(self.words)
+
+    def __exit__(self, *exc) -> None:
+        self.meter.release(self.words)
 
 
 class MeteredSet:

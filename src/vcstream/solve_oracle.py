@@ -11,7 +11,10 @@ substream is re-generated on the fly.
 
 from __future__ import annotations
 
-from .enumeration import AT_MOST, cursor_values, multiset_first, subset_first, subset_next
+from dataclasses import replace
+from itertools import islice
+
+from .enumeration import AT_MOST, cursor_values, multiset_first, subset_first
 from .errors import BadParams, MemoryBudgetExceeded, OracleFault
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -97,7 +100,7 @@ def _checked_answer(oracle: StreamOracle, sub: StreamHandle,
 def _call_oracle(h: StreamHandle, oracle: StreamOracle, keep: frozenset[int],
                  meter: MemoryMeter | None) -> bool:
     """Run the oracle on the induced substream of `keep`."""
-    return _checked_answer(oracle, filtered_substream(h, keep.__contains__), meter)
+    return _checked_answer(oracle, filtered_substream(h, keep), meter)
 
 
 def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
@@ -192,6 +195,7 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         raise BadParams(f"variant {variant!r} needs a {want_kind} oracle")
     cover_set = X.member_set()
     outside = tuple(v for v in range(h.source.n) if v not in cover_set)
+    first = subset_first(outside, min(nu, len(outside)), AT_MOST)
 
     def branch(s_branch, y_set, meter):
         def is_free(i_part: tuple[int, ...]) -> bool:
@@ -200,28 +204,21 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
             return not _any_subset_hit(h, oracle, tuple(sorted(y_set)),
                                        max(0, nu - len(i_part)), frozenset(i_part), meter)
 
-        def search(deletions: MeteredSet, cursor):
-            cursor = (
-                subset_first(outside, min(nu, len(outside)), AT_MOST)
-                if cursor is None
-                else subset_next(cursor)
-            )
-            while not cursor.at_end:
-                i_part = cursor.current
+        def search(deletions: MeteredSet, walk):
+            for i_part in walk:
                 if any(v in deletions for v in i_part):
-                    cursor = subset_next(cursor)
                     continue
                 with meter.scope(nu):
                     free = is_free(i_part)
                 if free:
-                    cursor = subset_next(cursor)
                     continue
                 if len(deletions) >= ell:
                     return None
+                resume = replace(first, current=i_part)
                 for v in i_part:
                     deletions.add(v)
                     with meter.scope(nu + 1):  # saved branch set along the path
-                        found = search(deletions, cursor)
+                        found = search(deletions, islice(cursor_values(resume), 1, None))
                     if found is not None:
                         return found
                     deletions.discard(v)
@@ -232,7 +229,7 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
             return None
         deletions = MeteredSet(meter, s_branch)
         try:
-            return search(deletions, None)
+            return search(deletions, cursor_values(first))
         finally:
             deletions.close()
 
@@ -246,7 +243,7 @@ def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> Stre
     oracle's own pass over the substream is charged for."""
     index = h.class_index(cover)
     gone = frozenset(drop_cover).union(_first_members(index, picks, cover, ()))
-    return filtered_substream(h, lambda v: v not in gone)
+    return filtered_substream(h, [v for v in index.order if v not in gone])
 
 
 def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,

@@ -115,7 +115,8 @@ def cover_bits(members: Iterable[int]) -> dict[int, int]:
 class StreamHandle:
     """Replayable, single-consumer view of a graph in one arrival model."""
 
-    __slots__ = ("source", "model", "blocks", "pass_meter", "_index_members", "_index")
+    __slots__ = ("source", "model", "blocks", "pass_meter", "_index_members", "_index",
+                 "_positions")
 
     def __init__(self, source: Graph, model: str, blocks: Blocks, pass_meter: PassMeter):
         self.source = source
@@ -124,6 +125,7 @@ class StreamHandle:
         self.pass_meter = pass_meter
         self._index_members: tuple[int, ...] | None = None
         self._index: ClassIndex | None = None
+        self._positions: dict[int, int] | None = None
 
     def events(self) -> Iterator[StreamEvent]:
         """One pass worth of events; does not touch the pass meter."""
@@ -183,6 +185,13 @@ class StreamHandle:
                                      tuple(member_positions), classes, covers)
         return self._index
 
+    def positions(self) -> dict[int, int]:
+        """Each vertex's stream position, built on first use and kept; like
+        the class index, it is stream machinery, not a pass."""
+        if self._positions is None:
+            self._positions = {v: pos for pos, v in enumerate(self.blocks)}
+        return self._positions
+
     def require_cover(self, members: Iterable[int]) -> None:
         """Raise InvalidCover unless `members` cover the handle's graph, read
         off the class index; no pass."""
@@ -211,10 +220,17 @@ def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> Str
     return StreamHandle(g, model, blocks, PassMeter())
 
 
-def filtered_substream(h: StreamHandle, keep: Callable[[int], bool]) -> StreamHandle:
-    """Induced-subgraph view of `h` on {v : keep(v)}; passes charge h's meter."""
-    blocks = {v: tuple(filter(keep, nbrs)) for v, nbrs in h.blocks.items() if keep(v)}
-    return StreamHandle(h.source, h.model, blocks, h.pass_meter)
+def filtered_substream(h: StreamHandle, vertices: Iterable[int]) -> StreamHandle:
+    """Induced-subgraph view of `h` on `vertices` (those not in `h` are
+    ignored), in any order: blocks for the kept vertices only, put in stream
+    order by `h.positions()`, each keeping its kept neighbours in stream
+    order.  Passes charge h's meter."""
+    keep = frozenset(vertices)
+    position, blocks = h.positions(), h.blocks
+    kept = sorted(filter(position.__contains__, keep), key=position.__getitem__)
+    return StreamHandle(h.source, h.model,
+                        {v: tuple(filter(keep.__contains__, blocks[v])) for v in kept},
+                        h.pass_meter)
 
 
 def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int],

@@ -507,7 +507,7 @@ def _solve_outcome(g, order, keep, solve, budget=None):
     """`solve(handle, meter)` on a fresh substream of the kept vertices: the
     verdict, solution, passes and peak words; or, on a budget trip, the
     message, live words and passes."""
-    h = filtered_substream(make_stream(g, AL, order), keep.__contains__)
+    h = filtered_substream(make_stream(g, AL, order), keep)
     meter = MemoryMeter(budget)
     try:
         out = solve(h, meter)

@@ -140,7 +140,7 @@ def _frozen_low_rank_reduce_str(h, X, ell, c, meter):
 
             kept = cover_set | set(kept_outside)
             # the kernel's AL events, each edge kept at its first sight
-            sub = filtered_substream(h, kept.__contains__)
+            sub = filtered_substream(h, kept)
             out_events = sub.run_pass(lambda: list(sub.events()))
             out_edges = list(
                 dict.fromkeys((ev.u, ev.v) for ev in out_events if ev.kind == EDGE)

@@ -224,7 +224,7 @@ def test_output_stream_is_al_of_kernel():
     h = make_stream(g, AL, random.Random(2).sample(range(g.n), g.n))
     out = low_rank_reduce_str(h, X, 2, 1)
     kept = set(out.kept_vertices)
-    edge_events = [(e.u, e.v) for e in filtered_substream(h, kept.__contains__).events()
+    edge_events = [(e.u, e.v) for e in filtered_substream(h, kept).events()
                    if e.kind == "edge"]
     # the kernel's AL stream shows every edge twice; each is emitted once, at
     # its first sight

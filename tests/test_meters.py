@@ -58,6 +58,45 @@ def test_scope_restores_on_error():
     assert m.peak_words == 7
 
 
+def test_scope_trip_on_entry_leaves_meter_as_it_was():
+    m = MemoryMeter(budget_words=5)
+    m.allocate(3)
+    m.release(1)
+    with pytest.raises(MemoryBudgetExceeded, match="live 6 words exceeds budget 5"):
+        with m.scope(4):
+            pytest.fail("the body runs only after the scope's words are charged")
+    assert (m.live_words, m.peak_words) == (2, 3)
+
+
+def test_nested_scopes():
+    m = MemoryMeter()
+    with m.scope(2):
+        with m.scope(3), m.scope(1):
+            assert m.live_words == 6
+        assert m.live_words == 2
+        with m.scope(0):
+            assert m.live_words == 2
+    assert (m.live_words, m.peak_words) == (0, 6)
+
+
+def test_scope_releases_after_budget_trip_in_body():
+    m = MemoryMeter(budget_words=5)
+    with pytest.raises(MemoryBudgetExceeded):
+        with m.scope(4):
+            m.allocate(2)
+    assert (m.live_words, m.peak_words) == (0, 4)
+
+
+def test_scope_never_entered_charges_nothing():
+    m = MemoryMeter(budget_words=1)
+    scope = m.scope(5)
+    assert (m.live_words, m.peak_words) == (0, 0)
+    with pytest.raises(MemoryBudgetExceeded):
+        with scope:
+            pass
+    assert (m.live_words, m.peak_words) == (0, 0)
+
+
 def test_metered_set():
     m = MemoryMeter()
     s = MeteredSet(m, [1, 2])

@@ -147,26 +147,48 @@ def test_filtered_equals_induced_stream(model):
         h = make_stream(g, model, order)
         for mask in range(1 << g.n):
             keep = {v for v in range(g.n) if mask >> v & 1}
-            got = [tuple(e) for e in filtered_substream(h, keep.__contains__).events()]
+            got = [tuple(e) for e in filtered_substream(h, keep).events()]
             assert got == _induced_reference_events(g, model, order, keep)
 
 
 def test_filtered_identity_and_example():
     g = complete_graph(3)
     h = make_stream(g, AL)
-    assert ev_tuples(filtered_substream(h, lambda v: True)) == ev_tuples(h)
-    sub = filtered_substream(h, {0, 2}.__contains__)
+    assert ev_tuples(filtered_substream(h, range(g.n))) == ev_tuples(h)
+    sub = filtered_substream(h, {0, 2})
     assert [t for t in ev_tuples(sub) if t[0] == EDGE] == [(EDGE, 0, 2), (EDGE, 0, 2)]
 
 
 def test_filtered_charges_parent_meter():
     h = make_stream(path_graph(4), AL)
-    sub = filtered_substream(h, {0, 1}.__contains__)
+    sub = filtered_substream(h, {0, 1})
     sub.run_pass(lambda: None)
     assert h.pass_meter.passes == 1
-    nested = filtered_substream(sub, {0}.__contains__)
+    nested = filtered_substream(sub, {0})
     nested.run_pass(lambda: None)
     assert h.pass_meter.passes == 2
+
+
+@pytest.mark.parametrize("model", [AL, EA, VA])
+def test_filtered_takes_vertices_in_any_order(model):
+    """The kept vertices may come in any order, and with vertices the handle
+    lacks: the blocks are the kept ones, in stream order, on a shuffled-order
+    stream and on a substream nested in one."""
+    rng = random.Random(5)
+    for g in atlas_graphs(2, 6)[::5]:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        h = make_stream(g, model, order)
+        keep = [v for v in order if rng.random() < 0.7]
+        inner = [v for v in keep if rng.random() < 0.7]
+        dropped = [v for v in order if v not in keep]
+        for given in (keep[::-1], rng.sample(keep, len(keep))):
+            sub = filtered_substream(h, given)
+            assert list(sub.blocks) == keep
+            assert ev_tuples(sub) == _induced_reference_events(g, model, order, set(keep))
+            nested = filtered_substream(sub, inner[::-1] + dropped)
+            assert list(nested.blocks) == inner
+            assert ev_tuples(nested) == _induced_reference_events(g, model, order, set(inner))
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,7 +276,7 @@ def test_class_index_of_filtered_substream():
         rng.shuffle(order)
         h = make_stream(g, AL, order)
         keep = set(rng.sample(range(g.n), rng.randint(0, g.n)))
-        sub = filtered_substream(h, keep.__contains__)
+        sub = filtered_substream(h, keep)
         members = [v for v in range(g.n) if v % 2 == 0]
         sub_g, old = g.induced(keep)
         induced = Graph(g.n, [(old[u], old[v]) for u, v in sub_g.edges])
