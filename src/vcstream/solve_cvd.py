@@ -101,24 +101,22 @@ def _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover):
 
 def _phase1_pass(index, b1, b2, pair_edge, deletions, ell):
     """Delete, in stream order, the outside vertices that a P3 with the pair
-    (bits b1, b2) forces out, while at most ell are deleted."""
+    (bits b1, b2) forces out, until more than ell are deleted."""
     pair = b1 | b2
     seen = (b1, b2) if pair_edge else (pair,)  # what a forced vertex sees of the pair
-    for v in index.outside([m for m in index.classes if (m & pair) in seen], deletions):
-        if len(deletions) > ell:
-            return
-        deletions.add(v)
+    keys = [m for m in index.classes if (m & pair) in seen]
+    order = index.order
+    for pos in index.first(keys, ell + 1 - len(deletions), deletions):
+        deletions.add(order[pos])
 
 
 def _phase2_pass(index, by, deletions, ell):
     """Keep y's first outside neighbour in stream order and delete the rest,
-    while at most ell are deleted."""
-    later = index.outside([m for m in index.classes if m & by], deletions)
-    next(later, None)
-    for v in later:
-        if len(deletions) > ell:
-            return
-        deletions.add(v)
+    until more than ell are deleted."""
+    keys = [m for m in index.classes if m & by]
+    order = index.order
+    for pos in index.first(keys, ell + 2 - len(deletions), deletions)[1:]:
+        deletions.add(order[pos])
 
 
 def _p3_within(y_set, edge_bits):

@@ -13,8 +13,7 @@ keeps each recursion frame at O(1) words.
 
 from __future__ import annotations
 
-import heapq
-from itertools import combinations, islice
+from itertools import combinations
 
 from .enumeration import EXACTLY, cursor_values, permutation_first, subset_first
 from .errors import BadI, NotALModel, PreconditionViolated
@@ -147,15 +146,13 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     roles_of: dict[int, list[int]] = {}  # wanted profile -> its role indices
     for role_idx, req in enumerate(reqs):
         roles_of.setdefault(sum(bits[v] for v in req), []).append(role_idx)
-    classes_of: dict[int, list] = {}  # wanted profile -> the classes showing it
-    for m, positions in index.classes.items():
+    keys_of: dict[int, list[int]] = {}  # wanted profile -> the classes showing it
+    for m in index.classes:
         if (m & placed_mask) in roles_of:
-            classes_of.setdefault(m & placed_mask, []).append(positions)
-    order = index.order
+            keys_of.setdefault(m & placed_mask, []).append(m)
     assigned: list[tuple[int, int]] = []  # (stream position, role index)
     for profile, roles in roles_of.items():
-        merged = heapq.merge(*classes_of.get(profile, ()))
-        found = list(islice((pos for pos in merged if order[pos] not in s_set), len(roles)))
+        found = index.first(keys_of.get(profile, ()), len(roles), s_set)
         if len(found) < len(roles):
             return ()
         assigned += zip(found, roles)
@@ -163,6 +160,7 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     for (a, b), want in pairs:
         if bool(placed_nbrs[placed[a]] & placed[b]) != want:
             return ()
+    order = index.order
     return tuple((order[pos], role) for pos, role in sorted(assigned))
 
 

@@ -28,10 +28,11 @@ def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
         for _, bit, m, _ in index.members:
             if bit & y_mask and m & (y1_mask if bit & y1_mask else y2_mask):
                 success = False
-    for v in index.outside([m for m in index.classes if m & y1_mask and m & y2_mask]):
+    order = index.order
+    for pos in index.first([m for m in index.classes if m & y1_mask and m & y2_mask], ell + 1):
         if len(deletions) >= ell:
             return False
-        deletions.add(v)
+        deletions.add(order[pos])
     return success
 
 

@@ -194,7 +194,7 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     if oracle.kind != want_kind:
         raise BadParams(f"variant {variant!r} needs a {want_kind} oracle")
     cover_set = X.member_set()
-    outside = tuple(v for v in range(h.source.n) if v not in cover_set)
+    outside = tuple(sorted(v for v in h.blocks if v not in cover_set))
     first = subset_first(outside, min(nu, len(outside)), AT_MOST)
 
     def branch(s_branch, y_set, meter):

@@ -16,11 +16,13 @@ charging its passes to the parent's meter.
 Given a vertex cover X, an outside vertex is fully described by N(v) & X,
 and outside vertices with one such mask are twins.  So an AL handle ORs
 each member's bit into its neighbours' masks, then groups the blocks in one
-walk over positions into a class index: the member blocks as
-(v, bit, mask, nbrs) tuples, where `mask` holds N(v) & members as bits in
-ascending member order, and per mask the stream positions of its outside
+walk over positions, one lookup each, into a class index: the member blocks
+as (v, bit, mask, nbrs) tuples, where `mask` holds N(v) & members as bits
+in ascending member order, and per mask the stream positions of its outside
 blocks, read through `run_class_pass`; a pass over it visits the K member
 blocks and a few blocks per class, at most 2^K classes, not every block.
+A pass that deletes or matches outside vertices takes the first few of its
+chosen classes with `ClassIndex.first`, never more than its loop can use.
 The member masks also answer G[Y] for Y inside the members: `cover_edges`
 reads it in one class pass at O(K) per member of Y, whatever the degrees.
 `induced_edges` reads the blocks of the vertices it keeps, members or not,
@@ -30,7 +32,7 @@ pass shows no vertex without an edge).
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import BadParams, BadPermutation, InvalidCover, MemoryBudgetExceeded, NotALModel
@@ -77,6 +79,7 @@ class ClassIndex(NamedTuple):
     """A stream's blocks grouped by a member set X: the vertex at each stream
     position, the member blocks and their positions, and per mask the stream
     positions of the outside blocks whose N(v) & X it is; positions ascend.
+    `first` takes the first few outside vertices of chosen classes.
     `covers` says whether the members cover the handle's graph: every
     outside block's neighbours are all members."""
 
@@ -86,12 +89,28 @@ class ClassIndex(NamedTuple):
     classes: dict[int, list[int]]
     covers: bool
 
-    def outside(self, keys: Iterable[int], skip: Container[int] = ()) -> Iterator[int]:
-        """The outside vertices not in `skip` of the classes `keys`, in
-        stream order; `skip` is read as the walk reaches each vertex."""
-        order, classes = self.order, self.classes
-        merged = heapq.merge(*(classes.get(key, ()) for key in keys))
-        return (v for v in map(order.__getitem__, merged) if v not in skip)
+    def first(self, keys: Iterable[int], count: int, skip: Container[int] = ()) -> list[int]:
+        """The stream positions of the first `count` outside vertices not in
+        `skip` of the classes `keys`, ascending.  No class gives more than
+        `count` of them, so a short take per class and one sort do."""
+        if count <= 0:
+            return []
+        order, get = self.order, self.classes.get
+        taken: list[int] = []
+        if not skip:
+            for key in keys:
+                taken += get(key, ())[:count]
+        else:
+            for key in keys:
+                want = count
+                for pos in get(key, ()):
+                    if order[pos] not in skip:
+                        taken.append(pos)
+                        want -= 1
+                        if not want:
+                            break
+        taken.sort()
+        return taken[:count]
 
     def member_edges(self, mask: int) -> Iterator[Edge]:
         """The edges among the members whose bits are in `mask`, read off the
@@ -153,36 +172,36 @@ class StreamHandle:
 
     def class_index(self, members: Iterable[int]) -> ClassIndex:
         """The class index of `members`, built from the member blocks and one
-        walk over positions.  Only the index of the last `members` is kept;
+        walk over positions that files each member alone, under -bit, until
+        it is popped.  Only the index of the last `members` is kept;
         building it is not a pass."""
         if self.model != AL:
             raise NotALModel("the class index requires an AL stream")
         key = tuple(sorted(members))
         if key != self._index_members:
-            bit_of = cover_bits(key)
-            masks = dict.fromkeys(self.blocks, 0)  # v -> N(v) & members, from the member side
-            for x, bit in bit_of.items():
-                for w in self.blocks.get(x, ()):
+            blocks = self.blocks
+            masks = dict.fromkeys(blocks, 0)  # v -> N(v) & members, from the member side
+            bits = [(x, bit) for x, bit in cover_bits(key).items() if x in blocks]
+            for x, bit in bits:
+                for w in blocks[x]:
                     masks[w] |= bit
-            member_blocks: list[CoverBlock] = []
-            member_positions: list[int] = []
-            classes: dict[int, list[int]] = {}
-            covers = True
-            for pos, ((v, nbrs), mask) in enumerate(zip(self.blocks.items(), masks.values())):
-                bit = bit_of.get(v, 0)
-                if bit:
-                    member_blocks.append((v, bit, mask, nbrs))
-                    member_positions.append(pos)
-                    continue
-                positions = classes.get(mask)
-                if positions is None:
-                    positions = classes[mask] = []
-                positions.append(pos)
-                if covers and len(nbrs) != mask.bit_count():
-                    covers = False
+            member_masks = [masks[x] for x, _ in bits]
+            for x, bit in bits:
+                masks[x] = -bit
+            grouped: defaultdict[int, list[int]] = defaultdict(list)
+            for pos, mask in enumerate(masks.values()):
+                grouped[mask].append(pos)
+            filed = sorted((grouped.pop(-bit)[0], x, bit, mask)
+                           for (x, bit), mask in zip(bits, member_masks))
+            # Blocks are symmetric, so the outside blocks' total length is the
+            # edges from members to outside vertices exactly when they cover.
+            member_len = sum(len(blocks[x]) for x, _ in bits)
+            to_outside = member_len - sum(mask.bit_count() for mask in member_masks)
+            covers = sum(map(len, blocks.values())) - member_len == to_outside
             self._index_members = key
-            self._index = ClassIndex(tuple(self.blocks), tuple(member_blocks),
-                                     tuple(member_positions), classes, covers)
+            self._index = ClassIndex(tuple(blocks),
+                                     tuple((x, bit, mask, blocks[x]) for _, x, bit, mask in filed),
+                                     tuple(pos for pos, _, _, _ in filed), dict(grouped), covers)
         return self._index
 
     def positions(self) -> dict[int, int]:

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 from corpus import planted_covers, twin_classes
 from vcstream.brute import PI_FREE_LIMIT, brute_min_deletion
 from vcstream.graph import Graph, VertexCover, complete_graph, cycle_graph, path_graph
+from vcstream.instances import PlantedSpec, gen_planted
 from vcstream.properties import ExplicitFamily, family_oracle, is_induced_subgraph
 from vcstream.solve_hfree import solve_pifree_explicit
 from vcstream.solve_oracle import solve_equivclass_enum, solve_with_a1, solve_with_a2
-from vcstream.streams import AL, make_stream
+from vcstream.streams import AL, filtered_substream, make_stream
 
 FAMILIES = {
     "P3": ExplicitFamily.from_graphs([path_graph(3)]),
@@ -107,3 +108,22 @@ def test_a1_deletes_twins_to_40(fam, case, ell, rnd):
        ell=st.integers(0, 4), rnd=st.randoms(use_true_random=False))
 def test_ecenum_to_ell_k(fam, case, ell, rnd):
     _check_route("ecenum", fam, case, ell, rnd)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_a2_on_substream_matches_fresh_stream(ell):
+    # a2 takes its outside vertices from the blocks it is given: on a
+    # substream kept to X plus 4 outside vertices it must run exactly as on
+    # a fresh stream of the induced graph, whose ids keep the same order
+    family = FAMILIES["P4C4"]
+    for seed in range(60):
+        g, X = gen_planted(PlantedSpec(n=12, k=3, edge_prob=0.5, seed=seed))
+        outside = [v for v in range(g.n) if v not in X.member_set()]
+        keep = set(X.members).union(random.Random(seed).sample(outside, 4))
+        sub_g, old = g.induced(keep)
+        new = {v: i for i, v in enumerate(old)}
+        a = ROUTES["a2"](filtered_substream(make_stream(g, AL), keep), X, ell, family)
+        b = ROUTES["a2"](make_stream(sub_g, AL), VertexCover(tuple(new[x] for x in X.members)),
+                         ell, family)
+        assert (a.verdict, a.passes, a.peak_words) == (b.verdict, b.passes, b.peak_words)
+        assert sorted(old[v] for v in b.solution) == sorted(a.solution)

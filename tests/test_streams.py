@@ -288,14 +288,47 @@ def test_class_index_of_filtered_substream():
 
 @settings(max_examples=200, deadline=None)
 @given(planted_covers(max_n=40, max_k=5), st.data())
-def test_outside_walks_chosen_classes_in_stream_order(case, data):
+def test_first_takes_chosen_classes_in_stream_order(case, data):
     g, X, order = case
     members = data.draw(st.sampled_from([X.members, tuple(range(0, g.n, 3))]))
-    keys = data.draw(st.sets(st.integers(0, (1 << len(members)) - 1)))
+    # keys past the members' masks name no class
+    keys = data.draw(st.sets(st.integers(0, (2 << len(members)) - 1)))
     skip = data.draw(st.sets(st.integers(0, g.n - 1)))
+    count = data.draw(st.integers(-1, g.n + 1))
     index = make_stream(g, AL, order).class_index(members)
-    expected = [v for v, bit, m, _ in reference_view(g, order, members)
-                if not bit and m in keys and v not in skip]
-    assert list(index.outside(keys, skip)) == expected
-    if not skip:
-        assert list(index.outside(keys)) == expected
+    chosen = [pos for pos, (v, bit, m, _) in enumerate(reference_view(g, order, members))
+              if not bit and m in keys]
+    assert index.first(keys, count, skip) == [
+        pos for pos in chosen if order[pos] not in skip][:max(count, 0)]
+    assert index.first(keys, count) == chosen[:max(count, 0)]
+
+
+def test_first_edge_cases():
+    # path 0-1-2-3-4 over member 1: class 1 holds 0 and 2, class 0 holds 3 and 4
+    index = make_stream(path_graph(5), AL).class_index([1])
+    assert index.classes == {1: [0, 2], 0: [3, 4]}
+    assert index.first([0, 1], 0) == index.first([0, 1], -3) == []
+    assert index.first([0, 1], 9) == [0, 2, 3, 4]
+    assert index.first([0, 1], 3) == [0, 2, 3]
+    assert index.first([2, 5], 2) == [] and index.first([2, 0], 2) == [3, 4]
+    assert index.first([1, 0], 2, skip={0, 3}) == [2, 4]
+    assert index.first([1, 0], 2, skip={0, 1, 2}) == [3, 4]
+    assert index.first([1], 2, skip={0, 2}) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_covers(max_n=40, max_k=5), st.sets(st.integers(0, 39)))
+def test_covers_matches_graph(case, keep):
+    # `covers` is read off degree sums; check it on the identity order, a
+    # shuffled order, and a substream that lacks some of the named members
+    g, X, order = case
+    keep = {v for v in keep if v < g.n}
+    sub_g, old = g.induced(keep)
+    new = {v: i for i, v in enumerate(old)}
+    h = make_stream(g, AL, order)
+    sub = filtered_substream(h, keep)
+    for members in (X.members, tuple(range(0, g.n, 3))):
+        assert make_stream(g, AL).class_index(members).covers == g.is_cover(members)
+        assert h.class_index(members).covers == g.is_cover(members)
+        kept = [new[v] for v in members if v in new]
+        assert sub.class_index(members).covers == sub_g.is_cover(kept)
