@@ -83,6 +83,8 @@ def _probability(text: str) -> float:
 
 # the --wrap values each kernel algorithm accepts
 KERNEL_WRAPS = {"reduce": ("pifree", "largest", "partition"), "lowrank": ("rankc",)}
+# the solve and verify flags that pick a route of one problem only
+ROUTE_FLAGS = {"cache_cover": "cvd", "cc": "oct", "low_mem": "oct", "cpi": "hfree", "pfun": "hfree"}
 
 
 def _fresh_meter() -> MemoryMeter:
@@ -260,7 +262,16 @@ def _run_solver(args, inst, handle, meter, family=None):
     raise UsageError(f"unknown problem {problem!r}")
 
 
+def _check_route_flags(args) -> None:
+    for dest, problem in ROUTE_FLAGS.items():
+        value = getattr(args, dest)
+        if value is not None and value is not False and args.problem != problem:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} does not apply to --problem {args.problem}")
+
+
 def _cmd_solve(args) -> int:
+    _check_route_flags(args)
     inst, handle = _load(args)
     meter = _fresh_meter()
     ell = args.ell if args.ell is not None else inst.ell
@@ -280,10 +291,10 @@ def _cmd_solve(args) -> int:
         "k": inst.cover.K,
         "n": inst.graph.n,
     }
-    if getattr(args, "cpi", None) is not None:
+    if args.cpi is not None:
         report["cpi"] = args.cpi
         report["char"] = "user-supplied"
-    if getattr(args, "cache_cover", False):
+    if args.cache_cover:
         report["profile"] = "cached-cover"
     _emit(report)
     return 0 if outcome.feasible else 1
@@ -302,6 +313,7 @@ def _brute_reference(args, inst, family):
 
 
 def _cmd_verify(args) -> int:
+    _check_route_flags(args)
     inst, handle = _load(args)
     meter = _fresh_meter()
     ell = args.ell if args.ell is not None else inst.ell

@@ -29,10 +29,6 @@ class NotALModel(VCStreamError):
     """Operation requires an adjacency-list stream."""
 
 
-class AdvancePastEnd(VCStreamError):
-    """Next() called on a cursor already at its end state."""
-
-
 class NeighborOutsideCover(VCStreamError):
     pass
 

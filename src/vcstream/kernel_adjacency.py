@@ -68,9 +68,9 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
             for pos, hits in visits:
                 if hits is None:
                     # the members seen so far are the first ones in stream order
-                    v, _, m, _ = members[len(seen_cover)]
+                    v, _, m = members[len(seen_cover)]
                     out_edges.extend(canonical_edge(v, w)
-                                     for w, bit, _, _ in members[:len(seen_cover)] if m & bit)
+                                     for w, bit, _ in members[:len(seen_cover)] if m & bit)
                     seen_cover.add(v)
                     continue
                 v = order[pos]

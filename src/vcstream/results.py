@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .enumeration import AT_MOST, cursor_values, subset_first
+from .enumeration import AT_MOST, subsets
 from .errors import NotALModel
 from .graph import Graph, VertexCover, require_cover
 from .meters import MemoryMeter
@@ -31,7 +31,7 @@ def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str
                     words: int,
                     branch: Callable[[frozenset, frozenset, MemoryMeter], Iterable[int] | None],
                     meter: MemoryMeter | None = None) -> SolveOutcome:
-    """Guess the deleted cover part S, |S| <= min(ell, K), in cursor order
+    """Guess the deleted cover part S, |S| <= min(ell, K), in subset order
     (S = {} first), and return the first `branch(S, X - S, meter)` that is
     not None as the solution.  `words` is the solver's fixed state, held for
     the whole search.  Passes count from this call; a `Graph` is the
@@ -48,7 +48,7 @@ def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str
     passes_before = passes_of()
     cover_set = X.member_set()
     with meter.scope(words):
-        for s in cursor_values(subset_first(X.members, min(ell, X.K), AT_MOST)):
+        for s in subsets(X.members, min(ell, X.K), AT_MOST):
             s_branch = frozenset(s)
             solution = branch(s_branch, cover_set - s_branch, meter)
             if solution is not None:

@@ -12,7 +12,7 @@ records whether the pair is an edge, which is the single bit Phase 1 needs.
 
 from __future__ import annotations
 
-from .enumeration import EXACTLY, cursor_values, subset_first
+from .enumeration import EXACTLY, subsets
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome, branch_on_cover
@@ -23,7 +23,7 @@ def _pair_scan(index, b1: int, b2: int, rest: int):
     """One pass: does some cover vertex in `rest` form a P3 with the pair
     (bits b1, b2), and is the pair itself an edge?  Reads member blocks only."""
     pair_edge = both_exists = one_exists = False
-    for _, bit, m, _ in index.members:
+    for _, bit, m in index.members:
         if bit == b1:
             pair_edge = bool(m & b2)
         elif bit & rest:
@@ -41,7 +41,7 @@ def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
     def branch(s_branch, y_set, meter):
         return _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover)
 
-    # X, S cursor, Y
+    # X, the current S, Y
     return branch_on_cover(h, X, ell, "solve_cvd", 3 * X.K, branch, meter)
 
 
@@ -65,7 +65,7 @@ def _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover):
 
         # Phases 0 and 1, per unordered pair of Y.
         with meter.scope(2):
-            for y1, y2 in cursor_values(subset_first(y_sorted, 2, EXACTLY)):
+            for y1, y2 in subsets(y_sorted, 2, EXACTLY):
                 b1, b2 = bits[y1], bits[y2]
                 if pair_results is None:
                     p3_in_y, pair_edge = h.run_class_pass(

@@ -13,9 +13,9 @@ keeps each recursion frame at O(1) words.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from .enumeration import EXACTLY, cursor_values, permutation_first, subset_first
+from .enumeration import EXACTLY, subsets
 from .errors import BadI, NotALModel, PreconditionViolated
 from .graph import Graph, VertexCover, canonical_edge
 from .meters import MemoryMeter, MeteredSet
@@ -64,10 +64,10 @@ def _role_requirements(H: PatternGraph, outside_roles: tuple[int, ...],
 
 def _placements(y_sorted: tuple[int, ...], size: int):
     """Every sequence of `size` distinct members of `y_sorted`: the
-    permutations of each subset, subsets in cursor order; nothing when
+    permutations of each subset, subsets in dictionary order; nothing when
     `size` exceeds the members."""
-    for chosen in cursor_values(subset_first(y_sorted, size, EXACTLY)):
-        yield from cursor_values(permutation_first(chosen))
+    for chosen in subsets(y_sorted, size, EXACTLY):
+        yield from permutations(chosen)
 
 
 def check_h_in_y(source: StreamHandle | Graph, X: VertexCover, H: PatternGraph, Y) -> bool:
@@ -156,7 +156,7 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
         if len(found) < len(roles):
             return ()
         assigned += zip(found, roles)
-    placed_nbrs = {bit: m for _, bit, m, _ in index.members if bit & placed_mask}
+    placed_nbrs = {bit: m for _, bit, m in index.members if bit & placed_mask}
     for (a, b), want in pairs:
         if bool(placed_nbrs[placed[a]] & placed[b]) != want:
             return ()
@@ -242,6 +242,6 @@ def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
         finally:
             deletions.close()
 
-    # X, the patterns, S cursor, Y
+    # X, the patterns, the current S, Y
     words = 3 * X.K + sum(p.h * p.h + p.h for p in ordered)
     return branch_on_cover(h, X, ell, "solve_pifree_explicit", words, branch, meter)

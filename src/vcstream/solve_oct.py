@@ -10,7 +10,7 @@ staying at O(K) words.
 
 from __future__ import annotations
 
-from .enumeration import AT_MOST, cursor_values, subset_first
+from .enumeration import AT_MOST, subsets
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .results import SolveOutcome, branch_on_cover
@@ -25,7 +25,7 @@ def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
     y2_mask = y_mask & ~y1_mask
     success = True
     if check_cover:
-        for _, bit, m, _ in index.members:
+        for _, bit, m in index.members:
             if bit & y_mask and m & (y1_mask if bit & y1_mask else y2_mask):
                 success = False
     order = index.order
@@ -61,7 +61,7 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
         y_sorted = tuple(sorted(y_set))
         y_mask = sum(bits[v] for v in y_sorted)
         y1_masks = (sum(bits[v] for v in y1)
-                    for y1 in cursor_values(subset_first(y_sorted, len(y_sorted), AT_MOST)))
+                    for y1 in subsets(y_sorted, len(y_sorted), AT_MOST))
         return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, True, meter)
 
     return branch_on_cover(h, X, ell, "solve_oct", 4 * X.K, branch, meter)
@@ -113,7 +113,7 @@ def _propagated_components(h, meter, members, y_set, y_mask):
     def y_nbrs(index):
         """Each Y member v with each of its Y neighbours w, both in stream
         order, read off the member masks."""
-        ys = [(v, bit, m) for v, bit, m, _ in index.members if bit & y_mask]
+        ys = [(v, bit, m) for v, bit, m in index.members if bit & y_mask]
         return ((v, w) for v, _, m in ys for w, bit, _ in ys if bit & m)
 
     def union_pass(index):
@@ -175,7 +175,7 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
         roots, colour, comp = found
         y1_masks = (
             sum(bits[v] for v in y_set if colour[v] ^ (1 if comp[v] in flips else 0) == 0)
-            for flips in map(frozenset, cursor_values(subset_first(roots, len(roots), AT_MOST)))
+            for flips in map(frozenset, subsets(roots, len(roots), AT_MOST))
         )
         with meter.scope(2 * len(y_set) + len(roots)):
             return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)

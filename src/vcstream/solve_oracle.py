@@ -11,10 +11,7 @@ substream is re-generated on the fly.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from itertools import islice
-
-from .enumeration import AT_MOST, cursor_values, multiset_first, subset_first
+from .enumeration import AT_MOST, multisets, subsets
 from .errors import BadParams, MemoryBudgetExceeded, OracleFault
 from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
@@ -53,9 +50,9 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
     return dict(sorted(counts.items()))
 
 
-def _first_members(index: ClassIndex, picks: dict[int, int], cover, skip) -> list[int]:
-    """Per class key, its first `picks[key]` members outside `cover` and
-    `skip`, all in stream order."""
+def _first_members(index: ClassIndex, picks: dict[int, int], skip) -> list[int]:
+    """Per class key, its first `picks[key]` members not in `skip`, all in
+    stream order."""
     order = index.order
     chosen: list[int] = []  # stream positions
     for key, want in picks.items():
@@ -63,21 +60,20 @@ def _first_members(index: ClassIndex, picks: dict[int, int], cover, skip) -> lis
             if want <= 0:
                 break
             v = order[pos]
-            if v not in cover and v not in skip:
+            if v not in skip:
                 chosen.append(pos)
                 want -= 1
     chosen.sort()
     return [order[pos] for pos in chosen]
 
 
-def _materialize_from_classes(h: StreamHandle, y_order, cover, picks: dict[int, int],
+def _materialize_from_classes(h: StreamHandle, y_order, picks: dict[int, int],
                               excluded) -> tuple[int, ...]:
     """One pass choosing, per class key of the class index of `y_order`, its
-    first `picks[key]` members outside `cover` and `excluded`, in stream
-    order."""
-    chosen = h.run_class_pass(
-        y_order, lambda index: _first_members(index, picks, cover, excluded)
-    )
+    first `picks[key]` members not in `excluded`, in stream order.  No cover
+    vertex needs excluding beyond that: a1's `excluded` holds the deleted
+    cover part, and the cover's own index files no cover vertex in a class."""
+    chosen = h.run_class_pass(y_order, lambda index: _first_members(index, picks, excluded))
     if len(chosen) < sum(picks.values()):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
@@ -112,7 +108,6 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         raise BadParams("nu must be at least 1")
     if a1.kind != ORACLE_MEMBERSHIP:
         raise BadParams("solve_with_a1 needs a membership (a1) oracle")
-    cover_set = X.member_set()
 
     def branch(s_branch, y_set, meter):
         y_order = tuple(sorted(y_set))
@@ -123,7 +118,7 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         try:
             deletions = MeteredSet(meter, s_branch)
             try:
-                return _search_a1(h, a1, cover_set, y_order, deletions, ec, ell, nu, meter)
+                return _search_a1(h, a1, y_order, deletions, ec, ell, nu, meter)
             finally:
                 deletions.close()
         finally:
@@ -134,19 +129,19 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 
 def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
     """Ask the oracle about J | fixed for each J of at most `bound` members of
-    Y, in subset-cursor order, up to the first yes."""
+    Y, in subset order, up to the first yes."""
     return any(_call_oracle(h, oracle, frozenset(j_part) | fixed, meter)
-               for j_part in cursor_values(subset_first(y_order, bound, AT_MOST)))
+               for j_part in subsets(y_order, bound, AT_MOST))
 
 
-def _search_a1(h, a1, cover, y_order, deletions, ec, ell, nu, meter):
+def _search_a1(h, a1, y_order, deletions, ec, ell, nu, meter):
     """Returns the completed deletion set on success, None on failure."""
     classes = tuple(sorted(ec.items()))
-    for j_part in map(frozenset, cursor_values(subset_first(y_order, nu, AT_MOST))):
-        for picks in map(dict, cursor_values(multiset_first(classes, max(0, nu - len(j_part))))):
+    for j_part in map(frozenset, subsets(y_order, nu, AT_MOST)):
+        for picks in map(dict, multisets(classes, max(0, nu - len(j_part)))):
             with meter.scope(3 * nu + 2):
                 if picks:
-                    chosen = _materialize_from_classes(h, y_order, cover, picks, deletions)
+                    chosen = _materialize_from_classes(h, y_order, picks, deletions)
                 else:
                     chosen = ()
                 hit = _call_oracle(h, a1, j_part | set(chosen), meter)
@@ -159,9 +154,7 @@ def _search_a1(h, a1, cover, y_order, deletions, ec, ell, nu, meter):
                     if len(deletions) + need > ell:
                         continue
                     with meter.scope(nu + 1):
-                        removed = _materialize_from_classes(
-                            h, y_order, cover, {key: need}, deletions
-                        )
+                        removed = _materialize_from_classes(h, y_order, {key: need}, deletions)
                     ec_next = dict(ec)
                     if count - 1 > 0:
                         ec_next[key] = count - 1
@@ -169,9 +162,7 @@ def _search_a1(h, a1, cover, y_order, deletions, ec, ell, nu, meter):
                         del ec_next[key]
                     for v in removed:
                         deletions.add(v)
-                    found = _search_a1(
-                        h, a1, cover, y_order, deletions, ec_next, ell, nu, meter
-                    )
+                    found = _search_a1(h, a1, y_order, deletions, ec_next, ell, nu, meter)
                     if found is not None:
                         return found
                     for v in removed:
@@ -195,7 +186,7 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         raise BadParams(f"variant {variant!r} needs a {want_kind} oracle")
     cover_set = X.member_set()
     outside = tuple(sorted(v for v in h.blocks if v not in cover_set))
-    first = subset_first(outside, min(nu, len(outside)), AT_MOST)
+    top = min(nu, len(outside))
 
     def branch(s_branch, y_set, meter):
         def is_free(i_part: tuple[int, ...]) -> bool:
@@ -214,11 +205,10 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
                     continue
                 if len(deletions) >= ell:
                     return None
-                resume = replace(first, current=i_part)
                 for v in i_part:
                     deletions.add(v)
                     with meter.scope(nu + 1):  # saved branch set along the path
-                        found = search(deletions, islice(cursor_values(resume), 1, None))
+                        found = search(deletions, subsets(outside, top, AT_MOST, after=i_part))
                     if found is not None:
                         return found
                     deletions.discard(v)
@@ -229,7 +219,7 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
             return None
         deletions = MeteredSet(meter, s_branch)
         try:
-            return search(deletions, cursor_values(first))
+            return search(deletions, subsets(outside, top, AT_MOST))
         finally:
             deletions.close()
 
@@ -242,7 +232,7 @@ def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> Stre
     order.  The classes are read off the cover's class index, which the
     oracle's own pass over the substream is charged for."""
     index = h.class_index(cover)
-    gone = frozenset(drop_cover).union(_first_members(index, picks, cover, ()))
+    gone = frozenset(drop_cover).union(_first_members(index, picks, ()))
     return filtered_substream(h, [v for v in index.order if v not in gone])
 
 
@@ -266,21 +256,17 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         table = tables[0]
         remaining_budget = ell - len(drop_cover)
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.items())
-        for picks in map(dict, cursor_values(multiset_first(classes, remaining_budget))):
+        for picks in map(dict, multisets(classes, remaining_budget)):
             with meter.scope(2 * K + 2):
                 residual = _residual(h, cover_set, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
             if free:
-                chosen = (
-                    _materialize_from_classes(h, X.members, cover_set, picks, ())
-                    if picks
-                    else ()
-                )
+                chosen = _materialize_from_classes(h, X.members, picks, ()) if picks else ()
                 return drop_cover | set(chosen)
         return None
 
     try:
-        # X and the S cursor
+        # X and the current S
         return branch_on_cover(h, X, ell, "solve_equivclass_enum", 2 * K, branch, meter)
     finally:
         meter.release(sum(2 * len(t) for t in tables))

@@ -17,7 +17,7 @@ Given a vertex cover X, an outside vertex is fully described by N(v) & X,
 and outside vertices with one such mask are twins.  So an AL handle ORs
 each member's bit into its neighbours' masks, then groups the blocks in one
 walk over positions, one lookup each, into a class index: the member blocks
-as (v, bit, mask, nbrs) tuples, where `mask` holds N(v) & members as bits
+as (v, bit, mask) tuples, where `mask` holds N(v) & members as bits
 in ascending member order, and per mask the stream positions of its outside
 blocks, read through `run_class_pass`; a pass over it visits the K member
 blocks and a few blocks per class, at most 2^K classes, not every block.
@@ -72,7 +72,7 @@ def edge_event(u: int, v: int) -> StreamEvent:
 PASS_END_EVENT = StreamEvent(PASS_END)
 
 Blocks = dict[int, tuple[int, ...]]  # v -> neighbours in stream order, in stream order
-CoverBlock = tuple[int, int, int, tuple[int, ...]]  # (v, bit, mask, nbrs)
+CoverBlock = tuple[int, int, int]  # (v, bit, mask)
 
 
 class ClassIndex(NamedTuple):
@@ -116,8 +116,8 @@ class ClassIndex(NamedTuple):
         """The edges among the members whose bits are in `mask`, read off the
         member masks.  Bits ascend with member id, so each edge comes out
         canonical, from its lower member's mask."""
-        vertex_of = {bit: v for v, bit, _, _ in self.members if bit & mask}
-        for v, bit, m, _ in self.members:
+        vertex_of = {bit: v for v, bit, _ in self.members if bit & mask}
+        for v, bit, m in self.members:
             if bit & mask:
                 higher = m & mask & -(bit << 1)  # mask's neighbours above v
                 while higher:
@@ -200,7 +200,7 @@ class StreamHandle:
             covers = sum(map(len, blocks.values())) - member_len == to_outside
             self._index_members = key
             self._index = ClassIndex(tuple(blocks),
-                                     tuple((x, bit, mask, blocks[x]) for _, x, bit, mask in filed),
+                                     tuple((x, bit, mask) for _, x, bit, mask in filed),
                                      tuple(pos for pos, _, _, _ in filed), dict(grouped), covers)
         return self._index
 
@@ -277,7 +277,7 @@ def cover_edges(source: StreamHandle | Graph, X: VertexCover, vertices: Iterable
     keep = frozenset(vertices)
 
     def read(index: ClassIndex) -> frozenset[Edge]:
-        mask = sum(bit for v, bit, _, _ in index.members if v in keep)
+        mask = sum(bit for v, bit, _ in index.members if v in keep)
         return _charged(index.member_edges(mask), meter)
 
     return source.run_class_pass(X.members, read)

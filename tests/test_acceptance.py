@@ -9,19 +9,12 @@ connected 6-vertex classes at the stated stride.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 from corpus import all_covers, atlas_graphs, disconnected_sample
 from vcstream.brute import brute_is_pi_free, brute_min_deletion, brute_min_oct
-from vcstream.enumeration import (
-    AT_MOST,
-    EXACTLY,
-    cursor_values,
-    multiset_first,
-    permutation_first,
-    subset_first,
-)
+from vcstream.enumeration import AT_MOST, EXACTLY, multisets, subsets
 from vcstream.graph import VertexCover, complete_graph, cycle_graph, path_graph
 from vcstream.instances import DoubleFanSpec, PlantedSpec, gen_double_fan, gen_planted
 from vcstream.kernel_adjacency import (
@@ -324,18 +317,18 @@ def test_criterion_09_enumeration_closed_forms():
     for n in range(7):
         universe = tuple(range(n))
         for k in range(7):
-            at_most = list(cursor_values(subset_first(universe, k, AT_MOST)))
+            at_most = list(subsets(universe, k, AT_MOST))
             assert len(at_most) == sum(comb(n, i) for i in range(k + 1))
-            exactly = list(cursor_values(subset_first(universe, k, EXACTLY)))
+            exactly = list(subsets(universe, k, EXACTLY))
             assert len(exactly) == comb(n, k)
     for n in range(6):
-        perms = list(cursor_values(permutation_first(tuple(range(n)))))
+        perms = list(permutations(range(n)))
         assert len(perms) == factorial(n)
     # multiset totals against direct enumeration
     for caps in ((1, 2), (2, 2, 1), (3,)):
         classes = tuple((i, c) for i, c in enumerate(caps))
         for k in range(5):
-            got = len(list(cursor_values(multiset_first(classes, k))))
+            got = len(list(multisets(classes, k)))
             want = 0
             from itertools import product
 

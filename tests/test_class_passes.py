@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import planted_covers, reference_view
-from vcstream.enumeration import AT_MOST, EXACTLY, cursor_values, subset_first
+from vcstream.enumeration import AT_MOST, EXACTLY, subsets
 from vcstream.errors import MemoryBudgetExceeded
 from vcstream.graph import canonical_edge, complete_graph, cycle_graph, path_graph
 from vcstream.meters import MemoryMeter, MeteredSet
@@ -219,7 +219,7 @@ def _frozen_cvd_cached_solver(h, X, ell, meter):
                 return None
             y_sorted = tuple(sorted(y_set))
             with meter.scope(2):
-                for y1, y2 in cursor_values(subset_first(y_sorted, 2, EXACTLY)):
+                for y1, y2 in subsets(y_sorted, 2, EXACTLY):
                     b1, b2 = bits[y1], bits[y2]
                     pair_edge = (y1, y2) in edge_bits
                     h.run_class_pass(
@@ -286,7 +286,7 @@ def _frozen_oct_cc_solver(h, X, ell, meter, low_mem):
         roots, colour, comp = found
         y1_masks = (
             sum(bits[v] for v in y_set if colour[v] ^ (1 if comp[v] in flips else 0) == 0)
-            for flips in map(frozenset, cursor_values(subset_first(roots, len(roots), AT_MOST)))
+            for flips in map(frozenset, subsets(roots, len(roots), AT_MOST))
         )
         with meter.scope(2 * len(y_set) + len(roots)):
             return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)

@@ -415,3 +415,20 @@ def test_solver_bad_cpi_or_nu_is_usage_error(tmp_path, capsys, command, flags):
     with pytest.raises(SystemExit) as exc:
         main([command, inst, *flags, "--family", family])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("flags, problem", [
+    (["--cache-cover"], "oct"),
+    (["--cc"], "cvd"),
+    (["--low-mem"], "hfree"),
+    (["--cpi", "0"], "cvd"),
+    (["--pfun", "3"], "pifree-oracle"),
+])
+def test_route_flag_must_belong_to_problem(tmp_path, capsys, command, flags, problem):
+    """A flag that picks a route of another problem is a usage error, not a
+    flag that the run ignores while its report names it."""
+    inst = write_p3(tmp_path, ell=1)
+    family = write_family(tmp_path, path_graph(3))
+    assert main([command, inst, "--problem", problem, *flags, "--family", family]) == 2
+    assert f"{flags[0]} does not apply to --problem {problem}" in capsys.readouterr().err

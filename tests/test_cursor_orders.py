@@ -1,26 +1,13 @@
-"""The cursors step by direct successor rules: every production must come out
-in the order of a frozen copy of the search-based successors they replaced,
-both from `cursor_values` (tables derived once per walk) and from a plain
-chain of `*_next` calls (tables derived from the fields at every step)."""
+"""The walks step by direct successor rules: every production must come out
+in the order of a frozen copy of the search-based successors they replaced.
+Placements walk `itertools.permutations`, pinned here to the frozen
+next-permutation order."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from vcstream.enumeration import (
-    AT_MOST,
-    EXACTLY,
-    MultisetCursor,
-    PermutationCursor,
-    SubsetCursor,
-    cursor_values,
-    multiset_first,
-    multiset_next,
-    permutation_first,
-    permutation_next,
-    subset_first,
-    subset_next,
-)
+from vcstream.enumeration import AT_MOST, EXACTLY, multisets, subsets
 
 
 # --- frozen copy of the search-based successors, on positions -------------
@@ -123,27 +110,7 @@ def frozen_permutations(n):
         seq[j + 1:] = reversed(seq[j + 1:])
 
 
-# --- the cursors against the frozen orders --------------------------------
-
-NEXT = {SubsetCursor: subset_next, MultisetCursor: multiset_next,
-        PermutationCursor: permutation_next}
-
-
-def chain_of_next(cursor):
-    out = []
-    while not cursor.at_end:
-        out.append(cursor.current)
-        cursor = NEXT[type(cursor)](cursor)
-    return out
-
-
-def by_cursor_values(cursor):
-    return list(cursor_values(cursor))
-
-
-# each order test runs both walkers, so both entry points of every successor
-# rule are pinned to the same frozen order
-WALKERS = (by_cursor_values, chain_of_next)
+# --- the walks against the frozen orders ----------------------------------
 
 UNIVERSE = "abcdefg"
 
@@ -154,16 +121,14 @@ def test_subset_order_matches_frozen(mode):
         u = tuple(UNIVERSE[:n])
         for k in range(9):
             want = [tuple(u[i] for i in pos) for pos in frozen_subsets(n, k, mode)]
-            for walk in WALKERS:
-                assert walk(subset_first(u, k, mode)) == want, (walk.__name__, n, k)
+            assert list(subsets(u, k, mode)) == want, (n, k)
 
 
 def test_permutation_order_matches_frozen():
-    for n in range(7):
+    for n in range(8):
         u = tuple(UNIVERSE[:n])
         want = [tuple(u[i] for i in seq) for seq in frozen_permutations(n)]
-        for walk in WALKERS:
-            assert walk(permutation_first(u)) == want, (walk.__name__, n)
+        assert list(permutations(u)) == want, n
 
 
 def named(seq):
@@ -184,16 +149,14 @@ def test_multiset_order_matches_frozen(m):
             want = [v for v in full if sum(c for _, c in v) <= k]
             if m <= 3:
                 assert want == [named(s) for s in frozen_multisets(caps, k)]
-            for walk in WALKERS:
-                assert walk(multiset_first(classes, k)) == want, (walk.__name__, caps, k)
+            assert list(multisets(classes, k)) == want, (caps, k)
 
 
-@pytest.mark.parametrize("walk", WALKERS, ids=lambda w: w.__name__)
-def test_walks_that_end_at_once(walk):
+def test_walks_that_end_at_once():
     """EXACTLY with k > n, no classes and no items: at most the empty
-    production, on both walkers."""
-    assert walk(subset_first("ab", 3, EXACTLY)) == []
-    assert walk(subset_first((), 2, AT_MOST)) == [()]
-    assert walk(multiset_first((), 2)) == [()]
-    assert walk(multiset_first((("a", 0), ("b", 2)), 0)) == [()]
-    assert walk(permutation_first(())) == [()]
+    production."""
+    assert list(subsets("ab", 3, EXACTLY)) == []
+    assert list(subsets((), 2, AT_MOST)) == [()]
+    assert list(multisets((), 2)) == [()]
+    assert list(multisets((("a", 0), ("b", 2)), 0)) == [()]
+    assert list(permutations(())) == [()]

@@ -5,25 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcstream.enumeration import (
-    AT_MOST,
-    EXACTLY,
-    MultisetCursor,
-    PermutationCursor,
-    SubsetCursor,
-    cursor_values,
-    multiset_first,
-    multiset_next,
-    permutation_first,
-    permutation_next,
-    subset_first,
-    subset_next,
-)
-from vcstream.errors import AdvancePastEnd, BadParams
+from vcstream.enumeration import AT_MOST, EXACTLY, multisets, subsets
+from vcstream.errors import BadParams
 
 
 def collect_subsets(universe, k, mode=AT_MOST):
-    return list(cursor_values(subset_first(universe, k, mode)))
+    return list(subsets(universe, k, mode))
 
 
 def test_subset_spec_examples():
@@ -32,14 +19,6 @@ def test_subset_spec_examples():
     ]
     assert collect_subsets(("a", "b"), 2, EXACTLY) == [("a", "b")]
     assert collect_subsets((), 3) == [()]
-
-
-def test_subset_advance_past_end():
-    c = subset_first((), 3)
-    c = subset_next(c)
-    assert c.at_end
-    with pytest.raises(AdvancePastEnd):
-        subset_next(c)
 
 
 def test_subset_counts_closed_form():
@@ -60,47 +39,33 @@ def test_subset_matches_itertools_order_free():
         assert set(got) == expected
 
 
-def rest_of(cursor, step):
-    out = []
-    while not cursor.at_end:
-        out.append(cursor.current)
-        cursor = step(cursor)
-    return out
+def test_subset_resume_after_every_production():
+    """A walk resumed after any of its productions yields the rest of the
+    walk: the resume that lets a branching search keep one stored subset."""
+    for mode, n, k in product((AT_MOST, EXACTLY), range(8), range(9)):
+        u = tuple("abcdefg"[:n])
+        walk = collect_subsets(u, k, mode)
+        for i, p in enumerate(walk):
+            assert list(subsets(u, k, mode, after=p)) == walk[i + 1:], (mode, n, k, p)
 
 
-def test_subset_statelessness():
-    """A cursor rebuilt from its fields at any point finishes the sequence
-    the same way; for subset, multiset and permutation cursors."""
-    cases = [
-        (subset_first(tuple(range(5)), 3, mode), subset_next,
-         lambda c: SubsetCursor(c.universe, c.k, c.mode, c.current))
-        for mode in (AT_MOST, EXACTLY)
-    ] + [
-        (multiset_first(tuple(zip("ABCD", caps)), k), multiset_next,
-         lambda c: MultisetCursor(c.classes, c.k, c.current))
-        for caps, k in (((1, 2), 2), ((2, 0, 3, 1), 5), ((3, 1, 2), 6))
-    ] + [
-        (permutation_first(tuple("wxyz")), permutation_next,
-         lambda c: PermutationCursor(c.items, c.current)),
-    ]
-    for cursor, step, rebuild in cases:
-        steps = 0
-        while not cursor.at_end:
-            assert rest_of(rebuild(cursor), step) == rest_of(cursor, step), cursor.current
-            cursor, steps = step(cursor), steps + 1
-        assert steps > 1
+def test_bad_subset_parameters():
+    """A walk checks its parameters when it starts."""
+    for universe, k, mode in (("aba", 1, AT_MOST), ("ab", -1, AT_MOST), ("ab", 1, "some")):
+        with pytest.raises(BadParams):
+            list(subsets(universe, k, mode))
 
 
 def test_multiset_spec_examples():
-    vals = list(cursor_values(multiset_first((("A", 1), ("B", 2)), 2)))
+    vals = list(multisets((("A", 1), ("B", 2)), 2))
     assert vals == [
         (),
         (("A", 1),), (("B", 1),),
         (("A", 1), ("B", 1)), (("B", 2),),
     ]
-    vals = list(cursor_values(multiset_first((("A", 3),), 2)))
+    vals = list(multisets((("A", 3),), 2))
     assert vals == [(), (("A", 1),), (("A", 2),)]
-    vals = list(cursor_values(multiset_first((), 5)))
+    vals = list(multisets((), 5))
     assert vals == [()]
 
 
@@ -108,7 +73,7 @@ def test_multiset_exhaustive_vs_brute():
     for caps in [(1, 1, 1), (2, 2), (3, 1, 2), (0, 2, 1)]:
         classes = tuple((chr(65 + i), cap) for i, cap in enumerate(caps))
         for k in range(5):
-            got = list(cursor_values(multiset_first(classes, k)))
+            got = list(multisets(classes, k))
             brute = set()
             for counts in product(*(range(cap + 1) for cap in caps)):
                 if sum(counts) <= k:
@@ -124,31 +89,28 @@ def test_multiset_exhaustive_vs_brute():
 
 def test_multiset_distinct_keys_required():
     with pytest.raises(BadParams):
-        multiset_first((("A", 1), ("A", 2)), 2)
+        list(multisets((("A", 1), ("A", 2)), 2))
+    for classes, k in (((("A", 1),), -1), ((("A", -1),), 1)):
+        with pytest.raises(BadParams):
+            list(multisets(classes, k))
 
 
 def test_permutation_spec_examples():
-    vals = list(cursor_values(permutation_first((1, 2, 3))))
+    """Placements walk `itertools.permutations`, whose order is the items'
+    rank order."""
+    vals = list(permutations((1, 2, 3)))
     assert vals == [
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
     ]
-    assert list(cursor_values(permutation_first(()))) == [()]
-    assert list(cursor_values(permutation_first((7,)))) == [(7,)]
+    assert list(permutations(())) == [()]
+    assert list(permutations((7,))) == [(7,)]
 
 
 def test_permutation_counts():
     for n in range(6):
-        items = tuple(range(n))
-        vals = list(cursor_values(permutation_first(items)))
+        vals = list(permutations(range(n)))
         assert len(vals) == factorial(n)
-        assert set(vals) == set(permutations(items))
-
-
-def test_permutation_advance_past_end():
-    c = permutation_first((1,))
-    c = permutation_next(c)
-    with pytest.raises(AdvancePastEnd):
-        permutation_next(c)
+        assert len(set(vals)) == len(vals)
 
 
 @settings(max_examples=50, deadline=None)
@@ -173,7 +135,7 @@ def test_subset_cursor_properties(n, k, mode):
 @given(st.lists(st.integers(0, 3), min_size=0, max_size=4), st.integers(0, 5))
 def test_multiset_cursor_properties(caps, k):
     classes = tuple((i, cap) for i, cap in enumerate(caps))
-    got = list(cursor_values(multiset_first(classes, k)))
+    got = list(multisets(classes, k))
     assert len(got) == len(set(got))
     for pick in got:
         assert sum(c for _, c in pick) <= k

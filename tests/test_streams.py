@@ -216,7 +216,7 @@ def _grouped(reference):
             classes.setdefault(m, []).append(pos)
     return ClassIndex(
         order=tuple(v for v, _, _, _ in reference),
-        members=tuple(block for block in reference if block[1]),
+        members=tuple((v, bit, m) for v, bit, m, _ in reference if bit),
         member_positions=tuple(pos for pos, block in enumerate(reference) if block[1]),
         classes=classes,
         covers=all(member_ids.issuperset(nbrs) for _, bit, _, nbrs in reference if not bit),
