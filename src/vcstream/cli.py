@@ -2,7 +2,8 @@
 
 Every run prints a machine-parseable report, one key=value per token.
 Exit codes: 0 YES/success, 1 NO (or disagreement under verify), 2 usage
-error, 3 runtime error.
+error, 3 runtime error. A flag given to a route that does not read it is a
+usage error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .brute import brute_min_deletion, brute_min_oct
 from .errors import VCStreamError
-from .graph import VertexCover
+from .graph import VertexCover, path_graph
 from .instances import (
     DoubleFanSpec,
     PlantedSpec,
@@ -48,295 +51,293 @@ from .solve_oracle import solve_equivclass_enum, solve_with_a1, solve_with_a2
 from .streams import AL, make_stream
 
 BUDGET_ENV = "VCSTREAM_WORD_BUDGET"
+REQUIRED = object()  # the default of a flag that its route cannot run without
 
 
 def _instance_hash(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
-def _int_at_least(low: int, what: str):
-    def parse(text: str) -> int:
+def _checked(cast, ok, what: str):
+    def parse(text: str):
         try:
-            value = int(text)
+            if ok(value := cast(text)):
+                return value
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
 
     return parse
 
 
-_non_negative_int = _int_at_least(0, "non-negative")
-_positive_int = _int_at_least(1, "positive")
-
-
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text!r}")
-    return value
-
-
-# the --wrap values each kernel algorithm accepts
-KERNEL_WRAPS = {"reduce": ("pifree", "largest", "partition"), "lowrank": ("rankc",)}
-# the solve and verify flags that pick a route of one problem only
-ROUTE_FLAGS = {"cache_cover": "cvd", "cc": "oct", "low_mem": "oct", "cpi": "hfree", "pfun": "hfree"}
-
-
-def _fresh_meter() -> MemoryMeter:
-    budget = os.environ.get(BUDGET_ENV)
-    if not budget:
-        return MemoryMeter()
-    try:
-        return MemoryMeter(_non_negative_int(budget))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{BUDGET_ENV} {exc}") from None
-
-
-def _emit(report: dict) -> None:
-    print(" ".join(f"{k}={v}" for k, v in report.items()))
-
-
-def _fmt_ids(ids) -> str:
-    return ",".join(str(v) for v in ids) if ids else "-"
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
 
 
 class UsageError(Exception):
     pass
 
 
-def _load(args):
-    inst = load_instance(args.instance)
-    handle = make_stream(inst.graph, AL)
-    return inst, handle
+class Route(NamedTuple):
+    """One route: the flags it reads (dest -> default), its call on the run's
+    namespace, and what it adds to the report and to a kernel file's header."""
+
+    name: str  # the route as messages name it
+    flags: dict
+    call: Callable
+    report: Callable = lambda r: {}
+    header: tuple = ()
+    budget: Callable | None = None  # the deletion budget a kernel keeps witnesses for
+    needs: tuple = ()  # (flag, the flag without which the route does not read it)
 
 
-def _cmd_gen(args) -> int:
-    if args.kind == "planted":
-        spec = PlantedSpec(args.n, args.k, args.p, args.seed, args.ell)
-        g, cover = gen_planted(spec)
-        comments = [f"seed={args.seed}", f"gen=planted p={args.p}"]
-        text = format_instance(g, cover, args.ell, comments)
-    else:
-        if args.family is None:
-            raise UsageError("gen doublefan needs --family")
-        family = load_family(args.family)
-        pattern = family.members[0]
-        spec = DoubleFanSpec(
-            pattern, args.split, args.centers, args.x, args.y,
-            attach_all_neighbors=args.attach_all,
-        )
-        g, cover, expected = gen_double_fan(spec)
-        comments = [
-            f"gen=doublefan split={args.split} centers={args.centers}",
-            f"x={args.x} y={args.y} expected={'YES' if expected else 'NO'}",
-        ]
-        text = format_instance(g, cover, 0, comments)
-    if args.output:
-        Path(args.output).write_text(text)
-        _emit({"wrote": args.output, "n": g.n, "m": g.m, "k": cover.K})
+def _gen_double_fan(r):
+    pattern = load_family(r.family).members[0]
+    spec = DoubleFanSpec(pattern, r.split, r.centers, r.x, r.y, attach_all_neighbors=r.attach_all)
+    g, cover, expected = gen_double_fan(spec)
+    return g, cover, 0, [
+        f"gen=doublefan split={r.split} centers={r.centers}",
+        f"x={r.x} y={r.y} expected={'YES' if expected else 'NO'}",
+    ]
+
+
+def _char(r) -> AdjacencyCharacterization | None:
+    """The characterization (c_pi, p) the user supplies, if any. Without
+    --pfun, p is a placeholder, max(1, K): hfree consumes only the
+    (c_pi + 1) * K member bound."""
+    if r.cpi is None:
+        return None
+    p = parse_pfun(r.pfun) if r.pfun is not None else lambda K: max(1, K)
+    return AdjacencyCharacterization(r.cpi, p, connected_only=True)
+
+
+def _low_rank(r):
+    if r.ell < 1:  # a round count here, not a deletion budget
+        raise UsageError("--alg lowrank needs --ell of at least 1")
+    return low_rank_reduce_str(r.handle, r.cover, r.ell, r.c, r.meter)
+
+
+# the three wraps that consume a characterization (c_pi, p) the user supplies
+_CHAR_FLAGS = {"cpi": REQUIRED, "pfun": REQUIRED}
+_USER_CHAR = {
+    "report": lambda r: {"cpi": r.cpi, "pfun": r.pfun, "char": "user-supplied"},
+    "header": ("characterization supplied by user, not verified",),
+}
+_FAMILY_NU = {"family": REQUIRED, "nu": None}
+# the flags that every route of a subcommand reads
+SHARED = {
+    "gen": {"output": None},
+    "kernelize": {"instance": REQUIRED, "output": None},
+    "solve": {"instance": REQUIRED, "ell": None},
+}
+
+# keyed by the subcommand, then gen's kind, kernelize's (--alg, --wrap) or
+# solve's (--problem, --oracle); verify runs solve's routes.  A call looks its
+# function up when it runs, so a patched module name takes effect.  A default
+# of None for --ell or --nu stands for the instance's ell or the family's nu.
+ROUTES = {
+    ("gen", "planted"): Route(
+        "gen planted", {"n": 20, "k": 4, "p": 0.3, "seed": 0, "ell": 1},
+        lambda r: (*gen_planted(PlantedSpec(r.n, r.k, r.p, r.seed, r.ell)), r.ell,
+                   [f"seed={r.seed}", f"gen=planted p={r.p}"])),
+    ("gen", "doublefan"): Route(
+        "gen doublefan",
+        {"family": REQUIRED, "split": 1, "centers": 3, "x": "101", "y": "010",
+         "attach_all": False},
+        _gen_double_fan),
+    ("kernelize", "reduce", None): Route(
+        "--alg reduce", {"r": REQUIRED, "c": REQUIRED},
+        lambda r: reduce_str(r.handle, r.cover, r.r, r.c, r.meter)),
+    ("kernelize", "reduce", "pifree"): Route(
+        "--alg reduce --wrap pifree", {"ell": None, **_CHAR_FLAGS},
+        lambda r: kernel_pifree(r.handle, r.cover, r.ell, _char(r), r.meter),
+        budget=lambda r: r.ell, **_USER_CHAR),
+    ("kernelize", "reduce", "largest"): Route(
+        "--alg reduce --wrap largest", _CHAR_FLAGS,
+        lambda r: kernel_largest_induced(r.handle, r.cover, _char(r), r.meter),
+        budget=lambda r: 0, **_USER_CHAR),  # the pifree kernel at ell = 0
+    ("kernelize", "reduce", "partition"): Route(
+        "--alg reduce --wrap partition", {"q": 1, **_CHAR_FLAGS},
+        lambda r: kernel_partition_q(r.handle, r.cover, r.q, _char(r), r.meter), **_USER_CHAR),
+    ("kernelize", "lowrank", None): Route(
+        "--alg lowrank", {"ell": REQUIRED, "c": REQUIRED}, _low_rank),
+    ("kernelize", "lowrank", "rankc"): Route(
+        "--alg lowrank --wrap rankc", {"k": REQUIRED, "p": REQUIRED, "c": REQUIRED},
+        lambda r: kernel_by_rank(r.handle, r.cover, r.k, r.p, r.c, r.meter),
+        budget=lambda r: r.k),
+    ("solve", "cvd", None): Route(
+        "--problem cvd", {"cache_cover": False},
+        lambda r: solve_cvd(r.handle, r.cover, r.ell, r.meter, cache_cover=r.cache_cover),
+        report=lambda r: {"profile": "cached-cover"} if r.cache_cover else {}),
+    ("solve", "oct", None): Route(
+        "--problem oct", {"cc": False, "low_mem": False},
+        lambda r: solve_oct_cc(r.handle, r.cover, r.ell, r.meter, low_mem=r.low_mem)
+        if r.cc or r.low_mem else solve_oct(r.handle, r.cover, r.ell, r.meter)),
+    ("solve", "hfree", None): Route(
+        "--problem hfree", {"family": REQUIRED, "cpi": None, "pfun": None},
+        lambda r: solve_pifree_explicit(r.handle, r.cover, r.ell, r.family, _char(r), r.meter),
+        report=lambda r: {} if r.cpi is None else {"cpi": r.cpi, "char": "user-supplied"},
+        needs=(("pfun", "cpi"),)),
+    ("solve", "pifree-oracle", "a1"): Route(
+        "--problem pifree-oracle --oracle a1", _FAMILY_NU,
+        lambda r: solve_with_a1(
+            r.handle, r.cover, r.ell, r.nu, family_oracle(r.family, "a1"), r.meter)),
+    ("solve", "pifree-oracle", "a2"): Route(
+        "--problem pifree-oracle --oracle a2", _FAMILY_NU,
+        lambda r: solve_with_a2(
+            r.handle, r.cover, r.ell, r.nu, family_oracle(r.family, "a2"), "plain", r.meter)),
+    ("solve", "pifree-oracle", "a1sub"): Route(
+        "--problem pifree-oracle --oracle a1sub", _FAMILY_NU,
+        lambda r: solve_with_a2(
+            r.handle, r.cover, r.ell, r.nu, family_oracle(r.family, "a1"), "a1_subsets", r.meter)),
+    ("solve", "pifree-oracle", "ecenum"): Route(
+        "--problem pifree-oracle --oracle ecenum", {"family": REQUIRED},
+        lambda r: solve_equivclass_enum(
+            r.handle, r.cover, family_oracle(r.family, "a2"), r.ell, r.meter)),
+}
+ROUTES["solve", "pifree-oracle", None] = ROUTES["solve", "pifree-oracle", "a2"]
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _route(given: dict, command: str, *keys: str):
+    """The row that the `keys` flags of `given` pick, and a namespace of
+    every flag it reads, as given or at the row's default. Refuses a given
+    flag that the row does not read, and a missing one that it needs; then
+    loads the instance, and the family file if the row reads one, with an
+    AL stream and a fresh meter."""
+    key = (command, *(given.get(k) for k in keys))
+    if key not in ROUTES:  # only the last key flag can pick a missing row
+        base = ROUTES[key[:-1] + (None,)]
+        raise UsageError(f"{_flag(keys[-1])} {key[-1]} does not apply to {base.name}")
+    row = ROUTES[key]
+    reads = {**SHARED[command], **row.flags}
+    for dest in given:
+        if dest not in reads and dest not in keys:
+            raise UsageError(f"{_flag(dest)} does not apply to {row.name}")
+    for dest, other in row.needs:
+        if dest in given and other not in given:
+            raise UsageError(f"{_flag(dest)} does not apply to {row.name} without {_flag(other)}")
+    flags = {**reads, **given}
+    missing = [_flag(dest) for dest, value in flags.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"{row.name} needs {' and '.join(missing)}")
+    r = SimpleNamespace(**flags)
+    if command == "gen":
+        return row, r
+    r.inst = inst = load_instance(r.instance)
+    r.cover = inst.cover
+    r.handle = make_stream(inst.graph, AL)
+    budget = os.environ.get(BUDGET_ENV)
+    try:
+        r.meter = MemoryMeter(_non_negative_int(budget) if budget else None)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{BUDGET_ENV} {exc}") from None
+    if getattr(r, "ell", 0) is None:
+        r.ell = inst.ell
+    if hasattr(r, "family"):
+        r.family = load_family(r.family)
+    if getattr(r, "nu", 0) is None:
+        r.nu = r.family.nu
+    return row, r
+
+
+def _emit(report: dict) -> None:
+    print(" ".join(f"{k}={v}" for k, v in report.items()))
+
+
+def _write(output: str | None, text: str) -> None:
+    if output:
+        Path(output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _cmd_gen(given: dict) -> int:
+    row, r = _route(given, "gen", "kind")
+    g, cover, ell, comments = row.call(r)
+    _write(r.output, format_instance(g, cover, ell, comments))
+    if r.output:
+        _emit({"wrote": r.output, "n": g.n, "m": g.m, "k": cover.K})
     return 0
 
 
-def _char_from_args(args) -> AdjacencyCharacterization:
-    if args.cpi is None or args.pfun is None:
-        raise UsageError("this wrapper needs --cpi and --pfun")
-    return AdjacencyCharacterization(args.cpi, parse_pfun(args.pfun), connected_only=True)
-
-
-def _cmd_kernelize(args) -> int:
-    if args.wrap is not None and args.wrap not in KERNEL_WRAPS[args.alg]:
-        raise UsageError(f"--wrap {args.wrap} does not apply to --alg {args.alg}")
-    inst, handle = _load(args)
-    meter = _fresh_meter()
+def _cmd_kernelize(given: dict) -> int:
+    row, r = _route(given, "kernelize", "alg", "wrap")
     started = time.perf_counter()
-    budget = None  # the deletion budget the kernel keeps witnesses for, if any
-    if args.alg == "reduce":
-        if args.wrap == "pifree":
-            budget = inst.ell if args.ell is None else args.ell
-            out = kernel_pifree(handle, inst.cover, budget, _char_from_args(args), meter)
-        elif args.wrap == "largest":
-            budget = 0  # the pifree kernel at ell = 0
-            out = kernel_largest_induced(handle, inst.cover, _char_from_args(args), meter)
-        elif args.wrap == "partition":
-            out = kernel_partition_q(handle, inst.cover, args.q, _char_from_args(args), meter)
-        else:
-            if args.r is None or args.c is None:
-                raise UsageError("--alg reduce needs --r and --c (or a --wrap)")
-            out = reduce_str(handle, inst.cover, args.r, args.c, meter)
-    else:
-        if args.wrap == "rankc":
-            if args.k is None or args.p is None or args.c is None:
-                raise UsageError("--wrap rankc needs --k, --p and --c")
-            budget = args.k
-            out = kernel_by_rank(handle, inst.cover, args.k, args.p, args.c, meter)
-        else:
-            if not args.ell or args.c is None:
-                raise UsageError("--alg lowrank needs --ell (at least 1) and --c")
-            out = low_rank_reduce_str(handle, inst.cover, args.ell, args.c, meter)
+    out = row.call(r)
     wall_ms = 1000 * (time.perf_counter() - started)
 
     kernel_graph, old_ids = out.kernel_graph()
-    kept_cover = [i for i, v in enumerate(old_ids) if v in inst.cover.member_set()]
-    comments = [f"kernel-of {_instance_hash(args.instance)}"]
-    if args.cpi is not None:
-        comments.append("characterization supplied by user, not verified")
+    kept_cover = [i for i, v in enumerate(old_ids) if v in r.cover.member_set()]
+    comments = [f"kernel-of {_instance_hash(r.instance)}", *row.header]
+    budget = row.budget(r) if row.budget else None
     if budget is None:
         comments.append("header ell is the instance's, not a budget this kernel preserves")
-        budget = inst.ell
-    text = format_instance(
-        kernel_graph, VertexCover.validated(kernel_graph, kept_cover), budget, comments
-    )
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    report = {
+        budget = r.inst.ell
+    kernel_cover = VertexCover.validated(kernel_graph, kept_cover)
+    _write(r.output, format_instance(kernel_graph, kernel_cover, budget, comments))
+    _emit({
         "kept": len(out.kept_vertices),
         "passes": out.passes,
         "peak_words": out.peak_words,
         "wall_ms": f"{wall_ms:.1f}",
-        "alg": args.alg,
-        "instance": _instance_hash(args.instance),
-    }
-    if args.cpi is not None:
-        report["cpi"] = args.cpi
-        report["pfun"] = args.pfun
-        report["char"] = "user-supplied"
-    _emit(report)
+        "alg": r.alg,
+        "instance": _instance_hash(r.instance),
+        **row.report(r),
+    })
     return 0
 
 
-def _solver_family(args):
-    path = getattr(args, "pattern", None) or getattr(args, "family", None)
-    if path is None:
-        raise UsageError("this problem needs --pattern or --family")
-    return load_family(path)
-
-
-def _run_solver(args, inst, handle, meter, family=None):
-    problem = args.problem
-    if problem == "cvd":
-        return solve_cvd(handle, inst.cover, args.ell, meter, cache_cover=args.cache_cover)
-    if problem == "oct":
-        if args.cc or args.low_mem:
-            return solve_oct_cc(handle, inst.cover, args.ell, meter, low_mem=args.low_mem)
-        return solve_oct(handle, inst.cover, args.ell, meter)
-    if problem == "hfree":
-        family = family if family is not None else _solver_family(args)
-        char = None
-        if args.cpi is not None:
-            # only the (c_pi + 1) * K member bound is consumed here; p is a
-            # placeholder unless --pfun is given
-            char = _char_from_args(args) if args.pfun else AdjacencyCharacterization(
-                args.cpi, lambda K: max(1, K), connected_only=True
-            )
-        return solve_pifree_explicit(handle, inst.cover, args.ell, family, char, meter)
-    if problem == "pifree-oracle":
-        family = family if family is not None else _solver_family(args)
-        nu = args.nu if args.nu is not None else family.nu
-        if args.oracle == "a1":
-            return solve_with_a1(
-                handle, inst.cover, args.ell, nu, family_oracle(family, "a1"), meter
-            )
-        if args.oracle == "a2":
-            return solve_with_a2(
-                handle, inst.cover, args.ell, nu, family_oracle(family, "a2"), "plain", meter
-            )
-        if args.oracle == "a1sub":
-            return solve_with_a2(
-                handle, inst.cover, args.ell, nu, family_oracle(family, "a1"),
-                "a1_subsets", meter,
-            )
-        if args.oracle == "ecenum":
-            return solve_equivclass_enum(
-                handle, inst.cover, family_oracle(family, "a2"), args.ell, meter
-            )
-        raise UsageError(f"unknown oracle {args.oracle!r}")
-    raise UsageError(f"unknown problem {problem!r}")
-
-
-def _check_route_flags(args) -> None:
-    for dest, problem in ROUTE_FLAGS.items():
-        value = getattr(args, dest)
-        if value is not None and value is not False and args.problem != problem:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} does not apply to --problem {args.problem}")
-
-
-def _cmd_solve(args) -> int:
-    _check_route_flags(args)
-    inst, handle = _load(args)
-    meter = _fresh_meter()
-    ell = args.ell if args.ell is not None else inst.ell
-    args.ell = ell
+def _cmd_solve(given: dict) -> int:
+    row, r = _route(given, "solve", "problem", "oracle")
     started = time.perf_counter()
-    outcome = _run_solver(args, inst, handle, meter)
+    outcome = row.call(r)
     wall_ms = 1000 * (time.perf_counter() - started)
-    report = {
+    _emit({
         "verdict": outcome.verdict,
-        "solution": _fmt_ids(outcome.solution),
+        "solution": ",".join(map(str, outcome.solution)) or "-",
         "passes": outcome.passes,
         "peak_words": outcome.peak_words,
         "wall_ms": f"{wall_ms:.1f}",
-        "alg": args.problem,
-        "instance": _instance_hash(args.instance),
-        "ell": ell,
-        "k": inst.cover.K,
-        "n": inst.graph.n,
-    }
-    if args.cpi is not None:
-        report["cpi"] = args.cpi
-        report["char"] = "user-supplied"
-    if args.cache_cover:
-        report["profile"] = "cached-cover"
-    _emit(report)
+        "alg": r.problem,
+        "instance": _instance_hash(r.instance),
+        "ell": r.ell,
+        "k": r.cover.K,
+        "n": r.inst.graph.n,
+        **row.report(r),
+    })
     return 0 if outcome.feasible else 1
 
 
-def _brute_reference(args, inst, family):
-    if args.problem == "oct":
-        size, _ = brute_min_oct(inst.graph)
-        return size <= args.ell
-    if args.problem == "cvd":
-        from .graph import path_graph
-
-        family = ExplicitFamily.from_graphs([path_graph(3)])
-    size, _ = brute_min_deletion(inst.graph, family)
-    return size <= args.ell
-
-
-def _cmd_verify(args) -> int:
-    _check_route_flags(args)
-    inst, handle = _load(args)
-    meter = _fresh_meter()
-    ell = args.ell if args.ell is not None else inst.ell
-    args.ell = ell
-    family = None
-    if args.problem in ("hfree", "pifree-oracle"):
-        family = _solver_family(args)
+def _cmd_verify(given: dict) -> int:
+    row, r = _route(given, "solve", "problem", "oracle")
     # the brute force refuses large instances: fail before the solver runs
-    expected = _brute_reference(args, inst, family)
-    outcome = _run_solver(args, inst, handle, meter, family)
+    if r.problem == "oct":
+        size, _ = brute_min_oct(r.inst.graph)
+    else:
+        family = ExplicitFamily.from_graphs([path_graph(3)]) if r.problem == "cvd" else r.family
+        size, _ = brute_min_deletion(r.inst.graph, family)
+    expected = size <= r.ell
+    outcome = row.call(r)
     agree = outcome.feasible == expected
-    _emit(
-        {
-            "agreement": str(agree).lower(),
-            "verdict": outcome.verdict,
-            "brute": "YES" if expected else "NO",
-            "passes": outcome.passes,
-            "peak_words": outcome.peak_words,
-            "alg": args.problem,
-            "ell": ell,
-        }
-    )
+    _emit({
+        "agreement": str(agree).lower(),
+        "verdict": outcome.verdict,
+        "brute": "YES" if expected else "NO",
+        "passes": outcome.passes,
+        "peak_words": outcome.peak_words,
+        "alg": r.problem,
+        "ell": r.ell,
+    })
     return 0 if agree else 1
+
+
+def _keys(command: str, at: int) -> list[str]:
+    return sorted({key[at] for key in ROUTES if key[0] == command} - {None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,68 +348,66 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vcstream {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument("kind", choices=["planted", "doublefan"])
-    p_gen.add_argument("--n", type=_non_negative_int, default=20)
-    p_gen.add_argument("--k", type=_non_negative_int, default=4)
-    p_gen.add_argument("--p", type=_probability, default=0.3)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--ell", type=_non_negative_int, default=1)
+    def add_command(name, func, help):
+        # a flag the user does not give stays out of the namespace: its
+        # default is its route's
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p_gen = add_command("gen", _cmd_gen, "generate an instance file")
+    p_gen.add_argument("kind", choices=_keys("gen", 1))
+    p_gen.add_argument("--n", type=_non_negative_int)
+    p_gen.add_argument("--k", type=_non_negative_int)
+    p_gen.add_argument("--p", type=_probability)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--ell", type=_non_negative_int)
     p_gen.add_argument("--family", help="pattern file (doublefan: first member is split)")
-    p_gen.add_argument("--split", type=_non_negative_int, default=1,
-                       help="degree-2 vertex to expand")
-    p_gen.add_argument("--centers", type=_positive_int, default=3)
-    p_gen.add_argument("--x", default="101", help="fan-A bit string")
-    p_gen.add_argument("--y", default="010", help="fan-B bit string")
+    p_gen.add_argument("--split", type=_non_negative_int, help="degree-2 vertex to expand")
+    p_gen.add_argument("--centers", type=_positive_int)
+    p_gen.add_argument("--x", help="fan-A bit string")
+    p_gen.add_argument("--y", help="fan-B bit string")
     p_gen.add_argument("--attach-all", action="store_true", dest="attach_all")
     p_gen.add_argument("-o", "--output")
-    p_gen.set_defaults(func=_cmd_gen)
 
-    p_kern = sub.add_parser("kernelize", help="stream a kernel out of an instance")
+    p_kern = add_command("kernelize", _cmd_kernelize, "stream a kernel out of an instance")
     p_kern.add_argument("instance")
-    p_kern.add_argument("--alg", choices=["reduce", "lowrank"], default="reduce")
-    p_kern.add_argument("--wrap", choices=[w for ws in KERNEL_WRAPS.values() for w in ws])
+    p_kern.add_argument("--alg", choices=_keys("kernelize", 1), default="reduce")
+    p_kern.add_argument("--wrap", choices=_keys("kernelize", 2))
     p_kern.add_argument("--r", type=_non_negative_int)
     p_kern.add_argument("--c", type=_non_negative_int)
-    p_kern.add_argument("--q", type=_positive_int, default=1)
+    p_kern.add_argument("--q", type=_positive_int)
     p_kern.add_argument("--k", type=_non_negative_int)
     p_kern.add_argument("--p", type=_positive_int)
     p_kern.add_argument("--ell", type=_non_negative_int)
     p_kern.add_argument("--cpi", type=_non_negative_int)
     p_kern.add_argument("--pfun")
     p_kern.add_argument("-o", "--output")
-    p_kern.set_defaults(func=_cmd_kernelize)
 
-    def add_solver_args(p):
+    for name, func, help in (("solve", _cmd_solve, "run a streaming solver"),
+                             ("verify", _cmd_verify, "run a solver and the brute oracle")):
+        p = add_command(name, func, help)
         p.add_argument("instance")
-        p.add_argument("--problem", required=True,
-                       choices=["cvd", "oct", "hfree", "pifree-oracle"])
+        p.add_argument("--problem", required=True, choices=_keys("solve", 1))
         p.add_argument("--ell", type=_non_negative_int)
-        p.add_argument("--pattern", help="family file for hfree")
-        p.add_argument("--family", help="family file (oracle-backed problems)")
+        p.add_argument("--pattern", "--family", dest="family",
+                       help="family file (hfree and pifree-oracle)")
         p.add_argument("--cpi", type=_non_negative_int)
         p.add_argument("--pfun")
         p.add_argument("--nu", type=_positive_int)
-        p.add_argument("--oracle", choices=["a1", "a2", "a1sub", "ecenum"], default="a2")
+        p.add_argument("--oracle", choices=_keys("solve", 2))
         p.add_argument("--cc", action="store_true")
         p.add_argument("--low-mem", action="store_true", dest="low_mem")
         p.add_argument("--cache-cover", action="store_true", dest="cache_cover")
-
-    p_solve = sub.add_parser("solve", help="run a streaming solver")
-    add_solver_args(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="run a solver and the brute oracle")
-    add_solver_args(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        given = vars(parser.parse_args(argv))
+        del given["command"]
+        return given.pop("func")(given)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

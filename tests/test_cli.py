@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 from corpus import BAD_INSTANCES
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vcstream
 from vcstream import cli
@@ -165,7 +167,8 @@ def test_verify_refuses_large_instance_before_solving(tmp_path, capsys, monkeypa
         raise AssertionError("the solver ran before the brute force refused")
 
     monkeypatch.setattr(cli, solver, unreachable)
-    code = main(["verify", str(inst), "--problem", problem, "--family", fam])
+    family = ["--family", fam] if problem == "pifree-oracle" else []
+    code = main(["verify", str(inst), "--problem", problem, *family])
     assert code == 3
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
@@ -430,5 +433,142 @@ def test_route_flag_must_belong_to_problem(tmp_path, capsys, command, flags, pro
     flag that the run ignores while its report names it."""
     inst = write_p3(tmp_path, ell=1)
     family = write_family(tmp_path, path_graph(3))
-    assert main([command, inst, "--problem", problem, *flags, "--family", family]) == 2
+    family = ["--family", family] if problem in ("hfree", "pifree-oracle") else []
+    assert main([command, inst, "--problem", problem, *flags, *family]) == 2
     assert f"{flags[0]} does not apply to --problem {problem}" in capsys.readouterr().err
+
+
+MISSING = "missing.vcs"  # never read: each flag below is refused before any file is
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", MISSING, "--problem", "cvd", "--nu", "3"],
+     "--nu does not apply to --problem cvd"),
+    (["verify", MISSING, "--problem", "oct", "--oracle", "a1"],
+     "--oracle a1 does not apply to --problem oct"),
+    (["solve", MISSING, "--problem", "oct", "--pattern", "p3.fam"],
+     "--family does not apply to --problem oct"),
+    (["solve", MISSING, "--problem", "hfree", "--pattern", "p3.fam", "--pfun", "3"],
+     "--pfun does not apply to --problem hfree without --cpi"),
+    (["solve", MISSING, "--problem", "pifree-oracle", "--family", "p3.fam",
+      "--oracle", "ecenum", "--nu", "2"],
+     "--nu does not apply to --problem pifree-oracle --oracle ecenum"),
+    (["kernelize", MISSING, "--alg", "lowrank", "--ell", "1", "--c", "1", "--cpi", "2"],
+     "--cpi does not apply to --alg lowrank"),
+    (["kernelize", MISSING, "--alg", "reduce", "--r", "1", "--c", "1", "--k", "3"],
+     "--k does not apply to --alg reduce"),
+    (["kernelize", MISSING, "--alg", "reduce", "--r", "1", "--c", "1", "--q", "2"],
+     "--q does not apply to --alg reduce"),
+    (["kernelize", MISSING, "--wrap", "largest", "--ell", "1", "--cpi", "2", "--pfun", "3"],
+     "--ell does not apply to --alg reduce --wrap largest"),
+    (["gen", "planted", "--family", "p3.fam"], "--family does not apply to gen planted"),
+    (["gen", "planted", "--x", "11"], "--x does not apply to gen planted"),
+    (["gen", "doublefan", "--family", "p3.fam", "--seed", "1"],
+     "--seed does not apply to gen doublefan"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_ignored_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    """A flag that the chosen route does not read exits 2, naming the flag
+    and the route, before the instance or a family file is opened."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"usage error: {message}"
+    assert captured.out == ""
+
+
+# a value for every flag a route of each subcommand reads; "" marks a switch
+FLAG_VALUES = {
+    "gen": {"n": "6", "k": "2", "p": "0.5", "seed": "3", "ell": "1", "family": "{p4}",
+            "split": "1", "centers": "3", "x": "101", "y": "010", "attach_all": ""},
+    "kernelize": {"r": "1", "c": "1", "q": "2", "k": "1", "p": "1", "ell": "1", "cpi": "2",
+                  "pfun": "3"},
+    "solve": {"family": "{p3}", "cpi": "2", "pfun": "3", "nu": "2", "cc": "", "low_mem": "",
+              "cache_cover": ""},
+}
+KEY_FLAGS = {"gen": ("kind",), "kernelize": ("--alg", "--wrap"), "solve": ("--problem", "--oracle")}
+
+
+def route_argv(command, key, dests, files):
+    """The command line that runs route `key` of `command` with `dests`;
+    verify runs the solve routes."""
+    table = key[0]
+    argv = [command] if table == "gen" else [command, files["inst"]]
+    for flag, value in zip(KEY_FLAGS[table], key[1:]):
+        if value is not None:
+            argv += [value] if flag == "kind" else [flag, value]
+    for dest in dests:
+        value = FLAG_VALUES[table][dest].format(**files)
+        argv += ["--" + dest.replace("_", "-")] + ([value] if value else [])
+    return argv + (["-o", files["out"]] if table != "solve" else [])
+
+
+@pytest.fixture(scope="module")
+def route_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("routes")
+    inst = write_p3(base, ell=1)
+    p3 = base / "p3.fam"
+    p3.write_text(format_family(ExplicitFamily.from_graphs([path_graph(3)])))
+    p4 = base / "p4.fam"
+    p4.write_text(format_family(ExplicitFamily.from_graphs([path_graph(4)])))
+    return {"inst": inst, "p3": str(p3), "p4": str(p4), "out": str(base / "out.vcs")}
+
+
+ROUTE_CASES = [(command, key) for key in cli.ROUTES
+               for command in (("solve", "verify") if key[0] == "solve" else (key[0],))]
+
+
+def required_flags(key):
+    return [dest for dest, default in cli.ROUTES[key].flags.items() if default is cli.REQUIRED]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flag_outside_route_exits_2(route_files, capsys, data):
+    """Draw a route and a set of flags of its subcommand: the run exits 2
+    exactly when a drawn flag is one the route does not read (or --pfun
+    comes without the --cpi it is read with); otherwise it answers."""
+    command, key = data.draw(st.sampled_from(ROUTE_CASES))
+    row, required = cli.ROUTES[key], required_flags(key)
+    others = sorted(set(FLAG_VALUES[key[0]]) - set(required))
+    drawn = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+    foreign = [dest for dest in drawn if dest not in row.flags]
+    unpaired = [dest for dest, other in row.needs if dest in drawn and other not in drawn]
+    code = main(route_argv(command, key, required + drawn, route_files))
+    capsys.readouterr()
+    assert code == 2 if foreign or unpaired else code in (0, 1), (command, key, drawn, code)
+
+
+# the report keys each route printed before the route table existed
+SOLVE_KEYS = "verdict solution passes peak_words wall_ms alg instance ell k n"
+VERIFY_KEYS = "agreement verdict brute passes peak_words alg ell"
+KERNEL_KEYS = "kept passes peak_words wall_ms alg instance"
+USER_CHAR_KEYS = KERNEL_KEYS + " cpi pfun char"
+REPORT_KEYS = {
+    ("gen", "planted"): "wrote n m k",
+    ("gen", "doublefan"): "wrote n m k",
+    ("kernelize", "reduce", None): KERNEL_KEYS,
+    ("kernelize", "reduce", "pifree"): USER_CHAR_KEYS,
+    ("kernelize", "reduce", "largest"): USER_CHAR_KEYS,
+    ("kernelize", "reduce", "partition"): USER_CHAR_KEYS,
+    ("kernelize", "lowrank", None): KERNEL_KEYS,
+    ("kernelize", "lowrank", "rankc"): KERNEL_KEYS,
+}
+
+
+@pytest.mark.parametrize("command, key", ROUTE_CASES, ids=str)
+def test_route_report_keys_are_unchanged(route_files, capsys, command, key):
+    expected = REPORT_KEYS.get(key, VERIFY_KEYS if command == "verify" else SOLVE_KEYS)
+    assert main(route_argv(command, key, required_flags(key), route_files)) in (0, 1)
+    assert " ".join(parse_report(capsys.readouterr().out.strip())) == expected
+
+
+@pytest.mark.parametrize("key, flag, extra", [
+    (("solve", "cvd", None), "cache_cover", "profile"),
+    # --cpi without --pfun: hfree runs with the placeholder p(K) = max(1, K)
+    (("solve", "hfree", None), "cpi", "cpi char"),
+])
+def test_route_report_extras_are_unchanged(route_files, capsys, key, flag, extra):
+    assert main(route_argv("solve", key, required_flags(key) + [flag], route_files)) in (0, 1)
+    report = parse_report(capsys.readouterr().out.strip())
+    assert " ".join(report) == f"{SOLVE_KEYS} {extra}"
