@@ -1,10 +1,13 @@
-"""Immutable simple undirected graphs with dense 0..n-1 vertex ids."""
+"""Immutable simple undirected graphs with dense 0..n-1 vertex ids, and
+vertex covers.  Edges in canonical order, as a sorted `.vcs` file lists
+them, are checked by a few whole-list passes; a cover by a degree sum."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice, starmap
+from operator import itemgetter, lt
 from typing import Iterable
 
 from .errors import DuplicateEdge, InvalidCover, ParseError
@@ -16,34 +19,53 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _ascending(edges: list[Edge] | tuple[Edge, ...], n: int) -> bool:
+    """True when `edges` are pairs u < v in strictly ascending order with ids
+    in 0..n-1, as a canonical file lists them: then no edge is a self-loop or
+    a repeat, and every id lies between the first u and the largest v."""
+    try:
+        return not edges or (edges[0][0] >= 0 and all(starmap(lt, edges))
+                             and all(map(lt, edges, islice(edges, 1, None)))
+                             and max(map(itemgetter(1), edges)) < n)
+    except TypeError:  # not all pairs, or pairs of mixed types: checked one by one
+        return False
+
+
 class Graph:
     """Simple undirected graph: one ascending neighbour tuple per vertex; the
     edge set (u < v) and per-vertex frozensets are built on first use.  The
-    constructor checks every edge, a file's too: range, self-loop, duplicate."""
+    constructor checks every edge, a file's too: range, self-loop, duplicate.
+    Edges in canonical order (ascending, u < v) are checked by a few C-level
+    passes; any other order is checked edge by edge, in that order."""
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ParseError("negative vertex count")
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # read twice if bad
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                break
-            adj[u].append(v)
-            adj[v].append(u)
-        if sum(map(len, map(set, adj))) != 2 * len(edges):  # a break, or a neighbour twice:
-            seen: set[Edge] = set()  # name the first bad edge in `edges`' order
+        if _ascending(edges, n):  # no sort: w's edges (u, w), u < w, precede its (w, v)
             for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ParseError(f"vertex id out of range: ({u},{v})")
-                if u == v:
-                    raise ParseError(f"self-loop at {u}")
-                e = (u, v) if u < v else (v, u)
-                if e in seen:
-                    raise DuplicateEdge(f"duplicate edge {e}")
-                seen.add(e)
-        for nbrs in adj:
-            nbrs.sort()
+                adj[u].append(v)
+                adj[v].append(u)
+        else:
+            for u, v in edges:
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    break
+                adj[u].append(v)
+                adj[v].append(u)
+            if sum(map(len, map(set, adj))) != 2 * len(edges):  # a break, or a neighbour twice:
+                seen: set[Edge] = set()  # name the first bad edge in `edges`' order
+                for u, v in edges:
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise ParseError(f"vertex id out of range: ({u},{v})")
+                    if u == v:
+                        raise ParseError(f"self-loop at {u}")
+                    e = (u, v) if u < v else (v, u)
+                    if e in seen:
+                        raise DuplicateEdge(f"duplicate edge {e}")
+                    seen.add(e)
+            for nbrs in adj:
+                nbrs.sort()
         self.n, self.m, self.nbrs = n, len(edges), tuple(map(tuple, adj))
 
     @cached_property
@@ -67,8 +89,12 @@ class Graph:
         return [(u, v) for u, nbrs in enumerate(self.nbrs) for v in nbrs if u < v]
 
     def is_cover(self, members: Iterable[int]) -> bool:
+        """Degree-sum test: X covers exactly when the edges it touches, its
+        degrees less its inside edges counted once, are all m edges."""
         s = set(members)
-        return all(u in s or s.issuperset(nbrs) for u, nbrs in enumerate(self.nbrs))
+        nbrs, n = self.nbrs, self.n
+        touched2 = sum(2 * len(nbrs[x]) - len(s.intersection(nbrs[x])) for x in s if 0 <= x < n)
+        return touched2 == 2 * self.m
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `keep`, relabeled densely; returns (graph, old ids)."""
@@ -126,11 +152,11 @@ class VertexCover:
         for v in cover.members:
             if not 0 <= v < g.n:
                 raise InvalidCover(f"cover vertex {v} out of range")
-        s = cover.member_set()
-        for u, nbrs in enumerate(g.nbrs):  # an outside vertex sees only members
-            if u not in s and not s.issuperset(nbrs):
-                v = next(w for w in nbrs if w not in s)  # (u, v) is the smallest uncovered edge
-                raise InvalidCover(f"edge ({u},{v}) not covered")
+        if not g.is_cover(cover.members):  # name the smallest uncovered edge, u < v
+            s = cover.member_set()
+            u, v = next((u, v) for u, nbrs in enumerate(g.nbrs) if u not in s
+                        for v in nbrs if v not in s)
+            raise InvalidCover(f"edge ({u},{v}) not covered")
         return cover
 
 

@@ -48,6 +48,17 @@ def test_non_utf8_file_is_parse_error(tmp_path, load):
         load(path)
 
 
+def test_line_ends_reach_the_parser(tmp_path):
+    """Files are read as bytes, so CRLF and CR line ends reach `parse_instance`
+    as written; it reads them line by line to the same instance."""
+    g, cover = gen_planted(PlantedSpec(30, 4, 0.3, 5))
+    text = format_instance(g, cover, 1, ["line ends"])
+    path = tmp_path / "ends.vcs"
+    for end in ("\r\n", "\r"):
+        path.write_bytes(text.replace("\n", end).encode())
+        assert load_instance(path) == parse_instance(text)
+
+
 def test_round_trip_file(tmp_path):
     g, cover = gen_planted(PlantedSpec(200, 8, 0.2, 123))
     path = tmp_path / "big.vcs"

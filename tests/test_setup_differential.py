@@ -9,14 +9,19 @@ edges, and the cover check walked that set (`head_parse_instance` below).
 Now `Graph` keeps one sorted neighbour tuple per vertex, finds a repeat as a
 neighbour listed twice and only then rescans the edges in file order to name
 the first bad one; the cover check reads the tuples, and the identity order
-shares them as its blocks.  The frozen copies below are the earlier paths,
-verbatim but for names; on any valid instance, whatever the order and
-orientation of its lines, they must build the same graph, cover, blocks and
-events.  Where edge lines are spoiled, the first path must raise the same
-exception class, and the second the same class and message.
+shares them as its blocks.  A file in the sorted layout that
+`format_instance` writes has its edge block read in bulk, and its edges,
+ascending with u < v, checked by C-level passes; the cover is checked by a
+degree sum.  The frozen copies below are the earlier paths, verbatim but for
+names; on any valid instance, whatever the order and orientation of its
+lines, they must build the same graph, cover, blocks and events.  Where edge
+lines are spoiled, the first path must raise the same exception class, and
+the second the same class and message.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import pytest
 from corpus import planted_covers
@@ -32,7 +37,7 @@ from vcstream.errors import (
     VCStreamError,
 )
 from vcstream.graph import VertexCover, canonical_edge
-from vcstream.instances import parse_instance
+from vcstream.instances import CHUNK, _edge_block, format_instance, parse_instance
 from vcstream.meters import PassMeter
 from vcstream.streams import MODELS, StreamHandle, make_stream
 
@@ -208,9 +213,15 @@ def frozen_make_stream(g, model, order=None):
     return StreamHandle(g, model, blocks, PassMeter())
 
 
-def vcs_lines(g, cover, ell, rnd):
-    """A `.vcs` text of (g, cover) with its edge and cover ids shuffled and
-    each edge written in a random orientation."""
+LAYOUTS = ("shuffled", "sorted")
+
+
+def vcs_lines(g, cover, ell, rnd, layout="shuffled"):
+    """A `.vcs` text of (g, cover): in the sorted layout `format_instance`
+    writes, or with its edge and cover ids shuffled and each edge written in a
+    random orientation."""
+    if layout == "sorted":
+        return format_instance(g, cover, ell, ("sorted",)).splitlines()
     edges = [(u, v) if rnd.random() < 0.5 else (v, u) for u, v in sorted(g.edges)]
     rnd.shuffle(edges)
     ids = list(cover.members)
@@ -222,10 +233,12 @@ def vcs_lines(g, cover, ell, rnd):
 
 @settings(max_examples=80, deadline=None)
 @given(planted_covers(max_n=60, max_k=5), st.randoms(use_true_random=False),
-       st.integers(0, 3))
-def test_setup_matches_frozen_path(case, rnd, ell):
+       st.integers(0, 3), st.sampled_from(LAYOUTS))
+def test_setup_matches_frozen_path(case, rnd, ell, layout):
     g0, cover0, order = case
-    text = "\n".join(vcs_lines(g0, cover0, ell, rnd)) + "\n"
+    text = "\n".join(vcs_lines(g0, cover0, ell, rnd, layout)) + "\n"
+    if layout == "sorted" and g0.m:  # the bulk read is the path under test
+        assert _edge_block(text, text.index("\ne ") + 1) == g0.sorted_edges()
     inst = parse_instance(text)
     old_graph, old_cover, old_ell, old_comments = frozen_parse_instance(text)
     g = inst.graph
@@ -304,16 +317,17 @@ def same_outcome(text):
 
 @settings(max_examples=150, deadline=None)
 @given(planted_covers(max_n=30, max_k=5), st.randoms(use_true_random=False),
-       st.lists(st.sampled_from(SPOILS), min_size=1, max_size=3))
-def test_spoiled_edges_raise_as_at_head(case, rnd, kinds):
+       st.lists(st.sampled_from(SPOILS), min_size=1, max_size=3), st.sampled_from(LAYOUTS))
+def test_spoiled_edges_raise_as_at_head(case, rnd, kinds, layout):
     """Up to three spoiled lines of any kinds, e.g. a repeat before a
     self-loop: the first bad line in file order is named, as before."""
     g0, cover0, _ = case
     assume(g0.m >= len(kinds) + 1)
-    same_outcome("\n".join(spoil(vcs_lines(g0, cover0, 1, rnd), kinds, rnd)) + "\n")
+    same_outcome("\n".join(spoil(vcs_lines(g0, cover0, 1, rnd, layout), kinds, rnd)) + "\n")
 
 
 P3 = "p vcstream 3 2 1 1\nx 1\n"
+S4 = "p vcstream 4 3 1 1\nx 1\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -338,6 +352,74 @@ P3 = "p vcstream 3 2 1 1\nx 1\n"
     "p vcstream 4 3 1 1\nx 1\ne 0 4\ne 2 2\ne 1 2\n",  # out of range before a self-loop
     "p vcstream 4 3 1 1\nx 1\ne 0 1\ne 0 -1\ne 1 0\n",  # negative before a repeat
     "p vcstream 3 2 1 1\nx 1\ne 0 1\ne 3 3\n",  # a self-loop out of range
+    # sorted files that look canonical but are not
+    S4 + "e 0 1\ne 0 1\ne 1 2\n",  # a repeated adjacent line
+    S4 + "e 0 1\ne 1 3\ne 2 1\n",  # a sorted `e 2 1`
+    S4 + "e 0 1\ne 1 2\ne 1 3\nc late\n",  # a comment after the edges
+    "p vcstream 4 3 1 1\ne 0 1\ne 1 2\ne 1 3\nx 1\n",  # the cover line after them
+    S4 + "e 0 1\n\ne 1 2\ne 1 3\n",  # a blank line inside the block
+    S4 + "e 0 1\ne 1 2\ne 1 3",  # no final newline
+    "p vcstream 4 2 1 1\nx 1\ne 0 1\ne 2\n3",  # ... after a line cut in two
+    S4 + "e 0 1\ne\t1 2\ne 1 3\n",  # a tab after a later tag
+    S4 + "e 0 1\ne1 2 3\ne 1 3\n",  # a tag run into an id: three tokens, one an `e1`
+    S4 + "e 0 1\ne 1 2\ne 1e3\n",  # an `e` among the ids
+    (S4 + "e 0 1\ne 1 2\ne 1 3\n").replace("\n", "\r\n"),
+    S4 + "e 0 1\ne 01 2\ne 1 3\n",  # int() reads a leading zero
+    S4 + "e 0 1\ne 1_0 2\ne 1 3\n",  # ... an underscore
+    S4 + "e 0 1\ne +1 2\ne 1 3\n",  # ... a sign
+    S4 + "e 0 1\ne \u0661 2\ne 1 3\n",  # ... a non-ASCII digit
+    S4 + "e 0 1\ne 1 " + "2" * 5000 + "\ne 1 3\n",  # ... but not 5000 digits
+    "p vcstream 4 2 1 1\nx 1\ne 0 1\ne 1 2 e 1\n3\n",  # three tokens a line, but not by line
+    "x 1\ne 0 1\ne 1 2\n",  # no header before the edges
 ])
 def test_edge_line_variants_as_at_head(text):
+    same_outcome(text)
+
+
+def big_sorted_text():
+    """A sorted-layout star whose edge lines, all ten bytes long, span three
+    chunks of the bulk read."""
+    text = "p vcstream 30000 20000 1 0\nx 0\n" + "".join(
+        f"e 0 {v}\n" for v in range(10000, 30000))
+    start = text.index("\ne ") + 1
+    assert len(text) - start > 2 * CHUNK
+    return text, start
+
+
+# Each spoil keeps the line's length, so the chunks keep their bounds.
+CHUNK_SPOILS = {
+    "non_integer": lambda ln, prev: ln[:-2] + "x" + ln[-1],
+    "three_fields": lambda ln, prev: ln[:-2] + " " + ln[-1],
+    "one_field": lambda ln, prev: "e " + ln[4:] + "00",
+    "duplicate": lambda ln, prev: prev,
+    "self_loop": lambda ln, prev: "e 1 00001",
+    "at_n": lambda ln, prev: "e 0 99999",
+    "negative": lambda ln, prev: ln[:4] + "-" + ln[5:],
+    "reversed": lambda ln, prev: f"e {ln[4:]} 0",  # valid, but not ascending
+    "cover_line": lambda ln, prev: "x" + ln[1:],
+    "leading_space": lambda ln, prev: " " + ln[:-1],
+}
+
+
+@pytest.mark.parametrize("where", ["chunk_end", "chunk_start", "later_chunk"])
+@pytest.mark.parametrize("kind", sorted(CHUNK_SPOILS))
+def test_spoiled_line_in_a_later_chunk_as_at_head(kind, where):
+    """A block of three chunks with one line spoiled: the last line of the
+    first chunk, the first of the second, or one inside the third."""
+    text, start = big_sorted_text()
+    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"][:-1]
+    end = text.index("\n", start + CHUNK)  # the first chunk ends with this newline
+    at = {"chunk_end": bisect_right(line_starts, end) - 1,
+          "chunk_start": bisect_right(line_starts, end),
+          "later_chunk": bisect_right(line_starts, start + 2 * CHUNK) + 100}[where]
+    lines = text.splitlines()
+    bad = CHUNK_SPOILS[kind](lines[at], lines[at - 1])
+    assert len(bad) == len(lines[at]) and bad != lines[at]
+    lines[at] = bad
+    same_outcome("\n".join(lines) + "\n")
+
+
+def test_block_of_several_chunks_is_read_in_bulk():
+    text, start = big_sorted_text()
+    assert _edge_block(text, start) == [(0, v) for v in range(10000, 30000)]
     same_outcome(text)
