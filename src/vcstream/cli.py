@@ -23,6 +23,7 @@ from .errors import VCStreamError
 from .graph import VertexCover, path_graph
 from .instances import (
     DoubleFanSpec,
+    Instance,
     PlantedSpec,
     format_instance,
     gen_double_fan,
@@ -54,8 +55,9 @@ BUDGET_ENV = "VCSTREAM_WORD_BUDGET"
 REQUIRED = object()  # the default of a flag that its route cannot run without
 
 
-def _instance_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
+def _instance_hash(inst: Instance) -> str:
+    text = format_instance(inst.graph, inst.cover, inst.ell)  # the file's layout does not count
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _checked(cast, ok, what: str):
@@ -273,7 +275,8 @@ def _cmd_kernelize(given: dict) -> int:
 
     kernel_graph, old_ids = out.kernel_graph()
     kept_cover = [i for i, v in enumerate(old_ids) if v in r.cover.member_set()]
-    comments = [f"kernel-of {_instance_hash(r.instance)}", *row.header]
+    instance = _instance_hash(r.inst)
+    comments = [f"kernel-of {instance}", *row.header]
     budget = row.budget(r) if row.budget else None
     if budget is None:
         comments.append("header ell is the instance's, not a budget this kernel preserves")
@@ -286,7 +289,7 @@ def _cmd_kernelize(given: dict) -> int:
         "peak_words": out.peak_words,
         "wall_ms": f"{wall_ms:.1f}",
         "alg": r.alg,
-        "instance": _instance_hash(r.instance),
+        "instance": instance,
         **row.report(r),
     })
     return 0
@@ -304,7 +307,7 @@ def _cmd_solve(given: dict) -> int:
         "peak_words": outcome.peak_words,
         "wall_ms": f"{wall_ms:.1f}",
         "alg": r.problem,
-        "instance": _instance_hash(r.instance),
+        "instance": _instance_hash(r.inst),
         "ell": r.ell,
         "k": r.cover.K,
         "n": r.inst.graph.n,

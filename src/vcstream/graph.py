@@ -97,12 +97,12 @@ class Graph:
         return touched2 == 2 * self.m
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on `keep`, relabeled densely; returns (graph, old ids)."""
+        """Induced subgraph on `keep`, relabeled densely in order (so its edges
+        come out ascending off the neighbour tuples); returns (graph, old ids)."""
         old = tuple(sorted(set(keep)))
         index = {v: i for i, v in enumerate(old)}
-        edges = [
-            (index[u], index[v]) for u, v in self.edges if u in index and v in index
-        ]
+        nbrs = self.nbrs
+        edges = [(i, index[v]) for i, u in enumerate(old) for v in nbrs[u] if u < v and v in index]
         return Graph(len(old), edges), old
 
     def is_connected(self) -> bool:

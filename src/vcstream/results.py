@@ -68,7 +68,7 @@ class KernelOutput:
     peak_words: int
 
     def kernel_graph(self) -> tuple[Graph, tuple[int, ...]]:
-        """Kernel as a dense graph, with the original ids of its vertices."""
+        """Kernel as a dense graph, edges sorted, with its vertices' original ids."""
         old = tuple(sorted(self.kept_vertices))
         index = {v: i for i, v in enumerate(old)}
-        return Graph(len(old), [(index[u], index[v]) for u, v in self.edges]), old
+        return Graph(len(old), sorted((index[u], index[v]) for u, v in self.edges)), old

@@ -104,19 +104,15 @@ def _phase1_pass(index, b1, b2, pair_edge, deletions, ell):
     (bits b1, b2) forces out, until more than ell are deleted."""
     pair = b1 | b2
     seen = (b1, b2) if pair_edge else (pair,)  # what a forced vertex sees of the pair
-    keys = [m for m in index.classes if (m & pair) in seen]
-    order = index.order
-    for pos in index.first(keys, ell + 1 - len(deletions), deletions):
-        deletions.add(order[pos])
+    for pos in index.first(lambda m: (m & pair) in seen, ell + 1 - len(deletions), deletions):
+        deletions.add(index.order[pos])
 
 
 def _phase2_pass(index, by, deletions, ell):
     """Keep y's first outside neighbour in stream order and delete the rest,
     until more than ell are deleted."""
-    keys = [m for m in index.classes if m & by]
-    order = index.order
-    for pos in index.first(keys, ell + 2 - len(deletions), deletions)[1:]:
-        deletions.add(order[pos])
+    for pos in index.first(lambda m: m & by, ell + 2 - len(deletions), deletions)[1:]:
+        deletions.add(index.order[pos])
 
 
 def _p3_within(y_set, edge_bits):

@@ -146,13 +146,9 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     roles_of: dict[int, list[int]] = {}  # wanted profile -> its role indices
     for role_idx, req in enumerate(reqs):
         roles_of.setdefault(sum(bits[v] for v in req), []).append(role_idx)
-    keys_of: dict[int, list[int]] = {}  # wanted profile -> the classes showing it
-    for m in index.classes:
-        if (m & placed_mask) in roles_of:
-            keys_of.setdefault(m & placed_mask, []).append(m)
     assigned: list[tuple[int, int]] = []  # (stream position, role index)
     for profile, roles in roles_of.items():
-        found = index.first(keys_of.get(profile, ()), len(roles), s_set)
+        found = index.first(lambda m: m & placed_mask == profile, len(roles), s_set)
         if len(found) < len(roles):
             return ()
         assigned += zip(found, roles)
@@ -160,8 +156,7 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     for (a, b), want in pairs:
         if bool(placed_nbrs[placed[a]] & placed[b]) != want:
             return ()
-    order = index.order
-    return tuple((order[pos], role) for pos, role in sorted(assigned))
+    return tuple((index.order[pos], role) for pos, role in sorted(assigned))
 
 
 def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assignment) -> bool:

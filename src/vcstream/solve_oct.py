@@ -28,11 +28,10 @@ def _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover):
         for _, bit, m in index.members:
             if bit & y_mask and m & (y1_mask if bit & y1_mask else y2_mask):
                 success = False
-    order = index.order
-    for pos in index.first([m for m in index.classes if m & y1_mask and m & y2_mask], ell + 1):
+    for pos in index.first(lambda m: m & y1_mask and m & y2_mask, ell + 1):
         if len(deletions) >= ell:
             return False
-        deletions.add(order[pos])
+        deletions.add(index.order[pos])
     return success
 
 

@@ -22,7 +22,8 @@ in ascending member order, and per mask the stream positions of its outside
 blocks, read through `run_class_pass`; a pass over it visits the K member
 blocks and a few blocks per class, at most 2^K classes, not every block.
 A pass that deletes or matches outside vertices takes the first few of its
-chosen classes with `ClassIndex.first`, never more than its loop can use.
+chosen classes with `ClassIndex.first`, which walks classes by first position
+and stops at the first one that starts past the count-th position taken.
 The member masks also answer G[Y] for Y inside the members: `cover_edges`
 reads it in one class pass at O(K) per member of Y, whatever the degrees.
 `induced_edges` reads the blocks of the vertices it keeps, members or not,
@@ -78,8 +79,9 @@ CoverBlock = tuple[int, int, int]  # (v, bit, mask)
 class ClassIndex(NamedTuple):
     """A stream's blocks grouped by a member set X: the vertex at each stream
     position, the member blocks and their positions, and per mask the stream
-    positions of the outside blocks whose N(v) & X it is; positions ascend.
-    `first` takes the first few outside vertices of chosen classes.
+    positions of the outside blocks whose N(v) & X it is; positions ascend,
+    and classes come in the order of their first positions, which `first`,
+    taking the first few outside vertices of chosen classes, relies on.
     `covers` says whether the members cover the handle's graph: every
     outside block's neighbours are all members."""
 
@@ -89,28 +91,33 @@ class ClassIndex(NamedTuple):
     classes: dict[int, list[int]]
     covers: bool
 
-    def first(self, keys: Iterable[int], count: int, skip: Container[int] = ()) -> list[int]:
+    def first(self, wanted: Callable[[int], object], count: int,
+              skip: Container[int] = ()) -> list[int]:
         """The stream positions of the first `count` outside vertices not in
-        `skip` of the classes `keys`, ascending.  No class gives more than
-        `count` of them, so a short take per class and one sort do."""
+        `skip` of the classes whose masks satisfy `wanted`, ascending.  Once
+        `count` are taken, a class that starts past the last of them, like
+        every later class, gives none of the first `count`: the walk stops."""
         if count <= 0:
             return []
-        order, get = self.order, self.classes.get
+        order = self.order
         taken: list[int] = []
-        if not skip:
-            for key in keys:
-                taken += get(key, ())[:count]
-        else:
-            for key in keys:
+        last = len(order)  # the count-th position taken, once there are count
+        for key, positions in self.classes.items():
+            if positions[0] > last:
+                break
+            if wanted(key):
                 want = count
-                for pos in get(key, ()):
+                for pos in positions:
                     if order[pos] not in skip:
                         taken.append(pos)
                         want -= 1
                         if not want:
                             break
-        taken.sort()
-        return taken[:count]
+                taken.sort()
+                del taken[count:]
+                if len(taken) == count:
+                    last = taken[-1]
+        return taken
 
     def member_edges(self, mask: int) -> Iterator[Edge]:
         """The edges among the members whose bits are in `mask`, read off the

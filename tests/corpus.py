@@ -97,14 +97,16 @@ def reference_view(g: Graph, order, members) -> tuple[tuple[int, int, int, tuple
 
 
 @st.composite
-def planted_covers(draw, max_n=40, max_k=5):
+def planted_covers(draw, max_n=40, max_k=5, masks=(1, 4)):
     """A graph covered by K drawn vertices, in a shuffled order; outside
-    vertices take their cover masks from a small pool, so masks repeat."""
+    vertices take their cover masks from a pool of `masks` (least, most)
+    drawn masks, so masks repeat."""
     n = draw(st.integers(1, max_n))
     cover = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(max_k, n),
                           unique=True))
     rnd = draw(st.randoms(use_true_random=False))
-    pool = draw(st.lists(st.integers(0, (1 << len(cover)) - 1), min_size=1, max_size=4))
+    pool = draw(st.lists(st.integers(0, (1 << len(cover)) - 1), min_size=masks[0],
+                         max_size=masks[1]))
     edges = [(a, b) for i, a in enumerate(cover) for b in cover[i + 1:] if rnd.random() < 0.5]
     for v in range(n):
         if v not in cover:

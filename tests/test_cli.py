@@ -244,6 +244,31 @@ def test_kernelize_report_and_output(tmp_path, capsys):
     assert kernel.graph.n <= 3
 
 
+def test_instance_hash_reads_the_instance_not_the_file(tmp_path, capsys):
+    # reversed edge lines, CRLF line ends and a comment line leave the
+    # instance as it was, so `instance=` and the kernel's `kernel-of` hold
+    lines = Path(write_p3(tmp_path)).read_text().splitlines()
+    head = [line for line in lines if not line.startswith("e ")]
+    edges = [line for line in lines if line.startswith("e ")]
+    texts = {"p3.vcs": "\n".join(lines) + "\n",
+             "rev.vcs": "\n".join(head + edges[::-1]) + "\n",
+             "crlf.vcs": "\r\n".join(lines) + "\r\n",
+             "comment.vcs": "\n".join(lines[:1] + ["c a comment"] + lines[1:]) + "\n"}
+    hashes = set()
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode())
+        assert main(["solve", str(tmp_path / name), "--problem", "cvd"]) == 0
+        hashes.add(parse_report(capsys.readouterr().out.strip())["instance"])
+        out = tmp_path / f"{name}.kernel"
+        assert main(["kernelize", str(tmp_path / name), "--alg", "lowrank", "--ell", "1",
+                     "--c", "1", "-o", str(out)]) == 0
+        report = parse_report(capsys.readouterr().out.strip())
+        assert f"kernel-of {report['instance']}" in load_instance(out).comments
+        hashes.add(report["instance"])
+    assert len(hashes) == 1
+    assert len(set(texts.values())) == len(texts)
+
+
 def test_kernelize_lowrank(tmp_path, capsys):
     inst = write_p3(tmp_path, ell=1)
     code = main(["kernelize", inst, "--alg", "lowrank", "--ell", "2", "--c", "1"])

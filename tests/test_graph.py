@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcstream.errors import DuplicateEdge, InvalidCover, ParseError
 from vcstream.graph import (
@@ -55,6 +57,28 @@ def test_induced_relabels_densely():
     assert old == (0, 2, 3)
     assert sub.n == 3
     assert sub.edges == frozenset({(1, 2)})  # only edge 2-3 survives
+
+
+def _induced_from_edge_set(g, keep):
+    """Reference for `Graph.induced`: the kept edges of the edge set, in set order."""
+    old = tuple(sorted(set(keep)))
+    index = {v: i for i, v in enumerate(old)}
+    return Graph(len(old), [(index[u], index[v]) for u, v in g.edges
+                            if u in index and v in index]), old
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_induced_matches_edge_set_walk(data):
+    n = data.draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    keep = data.draw(st.lists(st.integers(0, n - 1))) if n else []
+    g = Graph(n, edges)
+    sub, old = g.induced(keep)
+    want, want_old = _induced_from_edge_set(Graph(n, edges), keep)
+    assert old == want_old and sub.nbrs == want.nbrs and sub.m == want.m
+    assert "edges" not in vars(g)  # read off the neighbour tuples, no edge set built
 
 
 def test_constructors():

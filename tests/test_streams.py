@@ -288,32 +288,66 @@ def test_class_index_of_filtered_substream():
 
 @settings(max_examples=200, deadline=None)
 @given(planted_covers(max_n=40, max_k=5), st.data())
+def test_classes_come_in_first_position_order(case, data):
+    # `first` stops on this order: classes by their first position, and
+    # ascending positions inside each class; on the whole stream and on a
+    # substream, for the cover and for a member set that need not cover
+    g, X, order = case
+    h = make_stream(g, AL, order)
+    keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+    other = data.draw(st.sets(st.integers(0, g.n - 1)))
+    for handle in (h, filtered_substream(h, keep)):
+        for members in (X.members, other):
+            classes = list(handle.class_index(members).classes.values())
+            heads = [positions[0] for positions in classes]
+            assert heads == sorted(heads)
+            assert all(a < b for positions in classes for a, b in zip(positions, positions[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_covers(max_n=200, max_k=8, masks=(8, 40)), st.data())
 def test_first_takes_chosen_classes_in_stream_order(case, data):
     g, X, order = case
     members = data.draw(st.sampled_from([X.members, tuple(range(0, g.n, 3))]))
-    # keys past the members' masks name no class
-    keys = data.draw(st.sets(st.integers(0, (2 << len(members)) - 1)))
-    skip = data.draw(st.sets(st.integers(0, g.n - 1)))
-    count = data.draw(st.integers(-1, g.n + 1))
     index = make_stream(g, AL, order).class_index(members)
+    # keys past the members' masks name no class; drawn classes make the
+    # walk reach its stop
+    keys = data.draw(st.sets(st.integers(0, (2 << len(members)) - 1)))
+    if index.classes:
+        keys |= data.draw(st.sets(st.sampled_from(sorted(index.classes))))
+    skip = data.draw(st.sets(st.integers(0, g.n - 1)))
+    count = data.draw(st.integers(-1, 4) | st.integers(-1, g.n + 1))  # small ones stop early
     chosen = [pos for pos, (v, bit, m, _) in enumerate(reference_view(g, order, members))
               if not bit and m in keys]
-    assert index.first(keys, count, skip) == [
+    assert index.first(keys.__contains__, count, skip) == [
         pos for pos in chosen if order[pos] not in skip][:max(count, 0)]
-    assert index.first(keys, count) == chosen[:max(count, 0)]
+    assert index.first(keys.__contains__, count) == chosen[:max(count, 0)]
 
 
 def test_first_edge_cases():
     # path 0-1-2-3-4 over member 1: class 1 holds 0 and 2, class 0 holds 3 and 4
     index = make_stream(path_graph(5), AL).class_index([1])
     assert index.classes == {1: [0, 2], 0: [3, 4]}
-    assert index.first([0, 1], 0) == index.first([0, 1], -3) == []
-    assert index.first([0, 1], 9) == [0, 2, 3, 4]
-    assert index.first([0, 1], 3) == [0, 2, 3]
-    assert index.first([2, 5], 2) == [] and index.first([2, 0], 2) == [3, 4]
-    assert index.first([1, 0], 2, skip={0, 3}) == [2, 4]
-    assert index.first([1, 0], 2, skip={0, 1, 2}) == [3, 4]
-    assert index.first([1], 2, skip={0, 2}) == []
+    every = {0, 1}.__contains__
+    assert index.first(every, 0) == index.first(every, -3) == []
+    assert index.first(every, 9) == [0, 2, 3, 4]
+    assert index.first(every, 3) == [0, 2, 3]
+    assert index.first({2, 5}.__contains__, 2) == []
+    assert index.first({0, 2}.__contains__, 2) == [3, 4]
+    assert index.first(every, 2, skip={0, 3}) == [2, 4]
+    assert index.first(every, 2, skip={0, 1, 2}) == [3, 4]
+    assert index.first({1}.__contains__, 2, skip={0, 2}) == []
+    # two taken from class 1, class 0 starts past both: the walk stops there
+    asked = []
+    assert index.first(lambda m: asked.append(m) or True, 2) == [0, 2]
+    assert asked == [1]
+    # over member 5: class 1 holds 0 and 3, class 0 holds 1, 2 and 4; with
+    # vertex 0 skipped, class 0 starts before class 1's first unskipped position
+    index = make_stream(Graph(6, [(0, 5), (3, 5)]), AL).class_index([5])
+    assert index.classes == {1: [0, 3], 0: [1, 2, 4]}
+    assert index.first(every, 2, skip={0}) == [1, 2]
+    assert index.first(every, 1, skip={0}) == [1]
+    assert index.first({1}.__contains__, 2, skip={0}) == [3]
 
 
 @settings(max_examples=200, deadline=None)
