@@ -1,14 +1,16 @@
 """Immutable simple undirected graphs with dense 0..n-1 vertex ids, and
-vertex covers.  Edges in canonical order, as a sorted `.vcs` file lists
-them, are checked by a few whole-list passes; a cover by a degree sum."""
+vertex covers.  Edges come as (u, v) pairs or as two id columns, as the
+`.vcs` reader gives them; in canonical order, as a sorted file lists them,
+they are checked by a few whole-list passes over the columns; a cover by a
+degree sum."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, starmap
-from operator import itemgetter, lt
-from typing import Iterable
+from itertools import combinations, islice
+from operator import lt
+from typing import Iterable, NamedTuple
 
 from .errors import DuplicateEdge, InvalidCover, ParseError
 
@@ -19,43 +21,58 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _ascending(edges: list[Edge] | tuple[Edge, ...], n: int) -> bool:
-    """True when `edges` are pairs u < v in strictly ascending order with ids
-    in 0..n-1, as a canonical file lists them: then no edge is a self-loop or
-    a repeat, and every id lies between the first u and the largest v."""
+class EdgeColumns(NamedTuple):
+    """Edges as two equal-length id columns: edge i is (us[i], vs[i])."""
+
+    us: list[int]
+    vs: list[int]
+
+
+def _ascending(us: list[int], vs: list[int], n: int) -> bool:
+    """True when the edges (us[i], vs[i]) are pairs u < v in strictly
+    ascending order with ids in 0..n-1, as a canonical file lists them: then
+    no edge is a self-loop or a repeat, and every id lies between the first u
+    and the largest v.  Consecutive pairs are compared through two `zip`s,
+    which reuse their tuples, so no tuple is kept per edge."""
     try:
-        return not edges or (edges[0][0] >= 0 and all(starmap(lt, edges))
-                             and all(map(lt, edges, islice(edges, 1, None)))
-                             and max(map(itemgetter(1), edges)) < n)
-    except TypeError:  # not all pairs, or pairs of mixed types: checked one by one
+        return not us or (us[0] >= 0 and all(map(lt, us, vs))
+                          and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+                          and max(vs) < n)
+    except TypeError:  # ids of mixed types: checked one by one
         return False
 
 
 class Graph:
     """Simple undirected graph: one ascending neighbour tuple per vertex; the
     edge set (u < v) and per-vertex frozensets are built on first use.  The
-    constructor checks every edge, a file's too: range, self-loop, duplicate.
-    Edges in canonical order (ascending, u < v) are checked by a few C-level
-    passes; any other order is checked edge by edge, in that order."""
+    constructor takes (u, v) pairs or `EdgeColumns`, and checks every edge, a
+    file's too: range, self-loop, duplicate.  Edges in canonical order
+    (ascending, u < v) are checked by a few C-level passes over the two id
+    columns; any other order is checked edge by edge, in that order."""
 
-    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+    def __init__(self, n: int, edges: Iterable[Edge] | EdgeColumns = ()):
         if n < 0:
             raise ParseError("negative vertex count")
-        edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # read twice if bad
+        if type(edges) is EdgeColumns:
+            us, vs = edges
+        else:
+            edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # read twice
+            us = [u for u, _ in edges]
+            vs = [v for _, v in edges]
         adj: list[list[int]] = [[] for _ in range(n)]
-        if _ascending(edges, n):  # no sort: w's edges (u, w), u < w, precede its (w, v)
-            for u, v in edges:
+        if _ascending(us, vs, n):  # no sort: w's edges (u, w), u < w, precede its (w, v)
+            for u, v in zip(us, vs):
                 adj[u].append(v)
                 adj[v].append(u)
         else:
-            for u, v in edges:
+            for u, v in zip(us, vs):
                 if u == v or not (0 <= u < n and 0 <= v < n):
                     break
                 adj[u].append(v)
                 adj[v].append(u)
-            if sum(map(len, map(set, adj))) != 2 * len(edges):  # a break, or a neighbour twice:
-                seen: set[Edge] = set()  # name the first bad edge in `edges`' order
-                for u, v in edges:
+            if sum(map(len, map(set, adj))) != 2 * len(us):  # a break, or a neighbour twice:
+                seen: set[Edge] = set()  # name the first bad edge in the edges' order
+                for u, v in zip(us, vs):
                     if not (0 <= u < n and 0 <= v < n):
                         raise ParseError(f"vertex id out of range: ({u},{v})")
                     if u == v:
@@ -66,7 +83,7 @@ class Graph:
                     seen.add(e)
             for nbrs in adj:
                 nbrs.sort()
-        self.n, self.m, self.nbrs = n, len(edges), tuple(map(tuple, adj))
+        self.n, self.m, self.nbrs = n, len(us), tuple(map(tuple, adj))
 
     @cached_property
     def edges(self) -> frozenset[Edge]:

@@ -3,11 +3,14 @@ two-fan disjointness gadget.
 
 An instance file in the sorted layout that `format_instance` writes, where
 every line from the first edge line on is `e <id> <id>`, has its edge block
-read in bulk, a chunk at a time; any other layout is read line by line.
-Both give the same instance, or the same error naming the same line."""
+read into two id columns, a 64 KB chunk at a time: byte tests check each
+chunk's lines and one `json.loads` parses its ids, with no tuple per edge.
+Any other layout, or an id JSON refuses (a leading zero), is read line by
+line.  Both give the same instance, or the same error naming the same line."""
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from .errors import (
     NotDegreeTwo,
     ParseError,
 )
-from .graph import Graph, VertexCover, minimum_vertex_cover
+from .graph import EdgeColumns, Graph, VertexCover, minimum_vertex_cover
 from .properties import ExplicitFamily, PatternGraph
 
 HEADER_TAG = "p vcstream"
@@ -34,44 +37,51 @@ class Instance:
 
 
 def format_instance(g: Graph, cover: VertexCover, ell: int, comments=()) -> str:
-    """Canonical text form: header, comments, cover line, sorted edge lines."""
+    """Canonical text form: header, comments, cover line, sorted edge lines.
+    The edge lines are one `%` format over the flat ids, not a string each."""
     VertexCover.validated(g, cover.members)
     lines = [f"{HEADER_TAG} {g.n} {g.m} {cover.K} {ell}"]
     lines.extend(f"c {c}" for c in comments)
     lines.append("x" + "".join(f" {v}" for v in cover.members))
-    lines.extend(f"e {u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
+    ids = tuple([x for u, nbrs in enumerate(g.nbrs) for v in nbrs if u < v for x in (u, v)])
+    return "\n".join(lines) + "\n" + "e %d %d\n" * g.m % ids
 
 
-# The bytes of an edge block that `_edge_block` reads, and its chunk length.
-EDGE_BLOCK_BYTES = b"e 0123456789\n"
+# The ASCII digits, which the edge block's byte test deletes; the table that
+# turns its spaces into commas and its tags and newlines into JSON whitespace;
+# its chunk length.
+DIGITS = b"0123456789"
+JSON_IDS = bytes.maketrans(b" e\n", b",  ")
 CHUNK = 1 << 16
 
 
-def _edge_block(text: str, start: int) -> list[tuple[int, int]] | None:
-    """The edges of `text[start:]` when each of its lines is the tag `e` and
-    two ASCII-digit ids, apart by spaces, and ends in a newline; else None.
-    Read in chunks of whole lines, so the tokens held at once stay small."""
-    edges: list[tuple[int, int]] = []
+def _edge_block(text: str, start: int) -> EdgeColumns | None:
+    """The edges of `text[start:]` as id columns when each of its lines is
+    `e <id> <id>`, the ids plain JSON integers of ASCII digits, and ends in a
+    newline; else None.  Read in chunks of whole lines: each is checked by
+    C-level byte tests and its ids parsed by one `json.loads`, so no token
+    or tuple is built per edge."""
+    us: list[int] = []
+    vs: list[int] = []
     while start < len(text):
         stop = text.find("\n", start + CHUNK) + 1 or len(text)
         chunk = text[start:stop].encode()
         start = stop
+        # The chunk starts `e ` and ends with a newline, every newline but
+        # the last is followed by `e `, and with the digits gone each line is
+        # `e  \n`: so each line is `e <digits> <digits>\n`.  JSON refuses an
+        # empty id and a leading zero.
         lines = chunk.count(b"\n")
-        # Only tags, ids, spaces and newlines, and every line starts with `e`;
-        # then three tokens a line, every third an `e` and the rest ids that
-        # int() reads, make each line exactly `e <id> <id>`.
-        if (chunk.translate(None, EDGE_BLOCK_BYTES) or chunk[:1] != b"e"
-                or chunk[-1:] != b"\n" or chunk.count(b"\ne") != lines - 1):
+        if (chunk[:2] != b"e " or chunk[-1:] != b"\n" or chunk.count(b"\ne ") != lines - 1
+                or chunk.translate(None, DIGITS) != b"e  \n" * lines):
             return None
-        tokens = chunk.split()
-        if len(tokens) != 3 * lines or tokens[::3].count(b"e") != lines:
+        try:  # also a ValueError: an id past int()'s digit limit
+            ids = json.loads(b"[" + chunk[2:].translate(JSON_IDS) + b"]")
+        except ValueError:
             return None
-        try:
-            edges += zip(map(int, tokens[1::3]), map(int, tokens[2::3]))
-        except ValueError:  # an `e` among the ids, or past int()'s digit limit
-            return None
-    return edges
+        us += ids[::2]
+        vs += ids[1::2]
+    return EdgeColumns(us, vs)
 
 
 def parse_instance(text: str) -> Instance:
@@ -92,15 +102,17 @@ def parse_instance(text: str) -> Instance:
 
     comments: list[str] = []
     cover_ids: list[int] | None = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for ln in lines[1:]:
         tag, _, rest = ln.partition(" ")
         if tag == "e":  # checked by Graph: range, self-loop, duplicate
             try:
-                u, v = rest.split()
-                edges.append((int(u), int(v)))
+                u, v = map(int, rest.split())
             except ValueError as exc:
                 raise ParseError(f"malformed edge line: {ln!r}") from exc
+            us.append(u)
+            vs.append(v)
         elif tag == "c":
             comments.append(rest)
         elif tag == "x":
@@ -112,11 +124,13 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"malformed cover line: {ln!r}") from exc
         else:
             raise ParseError(f"unknown line tag {tag!r}")
-    edges += block or ()
+    if block is not None:
+        us += block.us
+        vs += block.vs
     if cover_ids is None:
         raise ParseError("missing cover line")
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    if len(us) != m:
+        raise ParseError(f"header declares {m} edges, found {len(us)}")
     if len(cover_ids) != k:
         raise ParseError(f"header declares cover size {k}, found {len(cover_ids)}")
     seen: set[int] = set()
@@ -124,7 +138,7 @@ def parse_instance(text: str) -> Instance:
         if x in seen:
             raise ParseError(f"repeated cover vertex {x}")
         seen.add(x)
-    graph = Graph(n, edges)
+    graph = Graph(n, EdgeColumns(us, vs))
     cover = VertexCover.validated(graph, cover_ids)
     return Instance(graph, cover, ell, tuple(comments))
 

@@ -1,9 +1,14 @@
+from itertools import combinations
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcstream import graph
 from vcstream.errors import DuplicateEdge, InvalidCover, ParseError
 from vcstream.graph import (
+    EdgeColumns,
     Graph,
     VertexCover,
     complete_graph,
@@ -121,3 +126,63 @@ def test_stream_path_builds_no_edge_set():
     solve_cvd(h, inst.cover, inst.ell)
     assert all(h.blocks[v] is inst.graph.nbrs[v] for v in range(6))
     assert "edges" not in vars(inst.graph) and "_adj" not in vars(inst.graph)
+
+
+EDGE_ORDERS = ("canonical", "shuffled", "u_ge_v", "repeat", "v_at_n", "negative_u", "none")
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, order): distinct edges u < v in ascending order, then
+    shuffled and flipped, or spoiled at one drawn place (a pair with u >= v,
+    a repeat, v = n, a negative u), or none at all; n may be 0."""
+    n = draw(st.integers(0, 9))
+    possible = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(possible)))) if possible else []
+    order = draw(st.sampled_from(EDGE_ORDERS))
+    at = draw(st.integers(0, len(edges)))
+    u, v = edges[at] if at < len(edges) else (0, max(n - 1, 0))
+    if order == "shuffled":
+        edges = [e[::-1] if flip else e
+                 for e, flip in zip(draw(st.permutations(edges)),
+                                    draw(st.lists(st.booleans(), min_size=len(edges),
+                                                  max_size=len(edges))))]
+    elif order == "u_ge_v":
+        edges[at:at + 1] = [draw(st.sampled_from([(v, u), (u, u), (v, v)]))]
+    elif order == "repeat" and edges:
+        edges.insert(at, draw(st.sampled_from(edges)))
+    elif order == "v_at_n":
+        edges[at:at + 1] = [(u, n)]
+    elif order == "negative_u":
+        edges[at:at + 1] = [(-1, v)]
+    elif order == "none":
+        edges = []
+    return n, edges, order
+
+
+def filed(n, edges):
+    """Graph's `nbrs` and `m` on these edges as columns, or its error."""
+    try:
+        g = Graph(n, EdgeColumns([u for u, _ in edges], [v for _, v in edges]))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.nbrs, g.m
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_column_filing_matches_edge_by_edge(case):
+    """The whole-list check and fill on two id columns against the
+    edge-by-edge path on the same edges, forced by refusing every order."""
+    n, edges, order = case
+    if order in ("canonical", "none"):
+        assert graph._ascending([u for u, _ in edges], [v for _, v in edges], n)
+    with mock.patch.object(graph, "_ascending", lambda us, vs, n: False):
+        one_by_one = filed(n, edges)
+    assert filed(n, edges) == one_by_one
+    try:
+        g = Graph(n, edges)  # pairs, split into the columns
+    except Exception as exc:
+        assert (type(exc), str(exc)) == one_by_one
+    else:
+        assert (g.nbrs, g.m) == one_by_one

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from corpus import BAD_INSTANCES
+from corpus import BAD_INSTANCES, planted_covers
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -234,3 +234,22 @@ def test_round_trip_random(data):
     text = format_instance(g, cover, ell)
     inst = parse_instance(text)
     assert format_instance(inst.graph, inst.cover, inst.ell) == text
+
+
+def fstring_instance(g, cover, ell, comments=()):
+    """`format_instance` as it was: one f-string per edge line."""
+    lines = [f"p vcstream {g.n} {g.m} {cover.K} {ell}"]
+    lines.extend(f"c {c}" for c in comments)
+    lines.append("x" + "".join(f" {v}" for v in cover.members))
+    lines.extend(f"e {u} {v}" for u, v in g.sorted_edges())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_covers(max_n=60, max_k=6), st.integers(0, 3),
+       st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from("%d"),
+                        max_size=8), max_size=2))
+def test_edge_lines_formatted_as_per_edge_strings(case, ell, comments):
+    g, cover, _ = case
+    for notes in ((), comments):
+        assert format_instance(g, cover, ell, notes) == fstring_instance(g, cover, ell, notes)

@@ -238,7 +238,7 @@ def test_setup_matches_frozen_path(case, rnd, ell, layout):
     g0, cover0, order = case
     text = "\n".join(vcs_lines(g0, cover0, ell, rnd, layout)) + "\n"
     if layout == "sorted" and g0.m:  # the bulk read is the path under test
-        assert _edge_block(text, text.index("\ne ") + 1) == g0.sorted_edges()
+        assert list(zip(*_edge_block(text, text.index("\ne ") + 1))) == g0.sorted_edges()
     inst = parse_instance(text)
     old_graph, old_cover, old_ell, old_comments = frozen_parse_instance(text)
     g = inst.graph
@@ -328,6 +328,7 @@ def test_spoiled_edges_raise_as_at_head(case, rnd, kinds, layout):
 
 P3 = "p vcstream 3 2 1 1\nx 1\n"
 S4 = "p vcstream 4 3 1 1\nx 1\n"
+H2 = "p vcstream 6 2 2 1\nx 1 3\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -371,8 +372,47 @@ S4 = "p vcstream 4 3 1 1\nx 1\n"
     S4 + "e 0 1\ne 1 " + "2" * 5000 + "\ne 1 3\n",  # ... but not 5000 digits
     "p vcstream 4 2 1 1\nx 1\ne 0 1\ne 1 2 e 1\n3\n",  # three tokens a line, but not by line
     "x 1\ne 0 1\ne 1 2\n",  # no header before the edges
+    # sorted files that pass the bulk read's byte tests, or fail only one
+    H2 + "e 1 2\n5e 3 4\n",  # a digit before a later line's tag
+    H2 + "e 1 2\ne3 4 5\n",  # a later tag run into an id
+    H2 + "e 1 \n2e 3 4\n",  # an empty id, its digit moved before the next tag
+    H2 + "e 1 2\ne 3 4\n5",  # a digit after the last newline
+    H2 + "e 1 2\ne 3 \n4",  # ... the last id, moved past it
+    H2 + "e 1 2\ne 3 4\n56\n",  # ... and a line of digits
+    H2 + "e  2\ne 3 4\n",  # an empty id
+    H2 + "e 1 2\ne 3 \n",  # ... the second one
+    H2 + "e 01 2\ne 3 4\n",  # a leading zero: JSON refuses it, int() reads it
+    "p vcstream 6 2 2 1\nx 0 3\ne 00 1\ne 3 4\n",  # ... a zero written twice
+    H2 + "e 1 2 \ne 3 4\n",  # a trailing space
+    H2 + "e 1\t2\ne 3 4\n",  # a tab between the ids
+    H2 + "e 1 " + "2" * 4301 + "\ne 3 4\n",  # an id one digit past int()'s limit
+    H2 + "e 1E3 2\ne 3 4\n",  # JSON reads an exponent
+    H2 + "e -1 2\ne 3 4\n",  # ... a sign
+    H2 + "e NaN 2\ne 3 4\n",  # ... NaN
+    H2 + "e Infinity 2\ne 3 4\n",  # ... Infinity
 ])
 def test_edge_line_variants_as_at_head(text):
+    same_outcome(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_covers(max_n=12, max_k=3), st.lists(
+    st.tuples(st.floats(0, 1, exclude_max=True),
+              st.sampled_from("0123456789 e\n") | st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    min_size=1, max_size=3))
+def test_edited_edge_block_as_at_head(case, edits):
+    """A sorted-layout text with up to three edits in its edge block, each a
+    byte inserted (a digit, space, tag or newline) or one moved up to three
+    places: so an id's digits may cross a separator, a tag or a line end."""
+    g0, cover0, _ = case
+    text = format_instance(g0, cover0, 1)
+    start = text.find("\ne ") + 1
+    assume(start)
+    for at, edit in edits:
+        i = start + int(at * (len(text) - start))
+        if isinstance(edit, int):  # move text[i] by `edit` places
+            edit, text, i = text[i:i + 1], text[:i] + text[i + 1:], max(start, i + edit)
+        text = text[:i] + edit + text[i:]
     same_outcome(text)
 
 
@@ -398,6 +438,8 @@ CHUNK_SPOILS = {
     "reversed": lambda ln, prev: f"e {ln[4:]} 0",  # valid, but not ascending
     "cover_line": lambda ln, prev: "x" + ln[1:],
     "leading_space": lambda ln, prev: " " + ln[:-1],
+    "tag_run_into_id": lambda ln, prev: "e" + ln[4:6] + " 0 " + ln[6:],  # `e12 0 345`
+    "digits_before_tag": lambda ln, prev: ln[4:7] + "e 0 " + ln[7:],  # `123e 0 45`
 }
 
 
@@ -421,5 +463,5 @@ def test_spoiled_line_in_a_later_chunk_as_at_head(kind, where):
 
 def test_block_of_several_chunks_is_read_in_bulk():
     text, start = big_sorted_text()
-    assert _edge_block(text, start) == [(0, v) for v in range(10000, 30000)]
+    assert list(zip(*_edge_block(text, start))) == [(0, v) for v in range(10000, 30000)]
     same_outcome(text)
