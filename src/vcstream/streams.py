@@ -14,13 +14,14 @@ know n in advance.  An induced substream is a handle over the kept blocks,
 charging its passes to the parent's meter.
 
 Given a vertex cover X, an outside vertex is fully described by N(v) & X,
-and outside vertices with one such mask are twins.  So an AL handle ORs
-each member's bit into its neighbours' masks, then groups the blocks in one
-walk over positions, one lookup each, into a class index: the member blocks
-as (v, bit, mask) tuples, where `mask` holds N(v) & members as bits
-in ascending member order, and per mask the stream positions of its outside
-blocks, read through `run_class_pass`; a pass over it visits the K member
-blocks and a few blocks per class, at most 2^K classes, not every block.
+and outside vertices with one such mask are twins, whose blocks are equal.
+So an AL handle files its positions by block in one walk, one lookup each,
+and reads N(v) & members once per distinct block, into a class index: the
+member blocks as (v, bit, mask) tuples, where `mask` holds N(v) & members as
+bits in ascending member order, and per mask the stream positions of its
+outside blocks, read through `run_class_pass`; a pass over it visits the K
+member blocks and a few blocks per class, at most 2^K classes, not every
+block.
 A pass that deletes or matches outside vertices takes the first few of its
 chosen classes with `ClassIndex.first`, which walks classes by first position
 and stops at the first one that starts past the count-th position taken.
@@ -83,7 +84,8 @@ class ClassIndex(NamedTuple):
     and classes come in the order of their first positions, which `first`,
     taking the first few outside vertices of chosen classes, relies on.
     `covers` says whether the members cover the handle's graph: every
-    outside block's neighbours are all members."""
+    outside block's neighbours are all members, tested once per distinct
+    outside block."""
 
     order: tuple[int, ...]
     members: tuple[CoverBlock, ...]
@@ -178,37 +180,53 @@ class StreamHandle:
             self.pass_meter.increment()
 
     def class_index(self, members: Iterable[int]) -> ClassIndex:
-        """The class index of `members`, built from the member blocks and one
-        walk over positions that files each member alone, under -bit, until
-        it is popped.  Only the index of the last `members` is kept;
-        building it is not a pass."""
+        """The class index of `members`, from one walk over positions that
+        files each under its block: outside twins have equal blocks, their
+        neighbours in stream order.  Then, once per distinct block, N(v) &
+        members and whether the members hold all of it.  Each member leaves
+        its block's list, which may move that list's head, so the classes
+        are put back in first-position order; blocks with one mask, which
+        happen when the members do not cover, are merged.  Only the index of
+        the last `members` is kept; building it is not a pass."""
         if self.model != AL:
             raise NotALModel("the class index requires an AL stream")
         key = tuple(sorted(members))
         if key != self._index_members:
             blocks = self.blocks
-            masks = dict.fromkeys(blocks, 0)  # v -> N(v) & members, from the member side
-            bits = [(x, bit) for x, bit in cover_bits(key).items() if x in blocks]
-            for x, bit in bits:
-                for w in blocks[x]:
-                    masks[w] |= bit
-            member_masks = [masks[x] for x, _ in bits]
-            for x, bit in bits:
-                masks[x] = -bit
-            grouped: defaultdict[int, list[int]] = defaultdict(list)
-            for pos, mask in enumerate(masks.values()):
-                grouped[mask].append(pos)
-            filed = sorted((grouped.pop(-bit)[0], x, bit, mask)
-                           for (x, bit), mask in zip(bits, member_masks))
-            # Blocks are symmetric, so the outside blocks' total length is the
-            # edges from members to outside vertices exactly when they cover.
-            member_len = sum(len(blocks[x]) for x, _ in bits)
-            to_outside = member_len - sum(mask.bit_count() for mask in member_masks)
-            covers = sum(map(len, blocks.values())) - member_len == to_outside
+            order = tuple(blocks)
+            filed: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+            for pos, block in enumerate(blocks.values()):
+                filed[block].append(pos)
+            bit_of = cover_bits(key)
+            members_at = []
+            for x in bit_of.keys() & blocks.keys():
+                positions = filed[blocks[x]]
+                pos = order.index(x, positions[0])
+                positions.remove(pos)
+                members_at.append((pos, x))
+            members_at.sort()
+            classes: dict[int, list[int]] = {}
+            merged = set()
+            covers = True
+            for block, positions in filed.items():
+                if positions:
+                    seen = bit_of.keys() & block
+                    covers = covers and len(seen) == len(block)
+                    mask = sum(map(bit_of.__getitem__, seen))
+                    if mask in classes:
+                        classes[mask] += positions
+                        merged.add(mask)
+                    else:
+                        classes[mask] = positions
+            for mask in merged:
+                classes[mask].sort()
             self._index_members = key
-            self._index = ClassIndex(tuple(blocks),
-                                     tuple((x, bit, mask) for _, x, bit, mask in filed),
-                                     tuple(pos for pos, _, _, _ in filed), dict(grouped), covers)
+            self._index = ClassIndex(
+                order,
+                tuple((x, bit_of[x], sum(map(bit_of.__getitem__, bit_of.keys() & blocks[x])))
+                      for _, x in members_at),
+                tuple(pos for pos, _ in members_at),
+                dict(sorted(classes.items(), key=lambda item: item[1][0])), covers)
         return self._index
 
     def positions(self) -> dict[int, int]:

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from vcstream.brute import brute_min_deletion
 from vcstream.errors import (
     BadParams,
+    DuplicateEdge,
     HTooSmall,
     InvalidCover,
     NotDegreeTwo,
@@ -72,6 +74,76 @@ def test_parse_errors():
     for _case, text, error, message in BAD_INSTANCES:
         with pytest.raises(error, match=re.escape(message)):
             parse_instance(text)
+
+
+SORTED_P3 = "p vcstream 3 2 1 1\nx 1\ne 0 1\ne 1 2\n"
+# a comment line among the edges sends the file to the line loop, and the
+# edges out of order to Graph's edge-by-edge checks
+LINE_LOOP_P3 = "p vcstream 3 2 1 1\nx 1\ne 1 2\nc between\ne 1 0\n"
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("text, error", [
+    (SORTED_P3, None),
+    (LINE_LOOP_P3, None),
+    ("x 1\ne 0 1\ne 1 2\n", ParseError),
+    ("p vcstream 3 2 1 1\nx 1\ne 0 1\ne 1 0\n", DuplicateEdge),
+    ("p vcstream 3 2 1 1\nx 0\ne 0 1\ne 1 2\n", InvalidCover),
+], ids=["sorted", "line-loop", "no-header", "duplicate-edge", "uncovered"])
+def test_parse_leaves_the_collector_as_it_found_it(collector_state, text, error, enabled):
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        assert parse_instance(text).graph == path_graph(3)
+    else:
+        with pytest.raises(error):
+            parse_instance(text)
+    assert gc.isenabled() is enabled
+
+
+@pytest.fixture(scope="module")
+def big_text():
+    """A 20000-vertex instance in the sorted layout."""
+    return format_instance(*gen_planted(PlantedSpec(20000, 6, 0.3, 1)), 2)
+
+
+def test_parse_runs_no_collection(collector_state, big_text):
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        parse_instance(big_text)
+        inside = len(runs)
+    finally:
+        gc.callbacks.remove(count)
+    assert inside == 0
+
+
+def test_parse_makes_no_cycle(collector_state, big_text):
+    # what makes the paused collector safe: with it off, all that a parse
+    # made, kept or raised is freed by reference counts alone
+    gc.disable()
+    gc.collect()
+    for text in (big_text, LINE_LOOP_P3):
+        parse_instance(text)  # the instance is dropped at once
+        assert gc.collect() == 0
+    try:
+        parse_instance("p vcstream 3 2 1 1\nx 0\ne 0 1\ne 1 2\n")
+    except InvalidCover:
+        pass
+    assert gc.collect() == 0
 
 
 def test_write_refuses_uncovered():

@@ -233,8 +233,47 @@ def test_class_index_matches_graph():
             for _ in range(3):
                 members = rng.sample(range(g.n), rng.randint(0, g.n))
                 expected = _grouped(reference_view(g, order, members))
-                assert h.class_index(members) == expected
+                index = h.class_index(members)
+                assert index == expected and list(index.classes) == list(expected.classes)
             assert h.pass_meter.passes == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_covers(max_n=200, max_k=8, masks=(8, 40)), st.data())
+def test_class_index_matches_reference_past_the_atlas(case, data):
+    # on a shuffled order and on a substream that lacks some members: the
+    # cover; a drawn set that need not cover; the cover with drawn vertices
+    # added, which then share blocks with their outside twins; and a set
+    # naming absent ids
+    g, X, order = case
+    keep = set(data.draw(st.sets(st.integers(0, g.n - 1)))) - set(X.members[:1])
+    drawn = data.draw(st.sets(st.integers(0, g.n - 1), max_size=10))
+    absent = drawn | {g.n, g.n + 3}
+    h = make_stream(g, AL, order)
+    sub = filtered_substream(h, keep)
+    sub_g, old = g.induced(keep)
+    induced = Graph(g.n, [(old[u], old[v]) for u, v in sub_g.edges])
+    for members in (X.members, drawn, set(X.members) | drawn, absent):
+        views = ((h, reference_view(g, order, members)),
+                 (sub, reference_view(induced, [v for v in order if v in keep], members)))
+        for handle, view in views:
+            index, expected = handle.class_index(members), _grouped(view)
+            assert index == expected
+            assert list(index.classes.items()) == list(expected.classes.items())  # key order
+
+
+def test_class_index_members_share_blocks_with_outside_vertices():
+    # member 0, at position 0, has block (4,), as outside vertex 2 does: the
+    # class of mask 2 starts at 2, after the class of mask 0
+    index = make_stream(Graph(5, [(0, 4), (2, 4)]), AL).class_index([0, 4])
+    assert index.classes == {0: [1, 3], 2: [2]}
+    assert list(index.classes) == [0, 2]
+    assert index.members == ((0, 1, 2), (4, 2, 1)) and index.member_positions == (0, 4)
+    # isolated member 1 shares the empty block with outside vertices 3 and 5
+    index = make_stream(Graph(6, [(0, 4), (2, 4)]), AL).class_index([0, 1, 4])
+    assert index.classes == {4: [2], 0: [3, 5]}
+    assert list(index.classes) == [4, 0]
+    assert index.member_positions == (0, 1, 4) and index.covers
 
 
 def test_class_index_keeps_only_last_members():
@@ -280,8 +319,9 @@ def test_class_index_of_filtered_substream():
         members = [v for v in range(g.n) if v % 2 == 0]
         sub_g, old = g.induced(keep)
         induced = Graph(g.n, [(old[u], old[v]) for u, v in sub_g.edges])
-        expected = reference_view(induced, [v for v in order if v in keep], members)
-        assert sub.class_index(members) == _grouped(expected)
+        expected = _grouped(reference_view(induced, [v for v in order if v in keep], members))
+        index = sub.class_index(members)
+        assert index == expected and list(index.classes) == list(expected.classes)
         sub.run_class_pass(members, lambda index: None)
         assert h.pass_meter.passes == 1
 
@@ -353,8 +393,9 @@ def test_first_edge_cases():
 @settings(max_examples=200, deadline=None)
 @given(planted_covers(max_n=40, max_k=5), st.sets(st.integers(0, 39)))
 def test_covers_matches_graph(case, keep):
-    # `covers` is read off degree sums; check it on the identity order, a
-    # shuffled order, and a substream that lacks some of the named members
+    # `covers` is tested once per distinct outside block; check it on the
+    # identity order, a shuffled order, and a substream that lacks some of
+    # the named members
     g, X, order = case
     keep = {v for v in keep if v < g.n}
     sub_g, old = g.induced(keep)
