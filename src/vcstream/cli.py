@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .brute import brute_min_deletion, brute_min_oct
-from .errors import VCStreamError
+from .errors import BadParams, VCStreamError
 from .graph import VertexCover, path_graph
 from .instances import (
     DoubleFanSpec,
@@ -242,8 +242,12 @@ def _route(given: dict, command: str, *keys: str):
         r.ell = inst.ell
     if hasattr(r, "family"):
         r.family = load_family(r.family)
-    if getattr(r, "nu", 0) is None:
-        r.nu = r.family.nu
+    if hasattr(r, "nu"):
+        if r.nu is None:
+            r.nu = r.family.nu
+        elif r.nu < r.family.nu:  # no candidate would hold the largest members
+            raise BadParams(f"--nu {r.nu} is below the family's largest member "
+                            f"({r.family.nu} vertices)")
     return row, r
 
 

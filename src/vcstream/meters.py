@@ -3,11 +3,13 @@
 Memory is counted in words: one word per vertex id, edge pair, or counter,
 and ceil(bits/64) words for a bit vector.  Only algorithm working state is
 charged; the instance, the stream machinery (a handle's blocks and its
-class index), and output sinks are free.  A consumer pays for what it keeps
-of a block.  The kernels skip a twin only when an earlier twin fixed its
-outcome and a later visited one takes at least its charge.  State is
-charged as it grows, one allocation per item found, so a budget trips at
-the first word past it.
+class index), the family oracle's verdict cache, and output sinks are free.
+The cache is simulator machinery, keyed by what an oracle pass showed and
+read only after that pass and its charges, so it never changes an answer,
+a pass or a charge.  A consumer pays for what it keeps of a block.  The
+kernels skip a twin only when an earlier twin fixed its outcome and a later
+visited one takes at least its charge.  State is charged as it grows, one
+allocation per item found, so a budget trips at the first word past it.
 """
 
 from __future__ import annotations
@@ -87,13 +89,15 @@ class MeterScope:
 
 
 class MeteredSet:
-    """Mutable set charged to a meter, one word per item."""
+    """Mutable set charged to a meter, one word per item.  `items` is a
+    read-only live view of it, whose membership test runs at C level."""
 
-    __slots__ = ("_meter", "_items")
+    __slots__ = ("_meter", "_items", "items")
 
     def __init__(self, meter: MemoryMeter, items=()):
         self._meter = meter
-        self._items: set = set()
+        self._items: dict = {}
+        self.items = self._items.keys()
         try:
             for x in items:
                 self.add(x)
@@ -104,11 +108,11 @@ class MeteredSet:
     def add(self, x) -> None:
         if x not in self._items:
             self._meter.allocate(1)
-            self._items.add(x)
+            self._items[x] = None
 
     def discard(self, x) -> None:
         if x in self._items:
-            self._items.discard(x)
+            del self._items[x]
             self._meter.release(1)
 
     def close(self) -> None:

@@ -210,6 +210,10 @@ def bounded_members(f: ExplicitFamily, char: AdjacencyCharacterization, K: int) 
 
 ORACLE_MEMBERSHIP = "a1"
 ORACLE_FREENESS = "a2"
+# The oracle's verdict cache keeps graphs whose neighbour masks fit in one
+# 64-bit word, and is emptied when it holds CACHE_ENTRIES of them.
+CACHE_VERTICES = 64
+CACHE_ENTRIES = 1024
 
 
 class StreamOracle:
@@ -220,9 +224,16 @@ class StreamOracle:
     member; kind 'a2' answers whether it is free of induced occurrences of
     every member.  It reads the handle's blocks inside its one pass and keeps
     exactly what that pass shows: on EA, no vertex without an edge.
+
+    The verdict on a buffered graph of at most CACHE_VERTICES vertices is
+    cached, keyed by its neighbour masks in arrival order: what the pass
+    showed, from which n and m follow.  The cache is simulator machinery,
+    free like the matcher: the lookup comes after the counted pass and its
+    charges, so it never changes an answer, a pass or a charge; it only
+    skips a repeated search.
     """
 
-    __slots__ = ("kind", "family", "declared_passes", "_plans")
+    __slots__ = ("kind", "family", "declared_passes", "_plans", "_verdicts")
 
     def __init__(self, kind: str, family: ExplicitFamily):
         if kind not in (ORACLE_MEMBERSHIP, ORACLE_FREENESS):
@@ -232,6 +243,7 @@ class StreamOracle:
         self.declared_passes = 1
         self._plans = tuple((p.graph.n, p.graph.m, _placement_plan(p.graph))
                             for p in family.members)
+        self._verdicts: dict[tuple[int, ...], bool] = {}
 
     def answer(self, handle: StreamHandle, meter: MemoryMeter | None = None) -> bool:
         meter = meter if meter is not None else MemoryMeter()
@@ -259,13 +271,25 @@ class StreamOracle:
 
         try:
             handle.run_pass(buffer)
-            n, m = len(adj), charged - len(adj)
-            if self.kind == ORACLE_MEMBERSHIP:
-                return any(pn == n and pm == m and _embeds(adj, plan)
-                           for pn, pm, plan in self._plans)
-            return not any(_embeds(adj, plan) for _, _, plan in self._plans)
+            if len(adj) > CACHE_VERTICES:
+                return self._decide(adj, charged - len(adj))
+            key = tuple(adj)
+            verdict = self._verdicts.get(key)
+            if verdict is None:
+                if len(self._verdicts) >= CACHE_ENTRIES:
+                    self._verdicts.clear()
+                verdict = self._verdicts[key] = self._decide(adj, charged - len(adj))
+            return verdict
         finally:
             meter.release(charged)
+
+    def _decide(self, adj: list[int], m: int) -> bool:
+        """The verdict on the graph of neighbour masks `adj` with m edges."""
+        n = len(adj)
+        if self.kind == ORACLE_MEMBERSHIP:
+            return any(pn == n and pm == m and _embeds(adj, plan)
+                       for pn, pm, plan in self._plans)
+        return not any(_embeds(adj, plan) for _, _, plan in self._plans)
 
 
 def family_oracle(f: ExplicitFamily, kind: str) -> StreamOracle:

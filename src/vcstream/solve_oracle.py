@@ -67,13 +67,13 @@ def _first_members(index: ClassIndex, picks: dict[int, int], skip) -> list[int]:
     return [order[pos] for pos in chosen]
 
 
-def _materialize_from_classes(h: StreamHandle, y_order, picks: dict[int, int],
+def _materialize_from_classes(h: StreamHandle, index: ClassIndex, picks: dict[int, int],
                               excluded) -> tuple[int, ...]:
-    """One pass choosing, per class key of the class index of `y_order`, its
+    """One pass choosing, per class key of `index`, a class index of h, its
     first `picks[key]` members not in `excluded`, in stream order.  No cover
     vertex needs excluding beyond that: a1's `excluded` holds the deleted
     cover part, and the cover's own index files no cover vertex in a class."""
-    chosen = h.run_class_pass(y_order, lambda index: _first_members(index, picks, excluded))
+    chosen = h.run_pass(lambda: _first_members(index, picks, excluded))
     if len(chosen) < sum(picks.values()):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
@@ -118,7 +118,8 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
         try:
             deletions = MeteredSet(meter, s_branch)
             try:
-                return _search_a1(h, a1, y_order, deletions, ec, ell, nu, meter)
+                return _search_a1(h, a1, y_order, h.class_index(y_order), deletions, ec,
+                                  ell, nu, meter)
             finally:
                 deletions.close()
         finally:
@@ -134,14 +135,16 @@ def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
                for j_part in subsets(y_order, bound, AT_MOST))
 
 
-def _search_a1(h, a1, y_order, deletions, ec, ell, nu, meter):
-    """Returns the completed deletion set on success, None on failure."""
+def _search_a1(h, a1, y_order, index, deletions, ec, ell, nu, meter):
+    """Returns the completed deletion set on success, None on failure.  Every
+    pick is read off `index`, the class index of `y_order`, held for the
+    whole search."""
     classes = tuple(sorted(ec.items()))
     for j_part in map(frozenset, subsets(y_order, nu, AT_MOST)):
         for picks in map(dict, multisets(classes, max(0, nu - len(j_part)))):
             with meter.scope(3 * nu + 2):
                 if picks:
-                    chosen = _materialize_from_classes(h, y_order, picks, deletions)
+                    chosen = _materialize_from_classes(h, index, picks, deletions.items)
                 else:
                     chosen = ()
                 hit = _call_oracle(h, a1, j_part | set(chosen), meter)
@@ -154,7 +157,8 @@ def _search_a1(h, a1, y_order, deletions, ec, ell, nu, meter):
                     if len(deletions) + need > ell:
                         continue
                     with meter.scope(nu + 1):
-                        removed = _materialize_from_classes(h, y_order, {key: need}, deletions)
+                        removed = _materialize_from_classes(h, index, {key: need},
+                                                            deletions.items)
                     ec_next = dict(ec)
                     if count - 1 > 0:
                         ec_next[key] = count - 1
@@ -162,7 +166,8 @@ def _search_a1(h, a1, y_order, deletions, ec, ell, nu, meter):
                         del ec_next[key]
                     for v in removed:
                         deletions.add(v)
-                    found = _search_a1(h, a1, y_order, deletions, ec_next, ell, nu, meter)
+                    found = _search_a1(h, a1, y_order, index, deletions, ec_next, ell, nu,
+                                       meter)
                     if found is not None:
                         return found
                     for v in removed:
@@ -261,7 +266,8 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
                 residual = _residual(h, cover_set, picks, drop_cover)
                 free = _checked_answer(a2, residual, meter)
             if free:
-                chosen = _materialize_from_classes(h, X.members, picks, ()) if picks else ()
+                chosen = (_materialize_from_classes(h, h.class_index(X.members), picks, ())
+                          if picks else ())
                 return drop_cover | set(chosen)
         return None
 

@@ -12,7 +12,7 @@ import vcstream
 from vcstream import cli
 from vcstream.brute import OCT_LIMIT, PI_FREE_LIMIT
 from vcstream.cli import main
-from vcstream.graph import Graph, VertexCover, path_graph
+from vcstream.graph import Graph, VertexCover, cycle_graph, path_graph
 from vcstream.instances import format_family, load_instance, write_instance
 from vcstream.properties import ExplicitFamily
 
@@ -445,6 +445,33 @@ def test_solver_bad_cpi_or_nu_is_usage_error(tmp_path, capsys, command, flags):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("oracle", ["a1", "a2", "a1sub"])
+def test_nu_below_family_is_refused_before_solving(tmp_path, capsys, monkeypatch, oracle):
+    # a NO at the family's nu; with a smaller nu no candidate holds a P4 or
+    # a C4, and a1 used to answer YES
+    inst = str(tmp_path / "small.vcs")
+    assert main(["gen", "planted", "--n", "40", "--k", "4", "--p", "0.15", "--seed", "1",
+                 "--ell", "1", "-o", inst]) == 0
+    fam = write_family(tmp_path, path_graph(4), cycle_graph(4))
+    argv = ["solve", inst, "--problem", "pifree-oracle", "--family", fam, "--oracle", oracle]
+    capsys.readouterr()
+    assert main(argv + ["--nu", "4"]) == 1
+    assert parse_report(capsys.readouterr().out)["verdict"] == "NO"
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver ran on a refused --nu")
+
+    monkeypatch.setattr(cli, "solve_with_a1", unreachable)
+    monkeypatch.setattr(cli, "solve_with_a2", unreachable)
+    for nu in ("1", "2", "3"):
+        for command in ("solve", "verify"):
+            assert main([command, *argv[1:], "--nu", nu]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: --nu {nu} is below the family's largest member"
+                                    " (4 vertices)\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("flags, problem", [
     (["--cache-cover"], "oct"),
@@ -507,7 +534,7 @@ FLAG_VALUES = {
             "split": "1", "centers": "3", "x": "101", "y": "010", "attach_all": ""},
     "kernelize": {"r": "1", "c": "1", "q": "2", "k": "1", "p": "1", "ell": "1", "cpi": "2",
                   "pfun": "3"},
-    "solve": {"family": "{p3}", "cpi": "2", "pfun": "3", "nu": "2", "cc": "", "low_mem": "",
+    "solve": {"family": "{p3}", "cpi": "2", "pfun": "3", "nu": "3", "cc": "", "low_mem": "",
               "cache_cover": ""},
 }
 KEY_FLAGS = {"gen": ("kind",), "kernelize": ("--alg", "--wrap"), "solve": ("--problem", "--oracle")}

@@ -11,6 +11,7 @@ from vcstream.graph import (
     path_graph,
     star_graph,
 )
+from vcstream.instances import PlantedSpec, gen_planted
 from vcstream.meters import MemoryMeter
 from vcstream.properties import ExplicitFamily, family_oracle
 from vcstream.solve_oracle import (
@@ -151,6 +152,40 @@ def test_oracle_fault_detected():
     bad.declared_passes = 2
     with pytest.raises(OracleFault):
         solve_with_a1(stream(g), X, 1, 3, bad)
+
+
+P4C4_FAM = ExplicitFamily.from_graphs([path_graph(4), cycle_graph(4)])
+
+
+@pytest.mark.parametrize("ell, verdict, calls, passes", [
+    (1, "NO", 3029, 5964),
+    (2, "YES", 2957, 5843),
+])
+def test_a1_call_and_pass_counts_at_n40(ell, verdict, calls, passes):
+    # the n = 40, K = 4 planted instance of the CLI checks: every oracle call
+    # is made and every pass is read, however often an input repeats
+    g, X = gen_planted(PlantedSpec(40, 4, 0.15, 1, ell))
+    a1 = CountingOracle(family_oracle(P4C4_FAM, "a1"))
+    out = solve_with_a1(stream(g), X, ell, P4C4_FAM.nu, a1)
+    assert (out.verdict, a1.calls, out.passes) == (verdict, calls, passes)
+
+
+@pytest.mark.parametrize("kind, solve", [
+    ("a1", lambda h, X, o: solve_with_a1(h, X, 1, 3, o)),
+    ("a1", lambda h, X, o: solve_with_a2(h, X, 1, 3, o, "a1_subsets")),
+    ("a2", lambda h, X, o: solve_with_a2(h, X, 1, 3, o)),
+    ("a2", lambda h, X, o: solve_equivclass_enum(h, X, o, 1)),
+], ids=["a1", "a1sub", "a2", "ecenum"])
+def test_oracle_fault_detected_on_warm_oracle(kind, solve):
+    # a verdict the oracle already holds still comes from a counted pass that
+    # the pass check sees
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    X = VertexCover.validated(g, [0, 2])
+    oracle = family_oracle(C3_FAM, kind)
+    assert solve(stream(g), X, oracle).feasible
+    oracle.declared_passes = 2
+    with pytest.raises(OracleFault):
+        solve(stream(g), X, oracle)
 
 
 def test_a2_call_count_on_free_instance():

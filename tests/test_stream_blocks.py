@@ -21,7 +21,13 @@ from vcstream.graph import (
     star_graph,
 )
 from vcstream.meters import MemoryMeter
-from vcstream.properties import ExplicitFamily, canonical_form, family_oracle
+from vcstream.properties import (
+    CACHE_ENTRIES,
+    CACHE_VERTICES,
+    ExplicitFamily,
+    canonical_form,
+    family_oracle,
+)
 from vcstream.solve_cvd import solve_cvd
 from vcstream.solve_oct import solve_oct_cc
 from vcstream.solve_oracle import _residual
@@ -336,26 +342,54 @@ def outcome(answer, handle, meter):
 
 
 def test_oracle_block_read_matches_frozen_event_answer_on_atlas():
+    # one long-lived oracle per (family, kind) answers every handle, twice:
+    # a verdict it has cached must come with the same pass and charges
+    oracles = {(fi, kind): family_oracle(family, kind)
+               for fi, family in enumerate(ORACLE_FAMILIES) for kind in ("a1", "a2")}
     for gi, g in enumerate(atlas_graphs(1, 6, connected=False)):
-        order = shuffled_orders(g, 1, gi)[0]
-        for model in MODELS:
-            for handle in oracle_inputs(g, model, order):
-                for fi, family in enumerate(ORACLE_FAMILIES):
-                    for kind in ("a1", "a2"):
-                        oracle = family_oracle(family, kind)
+        for order in shuffled_orders(g, 2, gi):
+            for model in MODELS:
+                for handle in oracle_inputs(g, model, order):
+                    for (fi, kind), oracle in oracles.items():
+                        family = ORACLE_FAMILIES[fi]
 
                         def frozen(hh, meter):
                             return frozen_oracle_answer(kind, family, hh, meter)
 
                         want = outcome(frozen, handle, MemoryMeter())
-                        assert outcome(oracle.answer, handle, MemoryMeter()) == want
                         assert want[2:] == (0, 1)
+                        for _ in range(2):  # cold, then warm
+                            assert outcome(oracle.answer, handle, MemoryMeter()) == want
                         if fi:
                             continue  # the charge does not depend on the family
                         for budget in range(want[1]):
                             tripped = outcome(frozen, handle, MemoryMeter(budget))
                             assert tripped[0] == f"live {budget + 1} words exceeds budget {budget}"
                             assert outcome(oracle.answer, handle, MemoryMeter(budget)) == tripped
+
+
+def random_graph(n, rng):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+
+
+@pytest.mark.parametrize("kind", ["a1", "a2"])
+def test_oracle_cache_stays_bounded(kind):
+    # more distinct inputs than the cache holds, then one above its vertex
+    # limit: every answer is a fresh oracle's, and the cache never outgrows
+    # its cap nor keeps the large input
+    family = ExplicitFamily.from_graphs([path_graph(4), cycle_graph(4)])
+    oracle = family_oracle(family, kind)
+    rng = random.Random(3)
+    for i in range(CACHE_ENTRIES + 5):
+        h = make_stream(random_graph(8, rng), AL)
+        assert oracle.answer(h) == family_oracle(family, kind).answer(h), i
+        assert len(oracle._verdicts) == i % CACHE_ENTRIES + 1
+    large = make_stream(random_graph(CACHE_VERTICES + 1, rng), AL)
+    meter = MemoryMeter()
+    assert oracle.answer(large, meter) == family_oracle(family, kind).answer(large)
+    assert len(oracle._verdicts) == 5
+    assert max(map(len, oracle._verdicts)) == 8
+    assert (meter.live_words, meter.peak_words) == (0, large.source.n + large.source.m)
 
 
 def test_oracle_ignores_ea_isolated_vertex():
