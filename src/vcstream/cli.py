@@ -91,7 +91,6 @@ class Route(NamedTuple):
     report: Callable = lambda r: {}
     header: tuple = ()
     budget: Callable | None = None  # the deletion budget a kernel keeps witnesses for
-    needs: tuple = ()  # (flag, the flag without which the route does not read it)
 
 
 def _gen_double_fan(r):
@@ -105,12 +104,12 @@ def _gen_double_fan(r):
 
 
 def _char(r) -> AdjacencyCharacterization | None:
-    """The characterization (c_pi, p) the user supplies, if any. Without
-    --pfun, p is a placeholder, max(1, K): hfree consumes only the
-    (c_pi + 1) * K member bound."""
+    """The characterization (c_pi, p) the user supplies, if any. hfree
+    reads no --pfun, so its p is a placeholder, max(1, K): it consumes only
+    the (c_pi + 1) * K member bound."""
     if r.cpi is None:
         return None
-    p = parse_pfun(r.pfun) if r.pfun is not None else lambda K: max(1, K)
+    p = parse_pfun(r.pfun) if hasattr(r, "pfun") else lambda K: max(1, K)
     return AdjacencyCharacterization(r.cpi, p, connected_only=True)
 
 
@@ -177,10 +176,9 @@ ROUTES = {
         lambda r: solve_oct_cc(r.handle, r.cover, r.ell, r.meter, low_mem=r.low_mem)
         if r.cc or r.low_mem else solve_oct(r.handle, r.cover, r.ell, r.meter)),
     ("solve", "hfree", None): Route(
-        "--problem hfree", {"family": REQUIRED, "cpi": None, "pfun": None},
+        "--problem hfree", {"family": REQUIRED, "cpi": None},
         lambda r: solve_pifree_explicit(r.handle, r.cover, r.ell, r.family, _char(r), r.meter),
-        report=lambda r: {} if r.cpi is None else {"cpi": r.cpi, "char": "user-supplied"},
-        needs=(("pfun", "cpi"),)),
+        report=lambda r: {} if r.cpi is None else {"cpi": r.cpi, "char": "user-supplied"}),
     ("solve", "pifree-oracle", "a1"): Route(
         "--problem pifree-oracle --oracle a1", _FAMILY_NU,
         lambda r: solve_with_a1(
@@ -220,9 +218,6 @@ def _route(given: dict, command: str, *keys: str):
     for dest in given:
         if dest not in reads and dest not in keys:
             raise UsageError(f"{_flag(dest)} does not apply to {row.name}")
-    for dest, other in row.needs:
-        if dest in given and other not in given:
-            raise UsageError(f"{_flag(dest)} does not apply to {row.name} without {_flag(other)}")
     flags = {**reads, **given}
     missing = [_flag(dest) for dest, value in flags.items() if value is REQUIRED]
     if missing:

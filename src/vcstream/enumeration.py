@@ -1,17 +1,17 @@
 """Dictionary-order walks over subsets and bounded multisets, as generators.
 
-Each walk keeps only its current production, and each step is a pure
-function of the walk's parameters and that production.  So a branching
-algorithm that stores one production can resume a walk after returning from
-recursion: `subsets(..., after=p)` yields the productions that follow p,
-which is how `solve_with_a2` keeps one stored subset per level.  Parameters
-are checked when the walk starts, at its first `next()`.  Permutations come
-from `itertools.permutations`, whose order is the items' rank order.
+The productions after any one follow from the walk's parameters and that
+production alone, so a branching algorithm that stores one production can
+resume a walk after returning from recursion: `subsets(..., after=p)` yields
+the productions that follow p, which is how `solve_with_a2` keeps one stored
+subset per level.  Parameters are checked when the walk starts, at its first
+`next()`.  Permutations come from `itertools.permutations`, whose order is
+the items' rank order.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .errors import BadParams
 
@@ -22,35 +22,25 @@ EXACTLY = "exactly"
 def subsets(universe, k: int, mode: str = AT_MOST, after: tuple | None = None):
     """The subsets of `universe` of size k (EXACTLY) or of every size up to k
     (AT_MOST, by size), each a tuple in universe order, lexicographic on
-    positions within a size; with `after`, those after that production.
-    A step advances the rightmost element that is not at its last position
-    and packs the rest right after it; else it starts the next size."""
+    positions within a size, from `itertools.combinations`; with `after`,
+    those after that production: first those of its size that keep a prefix
+    p[:j] and take a later element than p[j], longest prefix first."""
     u = tuple(universe)
     if len(set(u)) != len(u):
         raise BadParams("universe elements must be distinct")
     if k < 0 or mode not in (AT_MOST, EXACTLY):
         raise BadParams("bad subset parameters")
-    n, top = len(u), min(k, len(u))
-    position = {x: p for p, x in enumerate(u)}
+    top = min(k, len(u))
     if after is None:
-        if mode == EXACTLY and k > n:
-            return
-        after = u[:k] if mode == EXACTLY else ()
-        yield after
-    cur = tuple(after)
-    while True:
-        size = len(cur)
-        j = size - 1
-        while j >= 0 and cur[j] == u[n - size + j]:
-            j -= 1
-        if j >= 0:
-            p = position[cur[j]] + 1
-            cur = cur[:j] + u[p:p + size - j]
-        elif mode == AT_MOST and size < top:
-            cur = u[:size + 1]
-        else:
-            return
-        yield cur
+        sizes = range(k, k + 1) if mode == EXACTLY else range(top + 1)
+    else:
+        p = tuple(after)
+        for j in reversed(range(len(p))):
+            for rest in combinations(u[u.index(p[j]) + 1:], len(p) - j):
+                yield p[:j] + rest
+        sizes = range(len(p) + 1, top + 1) if mode == AT_MOST else ()
+    for size in sizes:
+        yield from combinations(u, size)
 
 
 def multisets(classes, k: int):
@@ -59,44 +49,29 @@ def multisets(classes, k: int):
     Each production is a tuple of (key, count) pairs ordered by class
     position, each count between 1 and the class capacity, total at most k.
     Productions are ordered by total size, then lexicographically on the
-    (position, count) pair sequence.  A step raises the rightmost pair's
-    count, or moves it to a later class, when the rest of its total still
-    fits in the classes after it; else it starts the next total.  The tail is
-    filled greedily, each non-empty class taking the least count that leaves
-    the remainder within the capacity after it."""
+    (position, count) pair sequence.  A pick of total t takes its first
+    class q in position order while the classes from q on can hold t, then
+    each count c of q that leaves t - c within the classes after q, then
+    every pick of t - c from those classes."""
     classes = tuple((key, int(cap)) for key, cap in classes)
-    keys = [key for key, _ in classes]
-    if len(set(keys)) != len(keys):
+    if len({key for key, _ in classes}) != len(classes):
         raise BadParams("class keys must be distinct")
     caps = [cap for _, cap in classes]
     if k < 0 or any(cap < 0 for cap in caps):
         raise BadParams("bad multiset parameters")
     room = list(accumulate(reversed(caps), initial=0))[::-1]  # room[p]: caps from p on
-    position = {key: p for p, key in enumerate(keys)}
-    last = min(k, room[0])  # the largest total
-    cur: tuple = ()
-    while True:
-        yield cur
-        rest = 0  # the total of cur[j:]
-        for j in reversed(range(len(cur))):
-            key, cnt = cur[j]
-            p = position[key]
-            rest += cnt
-            if cnt < min(caps[p], rest):
-                head, rest, p = cur[:j] + ((key, cnt + 1),), rest - cnt - 1, p + 1
-                break
-            if rest <= room[p + 1]:
-                head, p = cur[:j], p + 1
-                break
-        else:
-            if rest >= last:
-                return
-            head, rest, p = (), rest + 1, 0
-        tail = []
-        while rest:
-            if caps[p]:
-                cnt = max(1, rest - room[p + 1])
-                tail.append((keys[p], cnt))
-                rest -= cnt
-            p += 1
-        cur = head + tuple(tail)
+
+    def picks(q: int, t: int):
+        while room[q] >= t:
+            key, cap = classes[q]
+            for c in range(max(1, t - room[q + 1]), min(cap, t) + 1):
+                if c == t:
+                    yield ((key, c),)
+                else:
+                    for tail in picks(q + 1, t - c):
+                        yield ((key, c),) + tail
+            q += 1
+
+    yield ()
+    for t in range(1, min(k, room[0]) + 1):
+        yield from picks(0, t)

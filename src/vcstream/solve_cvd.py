@@ -13,10 +13,13 @@ records whether the pair is an edge, which is the single bit Phase 1 needs.
 from __future__ import annotations
 
 from .enumeration import EXACTLY, subsets
-from .graph import VertexCover
+from .graph import Graph, VertexCover, path_graph
 from .meters import MemoryMeter, MeteredSet
+from .properties import is_induced_subgraph
 from .results import SolveOutcome, branch_on_cover
 from .streams import StreamHandle, cover_bits, cover_edges
+
+_P3 = path_graph(3)
 
 
 def _pair_scan(index, b1: int, b2: int, rest: int):
@@ -116,15 +119,7 @@ def _phase2_pass(index, by, deletions, ell):
 
 
 def _p3_within(y_set, edge_bits):
-    y_list = sorted(y_set)
-    for i, a in enumerate(y_list):
-        for b in y_list[i + 1:]:
-            for v in y_list:
-                if v in (a, b):
-                    continue
-                ab = (a, b) in edge_bits
-                av = (min(a, v), max(a, v)) in edge_bits
-                bv = (min(b, v), max(b, v)) in edge_bits
-                if ab + av + bv == 2:
-                    return True
-    return False
+    """Does G[Y], built from the cached edges among Y, hold an induced P3?"""
+    index = {y: i for i, y in enumerate(y_set)}
+    g_y = Graph(len(index), [(index[a], index[b]) for a, b in edge_bits])
+    return is_induced_subgraph(g_y, _P3)

@@ -501,7 +501,9 @@ MISSING = "missing.vcs"  # never read: each flag below is refused before any fil
     (["solve", MISSING, "--problem", "oct", "--pattern", "p3.fam"],
      "--family does not apply to --problem oct"),
     (["solve", MISSING, "--problem", "hfree", "--pattern", "p3.fam", "--pfun", "3"],
-     "--pfun does not apply to --problem hfree without --cpi"),
+     "--pfun does not apply to --problem hfree"),
+    (["verify", MISSING, "--problem", "hfree", "--pattern", "p3.fam", "--cpi", "2",
+      "--pfun", "3"], "--pfun does not apply to --problem hfree"),
     (["solve", MISSING, "--problem", "pifree-oracle", "--family", "p3.fam",
       "--oracle", "ecenum", "--nu", "2"],
      "--nu does not apply to --problem pifree-oracle --oracle ecenum"),
@@ -578,17 +580,16 @@ def required_flags(key):
 @given(data=st.data())
 def test_flag_outside_route_exits_2(route_files, capsys, data):
     """Draw a route and a set of flags of its subcommand: the run exits 2
-    exactly when a drawn flag is one the route does not read (or --pfun
-    comes without the --cpi it is read with); otherwise it answers."""
+    exactly when a drawn flag is one the route does not read; otherwise it
+    answers."""
     command, key = data.draw(st.sampled_from(ROUTE_CASES))
     row, required = cli.ROUTES[key], required_flags(key)
     others = sorted(set(FLAG_VALUES[key[0]]) - set(required))
     drawn = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
     foreign = [dest for dest in drawn if dest not in row.flags]
-    unpaired = [dest for dest, other in row.needs if dest in drawn and other not in drawn]
     code = main(route_argv(command, key, required + drawn, route_files))
     capsys.readouterr()
-    assert code == 2 if foreign or unpaired else code in (0, 1), (command, key, drawn, code)
+    assert code == 2 if foreign else code in (0, 1), (command, key, drawn, code)
 
 
 # the report keys each route printed before the route table existed
@@ -617,7 +618,7 @@ def test_route_report_keys_are_unchanged(route_files, capsys, command, key):
 
 @pytest.mark.parametrize("key, flag, extra", [
     (("solve", "cvd", None), "cache_cover", "profile"),
-    # --cpi without --pfun: hfree runs with the placeholder p(K) = max(1, K)
+    # hfree reads no --pfun: it runs with the placeholder p(K) = max(1, K)
     (("solve", "hfree", None), "cpi", "cpi char"),
 ])
 def test_route_report_extras_are_unchanged(route_files, capsys, key, flag, extra):

@@ -140,3 +140,30 @@ def test_multiset_cursor_properties(caps, k):
     for pick in got:
         assert sum(c for _, c in pick) <= k
         assert all(1 <= c <= caps[key] for key, c in pick)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orders_equal_sorted_brute_force(data):
+    """Past the frozen tables: each walk yields every production once, in the
+    documented order, which here comes from sorting a brute-force list."""
+    n, k = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 10))
+    mode = data.draw(st.sampled_from([AT_MOST, EXACTLY]))
+    u = tuple(data.draw(st.permutations(range(100, 100 + n))))
+    chosen = [tuple(p for p in range(n) if bits[p]) for bits in product((0, 1), repeat=n)]
+    chosen = [c for c in chosen if len(c) == k or mode == AT_MOST and len(c) <= k]
+    expected = [tuple(u[p] for p in c) for c in sorted(chosen, key=lambda c: (len(c), c))]
+    assert list(subsets(u, k, mode)) == expected
+    if expected:
+        i = data.draw(st.integers(0, len(expected) - 1))
+        assert list(subsets(u, k, mode, after=expected[i])) == expected[i + 1:]
+
+    caps = data.draw(st.lists(st.integers(0, 5), max_size=8))
+    keys = data.draw(st.lists(st.integers(-50, 50), min_size=len(caps), max_size=len(caps),
+                              unique=True))
+    counts = [()]
+    for cap in caps:  # every count vector of total at most k
+        counts = [v + (c,) for v in counts for c in range(min(cap, k - sum(v)) + 1)]
+    picks = sorted((sum(v), [(p, c) for p, c in enumerate(v) if c]) for v in counts)
+    expected = [tuple((keys[p], c) for p, c in pick) for _, pick in picks]
+    assert list(multisets(zip(keys, caps), k)) == expected
