@@ -10,7 +10,7 @@ from typing import Callable, Iterable
 from .errors import BadParams, PreconditionViolated, TooLarge
 from .graph import Graph
 from .meters import MemoryMeter
-from .streams import EA, StreamHandle
+from .streams import EA, KeptStream, StreamHandle
 
 CANONICAL_LIMIT = 8
 
@@ -210,9 +210,9 @@ def bounded_members(f: ExplicitFamily, char: AdjacencyCharacterization, K: int) 
 
 ORACLE_MEMBERSHIP = "a1"
 ORACLE_FREENESS = "a2"
-# The oracle's verdict cache keeps graphs whose neighbour masks fit in one
-# 64-bit word, and is emptied when it holds CACHE_ENTRIES of them.
-CACHE_VERTICES = 64
+# The verdict cache keeps graphs of at most CACHE_VERTICES vertices (a1's and
+# a2's inputs, not ecenum's seldom repeated residuals), emptied at CACHE_ENTRIES.
+CACHE_VERTICES = 16
 CACHE_ENTRIES = 1024
 
 
@@ -222,8 +222,9 @@ class StreamOracle:
 
     Kind 'a1' answers whether the streamed graph is isomorphic to some family
     member; kind 'a2' answers whether it is free of induced occurrences of
-    every member.  It reads the handle's blocks inside its one pass and keeps
-    exactly what that pass shows: on EA, no vertex without an edge.
+    every member.  It reads a handle's blocks, or a `KeptStream`'s kept ones,
+    inside its one pass and keeps exactly what that pass shows: on EA, no
+    vertex without a kept neighbour.
 
     The verdict on a buffered graph of at most CACHE_VERTICES vertices is
     cached, keyed by its neighbour masks in arrival order: what the pass
@@ -245,8 +246,14 @@ class StreamOracle:
                             for p in family.members)
         self._verdicts: dict[tuple[int, ...], bool] = {}
 
-    def answer(self, handle: StreamHandle, meter: MemoryMeter | None = None) -> bool:
+    def answer(self, handle: StreamHandle | KeptStream,
+               meter: MemoryMeter | None = None) -> bool:
         meter = meter if meter is not None else MemoryMeter()
+        if not isinstance(handle, KeptStream):  # a whole handle keeps every vertex
+            handle = KeptStream(handle, frozenset(handle.blocks))
+        handle, keep = handle
+        position, blocks = handle.positions(), handle.blocks
+        kept = sorted(filter(position.__contains__, keep), key=position.__getitem__)
         adj: list[int] = []
         charged = 0
 
@@ -254,13 +261,14 @@ class StreamOracle:
             nonlocal charged
             bit_of: dict[int, int] = {}
             isolated_shown = handle.model != EA
-            for v, nbrs in handle.blocks.items():
-                if nbrs or isolated_shown:
+            for v in kept:
+                nbrs = blocks[v]
+                if isolated_shown or not keep.isdisjoint(nbrs):
                     meter.allocate(1)
                     charged += 1
                     bit_of[v] = len(adj)
                     mask = 0
-                    for w in nbrs:  # each edge is found at its later endpoint
+                    for w in nbrs:  # each kept edge is found at its later endpoint
                         if w in bit_of:
                             meter.allocate(1)
                             charged += 1

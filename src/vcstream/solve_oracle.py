@@ -6,7 +6,8 @@ twins, hence interchangeable in solutions; the solvers therefore enumerate
 candidate occurrences as (cover subset, multiset of equivalence classes) and
 delete whole class surpluses at a time.  Every oracle call costs one full
 pass of the outer stream per declared oracle pass, because the oracle input
-substream is re-generated on the fly.
+substream is re-generated on the fly: the oracle is handed a kept set of the
+outer stream (`KeptStream`) and reads the kept blocks in its own pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .graph import VertexCover
 from .meters import MemoryMeter, MeteredSet
 from .properties import ORACLE_FREENESS, ORACLE_MEMBERSHIP, StreamOracle
 from .results import SolveOutcome, branch_on_cover
-from .streams import ClassIndex, StreamHandle, filtered_substream
+from .streams import ClassIndex, KeptStream, StreamHandle
 
 
 def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
@@ -79,24 +80,18 @@ def _materialize_from_classes(h: StreamHandle, index: ClassIndex, picks: dict[in
     return tuple(chosen)
 
 
-def _checked_answer(oracle: StreamOracle, sub: StreamHandle,
+def _checked_answer(oracle: StreamOracle, h: StreamHandle, keep: frozenset[int],
                     meter: MemoryMeter | None) -> bool:
-    """Ask the oracle about substream `sub`, verifying that it used exactly
-    its declared passes (on the pass meter `sub` shares with its parent)."""
-    before = sub.pass_meter.passes
-    answer = oracle.answer(sub, meter)
-    used = sub.pass_meter.passes - before
+    """Ask the oracle about the substream of h induced by `keep`, verifying
+    that it used exactly its declared passes of h."""
+    before = h.pass_meter.passes
+    answer = oracle.answer(KeptStream(h, keep), meter)
+    used = h.pass_meter.passes - before
     if used != oracle.declared_passes:
         raise OracleFault(
             f"oracle consumed {used} passes, declared {oracle.declared_passes}"
         )
     return answer
-
-
-def _call_oracle(h: StreamHandle, oracle: StreamOracle, keep: frozenset[int],
-                 meter: MemoryMeter | None) -> bool:
-    """Run the oracle on the induced substream of `keep`."""
-    return _checked_answer(oracle, filtered_substream(h, keep), meter)
 
 
 def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
@@ -131,7 +126,7 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
     """Ask the oracle about J | fixed for each J of at most `bound` members of
     Y, in subset order, up to the first yes."""
-    return any(_call_oracle(h, oracle, frozenset(j_part) | fixed, meter)
+    return any(_checked_answer(oracle, h, frozenset(j_part) | fixed, meter)
                for j_part in subsets(y_order, bound, AT_MOST))
 
 
@@ -147,7 +142,7 @@ def _search_a1(h, a1, y_order, index, deletions, ec, ell, nu, meter):
                     chosen = _materialize_from_classes(h, index, picks, deletions.items)
                 else:
                     chosen = ()
-                hit = _call_oracle(h, a1, j_part | set(chosen), meter)
+                hit = _checked_answer(a1, h, j_part.union(chosen), meter)
             if hit:
                 if len(deletions) >= ell:
                     return None
@@ -196,7 +191,7 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     def branch(s_branch, y_set, meter):
         def is_free(i_part: tuple[int, ...]) -> bool:
             if variant == "plain":
-                return _call_oracle(h, oracle, y_set | set(i_part), meter)
+                return _checked_answer(oracle, h, y_set.union(i_part), meter)
             return not _any_subset_hit(h, oracle, tuple(sorted(y_set)),
                                        max(0, nu - len(i_part)), frozenset(i_part), meter)
 
@@ -231,14 +226,13 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     return branch_on_cover(h, X, ell, "solve_with_a2", 3 * X.K, branch, meter)
 
 
-def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> StreamHandle:
-    """Residual-graph substream: drops a chosen cover subset and, per picked
-    class (a key over the whole cover), its first `count` members in stream
-    order.  The classes are read off the cover's class index, which the
-    oracle's own pass over the substream is charged for."""
+def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> frozenset[int]:
+    """The residual graph's vertices: all but a chosen cover subset and, per
+    picked class (a key over the whole cover), its first `count` members in
+    stream order.  The classes are read off the cover's class index, which
+    the oracle's own pass over the kept blocks is charged for."""
     index = h.class_index(cover)
-    gone = frozenset(drop_cover).union(_first_members(index, picks, ()))
-    return filtered_substream(h, [v for v in index.order if v not in gone])
+    return frozenset(index.order).difference(drop_cover, _first_members(index, picks, ()))
 
 
 def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
@@ -263,8 +257,8 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.items())
         for picks in map(dict, multisets(classes, remaining_budget)):
             with meter.scope(2 * K + 2):
-                residual = _residual(h, cover_set, picks, drop_cover)
-                free = _checked_answer(a2, residual, meter)
+                free = _checked_answer(a2, h, _residual(h, cover_set, picks, drop_cover),
+                                       meter)
             if free:
                 chosen = (_materialize_from_classes(h, h.class_index(X.members), picks, ())
                           if picks else ())

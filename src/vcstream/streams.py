@@ -10,8 +10,8 @@ pass as each model shows it, a byte-identical event sequence for a fixed
 inside each endpoint's block); VA keeps an edge only in its later
 endpoint's block, and EA emits it alone, at its earlier endpoint, with no
 vertex events.  PassEnd is an explicit event so a reader never needs to
-know n in advance.  An induced substream is a handle over the kept blocks,
-charging its passes to the parent's meter.
+know n in advance.  An induced substream copies the kept blocks into a new
+handle; a `KeptStream` re-generates it on the fly from the handle's blocks.
 
 Given a vertex cover X, an outside vertex is fully described by N(v) & X,
 and outside vertices with one such mask are twins, whose blocks are equal.
@@ -28,8 +28,8 @@ and stops at the first one that starts past the count-th position taken.
 The member masks also answer G[Y] for Y inside the members: `cover_edges`
 reads it in one class pass at O(K) per member of Y, whatever the degrees.
 `induced_edges` reads the blocks of the vertices it keeps, members or not,
-and the family oracle buffers the graph a pass shows, in any model (an EA
-pass shows no vertex without an edge).
+and the family oracle buffers the graph a pass shows of its kept vertices,
+in any model (an EA pass shows no vertex without a kept neighbour).
 """
 
 from __future__ import annotations
@@ -262,6 +262,14 @@ def make_stream(g: Graph, model: str, order: Iterable[int] | None = None) -> Str
     if model not in MODELS:
         raise BadParams(f"unknown stream model {model!r}")
     return StreamHandle(g, model, blocks, PassMeter())
+
+
+class KeptStream(NamedTuple):
+    """The substream of `handle` induced by `keep`, re-generated on the fly: a
+    reader takes the kept blocks in the handle's own pass, skipping the rest."""
+
+    handle: StreamHandle
+    keep: frozenset[int]
 
 
 def filtered_substream(h: StreamHandle, vertices: Iterable[int]) -> StreamHandle:

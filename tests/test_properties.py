@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from corpus import all_covers, atlas_graphs
 from vcstream.brute import _occurs_induced
-from vcstream.errors import BadParams, PreconditionViolated
+from vcstream.errors import BadParams, MemoryBudgetExceeded, PreconditionViolated
 from vcstream.graph import (
     Graph,
     VertexCover,
@@ -14,6 +14,7 @@ from vcstream.graph import (
     cycle_graph,
     path_graph,
 )
+from vcstream.meters import MemoryMeter
 from vcstream.properties import (
     AdjacencyCharacterization,
     ExplicitFamily,
@@ -27,7 +28,7 @@ from vcstream.properties import (
     vertex_minimal_members,
 )
 from vcstream.solve_hfree import solve_pifree_explicit
-from vcstream.streams import AL, make_stream
+from vcstream.streams import AL, MODELS, KeptStream, filtered_substream, make_stream
 
 
 def fam(*graphs):
@@ -202,6 +203,45 @@ def test_oracle_consistency_small():
     for g in atlas_graphs(2, 5)[::2]:
         expected = not any(is_induced_subgraph(g, p) for p in f.members)
         assert a2.answer(make_stream(g, AL)) == expected
+
+
+# a two-vertex edgeless member tells the EA rule (a kept vertex is shown only
+# with a kept neighbour) from the other models
+KEPT_FAMILIES = (fam(path_graph(3)), fam(path_graph(4), cycle_graph(4)),
+                 fam(complete_graph(3), Graph(2, [])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kept_stream_pass_equals_copied_substream(data):
+    # the oracle reads a kept set off the outer blocks; the copied substream
+    # of the same set is the reference: same verdict, one pass of the outer
+    # meter, the same charges, and the same trip at every smaller budget
+    g = random_graph(data, 12)
+    order = data.draw(st.permutations(range(g.n)))
+    h = make_stream(g, data.draw(st.sampled_from(MODELS)), order)
+    keep = frozenset(data.draw(st.sets(st.integers(0, g.n + 3))))  # ids >= n are ignored
+    family = data.draw(st.sampled_from(KEPT_FAMILIES))
+
+    def run(oracle, stream, budget=None):
+        meter = MemoryMeter(budget)
+        before = h.pass_meter.passes
+        try:
+            return oracle.answer(stream, meter), meter.peak_words
+        except MemoryBudgetExceeded as exc:
+            return "trip", str(exc)
+        finally:
+            assert h.pass_meter.passes - before == 1
+            assert meter.live_words == 0
+
+    for kind in ("a1", "a2"):
+        sides = [(family_oracle(family, kind), KeptStream(h, keep)),
+                 (family_oracle(family, kind), filtered_substream(h, keep))]
+        verdict, peak = run(*sides[0])
+        assert run(*sides[1]) == (verdict, peak)
+        for budget in range(peak):
+            tripped = ("trip", f"live {budget + 1} words exceeds budget {budget}")
+            assert run(*sides[0], budget) == run(*sides[1], budget) == tripped
 
 
 def test_characterization_validation():

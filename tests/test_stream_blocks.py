@@ -246,7 +246,7 @@ def test_residual_equals_induced_graph_on_survivors():
         survivors = [v for v in range(n) if v not in gone]
         sub_graph, old = g.induced(survivors)
         expected = frozenset(canonical_edge(old[u], old[v]) for u, v in sub_graph.edges)
-        residual = _residual(h, in_cover, picks, drop)
+        residual = filtered_substream(h, _residual(h, in_cover, picks, drop))
         assert list(residual.blocks) == [v for v in order if v not in gone], trial
         assert induced_edges(residual, range(n)) == expected, trial
 
