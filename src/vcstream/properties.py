@@ -210,9 +210,9 @@ def bounded_members(f: ExplicitFamily, char: AdjacencyCharacterization, K: int) 
 
 ORACLE_MEMBERSHIP = "a1"
 ORACLE_FREENESS = "a2"
-# The verdict cache keeps graphs of at most CACHE_VERTICES vertices (a1's and
-# a2's inputs, not ecenum's seldom repeated residuals), emptied at CACHE_ENTRIES.
-CACHE_VERTICES = 16
+# The oracle's verdict cache keeps graphs whose neighbour masks fit in one
+# 64-bit word, and is emptied when it holds CACHE_ENTRIES of them.
+CACHE_VERTICES = 64
 CACHE_ENTRIES = 1024
 
 
@@ -222,9 +222,8 @@ class StreamOracle:
 
     Kind 'a1' answers whether the streamed graph is isomorphic to some family
     member; kind 'a2' answers whether it is free of induced occurrences of
-    every member.  It reads a handle's blocks, or a `KeptStream`'s kept ones,
-    inside its one pass and keeps exactly what that pass shows: on EA, no
-    vertex without a kept neighbour.
+    every member.  It reads the (kept) blocks inside its one pass and keeps
+    exactly what that pass shows: on EA, no vertex without a kept neighbour.
 
     The verdict on a buffered graph of at most CACHE_VERTICES vertices is
     cached, keyed by its neighbour masks in arrival order: what the pass
@@ -249,11 +248,11 @@ class StreamOracle:
     def answer(self, handle: StreamHandle | KeptStream,
                meter: MemoryMeter | None = None) -> bool:
         meter = meter if meter is not None else MemoryMeter()
-        if not isinstance(handle, KeptStream):  # a whole handle keeps every vertex
-            handle = KeptStream(handle, frozenset(handle.blocks))
-        handle, keep = handle
-        position, blocks = handle.positions(), handle.blocks
-        kept = sorted(filter(position.__contains__, keep), key=position.__getitem__)
+        if isinstance(handle, KeptStream):
+            kept, (handle, keep) = handle.vertices(), handle
+        else:  # a whole handle keeps every vertex, in stream order
+            kept = keep = handle.blocks.keys()
+        blocks = handle.blocks
         adj: list[int] = []
         charged = 0
 

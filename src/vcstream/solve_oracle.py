@@ -6,8 +6,7 @@ twins, hence interchangeable in solutions; the solvers therefore enumerate
 candidate occurrences as (cover subset, multiset of equivalence classes) and
 delete whole class surpluses at a time.  Every oracle call costs one full
 pass of the outer stream per declared oracle pass, because the oracle input
-substream is re-generated on the fly: the oracle is handed a kept set of the
-outer stream (`KeptStream`) and reads the kept blocks in its own pass.
+substream is re-generated on the fly from the outer stream (`KeptStream`).
 """
 
 from __future__ import annotations

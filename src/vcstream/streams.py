@@ -271,17 +271,22 @@ class KeptStream(NamedTuple):
     handle: StreamHandle
     keep: frozenset[int]
 
+    def vertices(self) -> list[int]:
+        """The kept vertices of the handle in stream order; ids in `keep`
+        that the handle lacks are ignored."""
+        handle, keep = self
+        position = handle.positions()
+        return sorted(filter(position.__contains__, keep), key=position.__getitem__)
+
 
 def filtered_substream(h: StreamHandle, vertices: Iterable[int]) -> StreamHandle:
-    """Induced-subgraph view of `h` on `vertices` (those not in `h` are
-    ignored), in any order: blocks for the kept vertices only, put in stream
-    order by `h.positions()`, each keeping its kept neighbours in stream
-    order.  Passes charge h's meter."""
-    keep = frozenset(vertices)
-    position, blocks = h.positions(), h.blocks
-    kept = sorted(filter(position.__contains__, keep), key=position.__getitem__)
+    """Induced-subgraph copy of `h` on `vertices`, in any order: the blocks of
+    `KeptStream(h, vertices).vertices()`, each cut to its kept neighbours in
+    stream order.  Passes charge h's meter."""
+    keep, blocks = frozenset(vertices), h.blocks
     return StreamHandle(h.source, h.model,
-                        {v: tuple(filter(keep.__contains__, blocks[v])) for v in kept},
+                        {v: tuple(filter(keep.__contains__, blocks[v]))
+                         for v in KeptStream(h, keep).vertices()},
                         h.pass_meter)
 
 
