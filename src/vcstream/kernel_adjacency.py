@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import BadParams, NotALModel
+from .errors import BadParams
 from .graph import Graph, VertexCover, canonical_edge, require_cover
 from .kernel_lowrank import incidence_pair_index, matching_splits, pair_masks
 from .meters import MemoryMeter, MeteredSet, words_for_bits
 from .properties import AdjacencyCharacterization
 from .results import KernelOutput
-from .streams import AL, StreamHandle
+from .streams import StreamHandle
 
 
 def mark_table_size(K: int, c: int) -> int:
@@ -35,8 +35,6 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                meter: MemoryMeter | None = None) -> KernelOutput:
     """Single-pass kernel; output could equally be produced by the in-memory
     rule with marking order equal to stream order."""
-    if h.model != AL:
-        raise NotALModel("reduce_str requires an AL stream")
     if r < 0 or c < 0:
         raise BadParams("r and c must be non-negative")
     h.require_cover(X.members)
@@ -50,9 +48,8 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
-    with meter.scope(X.K), meter.scope(len(splits) * _entry_words(X.K)):
-        seen_cover = MeteredSet(meter)
-
+    with (meter.scope(X.K), meter.scope(len(splits) * _entry_words(X.K)),
+          MeteredSet(meter) as seen_cover):
         def pass_fn(index):
             # A class's block past its first r matches only splits that its r
             # earlier twins have filled, so it never marks.  Of those blocks
@@ -86,10 +83,7 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                     out_edges.extend(canonical_edge(v, w) for w in nbrs)
                 meter.release(len(nbrs))
 
-        try:
-            h.run_class_pass(X.members, pass_fn)
-        finally:
-            seen_cover.close()
+        h.run_class_pass(X.members, pass_fn)
 
     return KernelOutput(
         kept_vertices=tuple(sorted(set(X.members) | set(marked))),

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import BadParams, DimensionMismatch, NeighborOutsideCover, NotALModel
+from .errors import BadParams, DimensionMismatch, NeighborOutsideCover
 from .graph import Graph, VertexCover, canonical_edge, require_cover
 from .meters import MemoryMeter, words_for_bits
 from .results import KernelOutput
-from .streams import AL, StreamHandle, cover_bits
+from .streams import StreamHandle, cover_bits
 
 
 def incidence_pair_index(X: VertexCover, c: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -139,8 +139,6 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                         meter: MemoryMeter | None = None) -> KernelOutput:
     """ell scanning passes (fresh basis each), one output pass; keeps the
     cover plus every round's chosen vertices."""
-    if h.model != AL:
-        raise NotALModel("low_rank_reduce_str requires an AL stream")
     if ell < 1:
         raise BadParams("ell must be at least 1")
     h.require_cover(X.members)

@@ -90,7 +90,9 @@ class MeterScope:
 
 class MeteredSet:
     """Mutable set charged to a meter, one word per item.  `items` is a
-    read-only live view of it, whose membership test runs at C level."""
+    read-only live view of it, whose membership test runs at C level.  A
+    budget trip while filling it releases what it charged; as a context
+    manager, it releases the rest on exit."""
 
     __slots__ = ("_meter", "_items", "items")
 
@@ -118,6 +120,12 @@ class MeteredSet:
     def close(self) -> None:
         self._meter.release(len(self._items))
         self._items.clear()
+
+    def __enter__(self) -> "MeteredSet":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def snapshot(self) -> frozenset:
         return frozenset(self._items)

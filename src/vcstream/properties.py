@@ -96,15 +96,16 @@ def _placement_plan(h: Graph) -> Plan:
     )
 
 
-def _embeds(adj: list[int], plan: Plan) -> bool:
+def _embeds(adj: list[int], plan: Plan) -> list[int] | None:
     """Bitset search for an induced embedding of the planned pattern into the
-    graph whose vertex i has neighbour mask adj[i].  A pattern vertex's
-    candidates are the unused vertices adjacent to the images of its placed
-    neighbours and non-adjacent to the images of its placed non-neighbours;
-    the lowest one is tried first."""
+    graph whose vertex i has neighbour mask adj[i]; the images in plan
+    order, or None.  A pattern vertex's candidates are the unused vertices
+    adjacent to the images of its placed neighbours and non-adjacent to the
+    images of its placed non-neighbours; the lowest one is tried first."""
     k = len(plan)
     if k > len(adj):
-        return False
+        return None
+    image = [0] * k
     image_adj = [0] * k
 
     def place(depth: int, unused: int) -> bool:
@@ -115,21 +116,29 @@ def _embeds(adj: list[int], plan: Plan) -> bool:
             cand &= image_adj[d] ^ flip
         while cand:
             low = cand & -cand
-            image_adj[depth] = adj[low.bit_length() - 1]
+            v = image[depth] = low.bit_length() - 1
+            image_adj[depth] = adj[v]
             if place(depth + 1, unused ^ low):
                 return True
             cand ^= low
         return False
 
-    return place(0, (1 << len(adj)) - 1)
+    return image if place(0, (1 << len(adj)) - 1) else None
+
+
+def induced_copy(g: Graph, pattern: PatternGraph | Graph) -> tuple[int, ...] | None:
+    """The vertices of one induced copy of the pattern in g, ascending: an
+    injective map that preserves both edges and non-edges.  None when there
+    is no copy."""
+    h = pattern.graph if isinstance(pattern, PatternGraph) else pattern
+    image = _embeds([sum(1 << w for w in g.neighbors(v)) for v in range(g.n)],
+                    _placement_plan(h))
+    return None if image is None else tuple(sorted(image))
 
 
 def is_induced_subgraph(g: Graph, pattern: PatternGraph | Graph) -> bool:
-    """True iff some injective map embeds the pattern into g preserving both
-    edges and non-edges."""
-    h = pattern.graph if isinstance(pattern, PatternGraph) else pattern
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
-    return _embeds(adj, _placement_plan(h))
+    """True iff g holds an induced copy of the pattern."""
+    return induced_copy(g, pattern) is not None
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
@@ -294,9 +303,9 @@ class StreamOracle:
         """The verdict on the graph of neighbour masks `adj` with m edges."""
         n = len(adj)
         if self.kind == ORACLE_MEMBERSHIP:
-            return any(pn == n and pm == m and _embeds(adj, plan)
+            return any(pn == n and pm == m and _embeds(adj, plan) is not None
                        for pn, pm, plan in self._plans)
-        return not any(_embeds(adj, plan) for _, _, plan in self._plans)
+        return all(_embeds(adj, plan) is None for _, _, plan in self._plans)
 
 
 def family_oracle(f: ExplicitFamily, kind: str) -> StreamOracle:

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .enumeration import AT_MOST, subsets
-from .errors import NotALModel
-from .graph import Graph, VertexCover, require_cover
+from .graph import Graph, VertexCover
 from .meters import MemoryMeter
-from .streams import AL, StreamHandle
+from .streams import StreamHandle
 
 
 @dataclass(frozen=True)
@@ -27,25 +26,18 @@ class SolveOutcome:
         return "YES" if self.feasible else "NO"
 
 
-def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str,
-                    words: int,
+def branch_on_cover(h: StreamHandle, X: VertexCover, ell: int, words: int,
                     branch: Callable[[frozenset, frozenset, MemoryMeter], Iterable[int] | None],
                     meter: MemoryMeter | None = None) -> SolveOutcome:
     """Guess the deleted cover part S, |S| <= min(ell, K), in subset order
     (S = {} first), and return the first `branch(S, X - S, meter)` that is
     not None as the solution.  `words` is the solver's fixed state, held for
-    the whole search.  Passes count from this call; a `Graph` is the
-    in-memory reference and is charged none.  Raises NotALModel on an EA or
-    VA stream and InvalidCover when X does not cover the graph."""
-    if isinstance(h, Graph):
-        require_cover(h, X)
-    elif h.model != AL:
-        raise NotALModel(f"{name} requires an AL stream")
-    else:
-        h.require_cover(X.members)
-    passes_of = (lambda: 0) if isinstance(h, Graph) else (lambda: h.pass_meter.passes)
+    the whole search.  Passes count from this call.  Before any pass,
+    `StreamHandle.require_cover` raises NotALModel on an EA or VA stream and
+    InvalidCover when X does not cover the graph."""
+    h.require_cover(X.members)
     meter = meter if meter is not None else MemoryMeter()
-    passes_before = passes_of()
+    passes_before = h.pass_meter.passes
     cover_set = X.member_set()
     with meter.scope(words):
         for s in subsets(X.members, min(ell, X.K), AT_MOST):
@@ -53,8 +45,8 @@ def branch_on_cover(h: StreamHandle | Graph, X: VertexCover, ell: int, name: str
             solution = branch(s_branch, cover_set - s_branch, meter)
             if solution is not None:
                 return SolveOutcome(True, tuple(sorted(solution)),
-                                    passes_of() - passes_before, meter.peak_words)
-    return SolveOutcome(False, (), passes_of() - passes_before, meter.peak_words)
+                                    h.pass_meter.passes - passes_before, meter.peak_words)
+    return SolveOutcome(False, (), h.pass_meter.passes - passes_before, meter.peak_words)
 
 
 @dataclass(frozen=True)

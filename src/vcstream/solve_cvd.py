@@ -45,7 +45,7 @@ def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
         return _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover)
 
     # X, the current S, Y
-    return branch_on_cover(h, X, ell, "solve_cvd", 3 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
 
 
 def _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover):

@@ -1,5 +1,5 @@
-"""Find-and-branch deletion solver for an explicit forbidden family, on a
-stream or in memory; a single pattern is the family of one.
+"""Find-and-branch deletion solver for an explicit forbidden family, on an
+AL stream; a single pattern is the family of one.
 
 A branch fixes the deleted part of the cover; occurrences of the pattern are
 then searched with an escalating number i of vertices outside the cover.
@@ -9,6 +9,9 @@ the kept cover part Y as an induced subgraph, and outside candidates are
 matched by their exact adjacency profile toward the placed part.  Branch
 sets are recomputed when returning out of recursion instead of stored, which
 keeps each recursion frame at O(1) words.
+
+`solve_hfree_fpt` is the in-memory reference for one pattern, and shares
+none of this search: a plain h^ell search tree over induced copies.
 """
 
 from __future__ import annotations
@@ -16,18 +19,19 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .enumeration import EXACTLY, subsets
-from .errors import BadI, NotALModel, PreconditionViolated
-from .graph import Graph, VertexCover, canonical_edge
+from .errors import BadI, PreconditionViolated
+from .graph import Graph, VertexCover, canonical_edge, require_cover
 from .meters import MemoryMeter, MeteredSet
 from .properties import (
     AdjacencyCharacterization,
     ExplicitFamily,
     PatternGraph,
     bounded_members,
+    induced_copy,
     vertex_minimal_members,
 )
 from .results import SolveOutcome, branch_on_cover
-from .streams import AL, StreamHandle, cover_bits, cover_edges, induced_edges
+from .streams import StreamHandle, cover_bits, cover_edges, induced_edges
 
 
 def _independent_role_sets(H: PatternGraph, i: int) -> list[tuple[int, ...]]:
@@ -70,19 +74,19 @@ def _placements(y_sorted: tuple[int, ...], size: int):
         yield from permutations(chosen)
 
 
-def check_h_in_y(source: StreamHandle | Graph, X: VertexCover, H: PatternGraph, Y) -> bool:
+def check_h_in_y(h: StreamHandle, X: VertexCover, H: PatternGraph, Y) -> bool:
     """Does G[Y], Y inside the cover X, contain the pattern as an induced
-    subgraph?  On a stream, one class pass per candidate placement."""
+    subgraph?  One class pass per candidate placement."""
     pairs = _placement_pairs(H, tuple(range(H.h)))
     for placement in _placements(tuple(sorted(Y)), H.h):
-        observed = cover_edges(source, X, placement)
+        observed = cover_edges(h, X, placement)
         if all((canonical_edge(placement[a], placement[b]) in observed) == want
                for (a, b), want in pairs):
             return True
     return False
 
 
-def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
+def find_h(source: StreamHandle, X: VertexCover, S, Y, i: int,
            H: PatternGraph, meter: MemoryMeter | None = None) -> tuple[int, ...]:
     """Find one induced occurrence of H avoiding S and X - Y, with exactly i
     vertices outside the cover; returns those outside vertices, or ()."""
@@ -91,9 +95,7 @@ def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
         raise BadI(f"i must be in 1..{h}")
     s_set = frozenset(S)
     y_sorted = tuple(sorted(Y))
-    cover_set = X.member_set()
     bits = cover_bits(X.members)
-    in_memory = isinstance(source, Graph)
     meter = meter if meter is not None else MemoryMeter()
 
     with meter.scope(3 * h * h + 4 * h + 4):  # placement, profiles, scratch
@@ -102,37 +104,14 @@ def find_h(source: StreamHandle | Graph, X: VertexCover, S, Y, i: int,
             pairs = _placement_pairs(H, inside_roles)
             for placement in _placements(y_sorted, h - i):
                 reqs = _role_requirements(H, outside_roles, inside_roles, placement)
-                if in_memory:
-                    assignment = _find_in_memory(source, cover_set, s_set, placement, pairs, reqs)
-                else:
-                    assignment = source.run_class_pass(
-                        X.members,
-                        lambda index: _find_pass(index, bits, s_set, placement, pairs, reqs),
-                    )
+                assignment = source.run_class_pass(
+                    X.members,
+                    lambda index: _find_pass(index, bits, s_set, placement, pairs, reqs),
+                )
                 if assignment and _witness_is_induced(
                     source, H, outside_roles, inside_roles, placement, assignment
                 ):
                     return tuple(v for v, _ in assignment)
-    return ()
-
-
-def _find_in_memory(g: Graph, cover_set, s_set, placement, pairs, reqs):
-    placed_set = frozenset(placement)
-    if not all(g.has_edge(placement[a], placement[b]) == want for (a, b), want in pairs):
-        return ()
-    unmatched = list(range(len(reqs)))
-    assigned = []
-    for v in range(g.n):
-        if v in cover_set or v in s_set:
-            continue
-        profile = g.neighbors(v) & placed_set
-        for pos, role_idx in enumerate(unmatched):
-            if reqs[role_idx] == profile:
-                assigned.append((v, role_idx))
-                unmatched.pop(pos)
-                break
-        if not unmatched:
-            return tuple(assigned)
     return ()
 
 
@@ -159,7 +138,8 @@ def _find_pass(index, bits, s_set, placement, pairs, reqs):
     return tuple((index.order[pos], role) for pos, role in sorted(assigned))
 
 
-def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assignment) -> bool:
+def _witness_is_induced(source: StreamHandle, H, outside_roles, inside_roles, placement,
+                        assignment) -> bool:
     """Full-occurrence check: the placed and matched vertices together induce
     exactly H.  Outside-outside non-edges hold automatically under a valid
     cover; this pass re-verifies the whole occurrence anyway."""
@@ -176,17 +156,31 @@ def _witness_is_induced(source, H, outside_roles, inside_roles, placement, assig
     )
 
 
-def solve_hfree_fpt(g: Graph, X: VertexCover, ell: int, H: PatternGraph,
-                    meter: MemoryMeter | None = None) -> SolveOutcome:
-    """In-memory find-and-branch; the reference for the streaming variant."""
-    return solve_pifree_explicit(g, X, ell, ExplicitFamily((H,)), None, meter)
+def solve_hfree_fpt(g: Graph, X: VertexCover, ell: int, H: PatternGraph) -> SolveOutcome:
+    """In-memory reference for the stream solvers: after the cover check,
+    find one induced copy of H in what is left of g and branch on deleting
+    each of its vertices, at most ell deep.  Counts no pass and no word."""
+    require_cover(g, X)
+
+    def search(deleted: tuple[int, ...]) -> tuple[int, ...] | None:
+        residual, old = g.induced(v for v in range(g.n) if v not in deleted)
+        copy = induced_copy(residual, H)
+        if copy is None:
+            return deleted
+        if len(deleted) < ell:
+            for v in copy:
+                found = search(deleted + (old[v],))
+                if found is not None:
+                    return found
+        return None
+
+    solution = search(())
+    return SolveOutcome(solution is not None, tuple(sorted(solution or ())), 0, 0)
 
 
 def solve_hfree_stream(h: StreamHandle, X: VertexCover, ell: int, H: PatternGraph,
                        meter: MemoryMeter | None = None) -> SolveOutcome:
     """The one-member case of `solve_pifree_explicit`."""
-    if h.model != AL:
-        raise NotALModel("solve_hfree_stream requires an AL stream")
     return solve_pifree_explicit(h, X, ell, ExplicitFamily((H,)), None, meter)
 
 
@@ -212,7 +206,7 @@ def _branch_family(source, X, Y, members, deletions, ell, meter) -> bool:
     return True
 
 
-def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
+def solve_pifree_explicit(h: StreamHandle, X: VertexCover, ell: int,
                           f: ExplicitFamily,
                           char: AdjacencyCharacterization | None = None,
                           meter: MemoryMeter | None = None) -> SolveOutcome:
@@ -230,13 +224,10 @@ def solve_pifree_explicit(h: StreamHandle | Graph, X: VertexCover, ell: int,
     def branch(s_branch, y_set, meter):
         if any(check_h_in_y(h, X, H, y_set) for H in ordered):
             return None
-        deletions = MeteredSet(meter, s_branch)
-        try:
+        with MeteredSet(meter, s_branch) as deletions:
             found = _branch_family(h, X, y_set, ordered, deletions, ell, meter)
             return deletions.snapshot() if found else None
-        finally:
-            deletions.close()
 
     # X, the patterns, the current S, Y
     words = 3 * X.K + sum(p.h * p.h + p.h for p in ordered)
-    return branch_on_cover(h, X, ell, "solve_pifree_explicit", words, branch, meter)
+    return branch_on_cover(h, X, ell, words, branch, meter)

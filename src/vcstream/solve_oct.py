@@ -39,16 +39,13 @@ def _first_colouring(h, members, s_branch, y_mask, y1_masks, ell, check_cover, m
     """One colour pass per candidate Y1 in `y1_masks`; the deletions of the
     first that succeeds, or None."""
     for y1_mask in y1_masks:
-        deletions = MeteredSet(meter, s_branch)
-        try:
+        with MeteredSet(meter, s_branch) as deletions:
             ok = h.run_class_pass(
                 members,
                 lambda index: _colour_pass(index, y_mask, y1_mask, deletions, ell, check_cover),
             )
             if ok and len(deletions) <= ell:
                 return deletions.snapshot()
-        finally:
-            deletions.close()
     return None
 
 
@@ -63,7 +60,7 @@ def solve_oct(h: StreamHandle, X: VertexCover, ell: int,
                     for y1 in subsets(y_sorted, len(y_sorted), AT_MOST))
         return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, True, meter)
 
-    return branch_on_cover(h, X, ell, "solve_oct", 4 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 4 * X.K, branch, meter)
 
 
 def _cached_components(h, meter, X, y_set):
@@ -179,4 +176,4 @@ def solve_oct_cc(h: StreamHandle, X: VertexCover, ell: int,
         with meter.scope(2 * len(y_set) + len(roots)):
             return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)
 
-    return branch_on_cover(h, X, ell, "solve_oct_cc", 3 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)

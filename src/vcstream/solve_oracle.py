@@ -110,16 +110,13 @@ def solve_with_a1(h: StreamHandle, X: VertexCover, ell: int, nu: int,
             return None
         ec = compute_equivalence_classes(h, y_order, s_branch, meter)
         try:
-            deletions = MeteredSet(meter, s_branch)
-            try:
+            with MeteredSet(meter, s_branch) as deletions:
                 return _search_a1(h, a1, y_order, h.class_index(y_order), deletions, ec,
                                   ell, nu, meter)
-            finally:
-                deletions.close()
         finally:
             meter.release(2 * len(ec))
 
-    return branch_on_cover(h, X, ell, "solve_with_a1", 3 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
 
 
 def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
@@ -216,13 +213,10 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
 
         if not is_free(()):
             return None
-        deletions = MeteredSet(meter, s_branch)
-        try:
+        with MeteredSet(meter, s_branch) as deletions:
             return search(deletions, subsets(outside, top, AT_MOST))
-        finally:
-            deletions.close()
 
-    return branch_on_cover(h, X, ell, "solve_with_a2", 3 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
 
 
 def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> frozenset[int]:
@@ -266,6 +260,6 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
 
     try:
         # X and the current S
-        return branch_on_cover(h, X, ell, "solve_equivclass_enum", 2 * K, branch, meter)
+        return branch_on_cover(h, X, ell, 2 * K, branch, meter)
     finally:
         meter.release(sum(2 * len(t) for t in tables))

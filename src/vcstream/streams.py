@@ -37,9 +37,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
-from .errors import BadParams, BadPermutation, InvalidCover, MemoryBudgetExceeded, NotALModel
+from .errors import BadParams, BadPermutation, InvalidCover, NotALModel
 from .graph import Edge, Graph, VertexCover, canonical_edge
-from .meters import MemoryMeter, PassMeter
+from .meters import MemoryMeter, MeteredSet, PassMeter
 
 EA = "EA"
 VA = "VA"
@@ -290,54 +290,31 @@ def filtered_substream(h: StreamHandle, vertices: Iterable[int]) -> StreamHandle
                         h.pass_meter)
 
 
-def induced_edges(source: StreamHandle | Graph, vertices: Iterable[int],
+def induced_edges(h: StreamHandle, vertices: Iterable[int],
                   meter: MemoryMeter | None = None) -> frozenset[Edge]:
-    """Canonical edge set of G[vertices]: one pass on a handle, reading the
-    whole block of every kept vertex, none on a Graph.  With a meter, each
-    edge is charged one word as it is found; if the budget trips, the call
-    releases what it charged.  For vertices inside a cover, `cover_edges`
-    reads the same edges off the class index."""
-    keep = frozenset(vertices)
-    if isinstance(source, Graph):
-        return _charged(_edges_among(keep, source.neighbors), meter)
-    blocks = source.blocks
-    return source.run_pass(
-        lambda: _charged(_edges_among(keep, lambda v: blocks.get(v, ())), meter))
+    """Canonical edge set of G[vertices]: one pass, reading the whole block
+    of every kept vertex.  With a meter, the edges fill a `MeteredSet`, one
+    word each as it is found, which releases what it charged if the budget
+    trips.  For vertices inside a cover, `cover_edges` reads the same edges
+    off the class index."""
+    keep, blocks = frozenset(vertices), h.blocks
+
+    def read() -> frozenset[Edge]:
+        edges = ((u, w) for u in keep for w in blocks.get(u, ()) if u < w and w in keep)
+        return frozenset(edges) if meter is None else MeteredSet(meter, edges).snapshot()
+
+    return h.run_pass(read)
 
 
-def cover_edges(source: StreamHandle | Graph, X: VertexCover, vertices: Iterable[int],
+def cover_edges(h: StreamHandle, X: VertexCover, vertices: Iterable[int],
                 meter: MemoryMeter | None = None) -> frozenset[Edge]:
-    """`induced_edges` for vertices among X's members: on a handle, one class
-    pass reading the member masks of X's class index; on a Graph, the
-    in-memory path.  Charges and releases as `induced_edges` does."""
-    if isinstance(source, Graph):
-        return induced_edges(source, vertices, meter)
+    """`induced_edges` for vertices among X's members: one class pass,
+    reading the member masks of X's class index.  Charges and releases as
+    `induced_edges` does."""
     keep = frozenset(vertices)
 
     def read(index: ClassIndex) -> frozenset[Edge]:
-        mask = sum(bit for v, bit, _ in index.members if v in keep)
-        return _charged(index.member_edges(mask), meter)
+        edges = index.member_edges(sum(bit for v, bit, _ in index.members if v in keep))
+        return frozenset(edges) if meter is None else MeteredSet(meter, edges).snapshot()
 
-    return source.run_class_pass(X.members, read)
-
-
-def _edges_among(keep: frozenset[int], nbrs_of: Callable[[int], Iterable[int]]) -> Iterator[Edge]:
-    for u in keep:
-        for w in nbrs_of(u):
-            if u < w and w in keep:
-                yield u, w
-
-
-def _charged(found: Iterable[Edge], meter: MemoryMeter | None) -> frozenset[Edge]:
-    """The edges of `found`, one word charged to `meter` as each arrives; on
-    a budget trip, what was charged is released before the error goes on."""
-    edges: set[Edge] = set()
-    try:
-        for edge in found:
-            if meter is not None:
-                meter.allocate(1)
-            edges.add(edge)
-    except MemoryBudgetExceeded:
-        meter.release(len(edges))
-        raise
-    return frozenset(edges)
+    return h.run_class_pass(X.members, read)

@@ -239,7 +239,7 @@ def _frozen_cvd_cached_solver(h, X, ell, meter):
             meter.release(cached_words)
             deletions.close()
 
-    return branch_on_cover(h, X, ell, "solve_cvd", 3 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
 
 
 def _frozen_cached_components(h, meter, y_set):
@@ -291,7 +291,7 @@ def _frozen_oct_cc_solver(h, X, ell, meter, low_mem):
         with meter.scope(2 * len(y_set) + len(roots)):
             return _first_colouring(h, X.members, s_branch, y_mask, y1_masks, ell, False, meter)
 
-    return branch_on_cover(h, X, ell, "solve_oct_cc", 3 * X.K, branch, meter)
+    return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
 
 
 def _frozen_check_h_in_y(source, H, Y):
@@ -318,7 +318,7 @@ def _frozen_pifree_solver(h, X, ell, f, meter):
             deletions.close()
 
     words = 3 * X.K + sum(p.h * p.h + p.h for p in ordered)
-    return branch_on_cover(h, X, ell, "solve_pifree_explicit", words, branch, meter)
+    return branch_on_cover(h, X, ell, words, branch, meter)
 
 
 # --- harness ---------------------------------------------------------------

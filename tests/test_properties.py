@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import all_covers, atlas_graphs
-from vcstream.brute import _occurs_induced
+from vcstream.brute import _occurs_induced, brute_is_pi_free
 from vcstream.errors import BadParams, MemoryBudgetExceeded, PreconditionViolated
 from vcstream.graph import (
     Graph,
@@ -23,6 +23,7 @@ from vcstream.properties import (
     bounded_members,
     canonical_form,
     family_oracle,
+    induced_copy,
     is_induced_subgraph,
     parse_pfun,
     vertex_minimal_members,
@@ -56,6 +57,19 @@ def test_matcher_agrees_with_brute_on_whole_atlas():
         for p in patterns:
             if p.n <= g.n:
                 assert is_induced_subgraph(g, p) == _occurs_induced(g, p), (g.edges, p.edges)
+
+
+def test_induced_copy_on_whole_atlas():
+    # None exactly where the brute finds no occurrence; otherwise the copy
+    # induces the pattern itself
+    for p in (path_graph(3), path_graph(4), cycle_graph(4), complete_graph(3)):
+        pattern = PatternGraph(p)
+        absent = ExplicitFamily((pattern,))
+        for g in atlas_graphs(1, 6, connected=False):
+            copy = induced_copy(g, pattern)
+            assert (copy is None) == brute_is_pi_free(g, absent), (g.edges, p.edges)
+            if copy is not None:
+                assert canonical_form(g.induced(copy)[0]) == canonical_form(p), (g.edges, copy)
 
 
 def random_graph(data, max_n):

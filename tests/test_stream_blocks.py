@@ -132,7 +132,7 @@ def test_induced_edges_agree_on_handles_substreams_and_graph(n, data):
     keep = data.draw(st.frozensets(st.integers(0, n - 1)))
     outer = data.draw(st.frozensets(st.integers(0, n - 1)))
     expected = graph_edges_among(g, keep)
-    assert induced_edges(g, keep) == expected
+    assert induced_edges(make_stream(g, AL), keep) == expected
     for model in MODELS:
         h = make_stream(g, model, order)
         before = h.pass_meter.passes
@@ -175,7 +175,8 @@ def member_subsets(X):
 def test_cover_edges_equal_induced_edges_for_every_y(case, rnd):
     g, X, order = case
     for y in member_subsets(X):
-        assert cover_edges(g, X, y) == induced_edges(g, y) == graph_edges_among(g, y)
+        h = make_stream(g, AL, order)
+        assert cover_edges(h, X, y) == induced_edges(h, y) == graph_edges_among(g, y)
         for source in covered_sources(g, order, rnd):
             before = source.pass_meter.passes
             by_blocks, by_masks = MemoryMeter(), MemoryMeter()
