@@ -3,10 +3,13 @@
 Memory is counted in words: one word per vertex id, edge pair, or counter,
 and ceil(bits/64) words for a bit vector.  Only algorithm working state is
 charged; the instance, the stream machinery (a handle's blocks and its
-class index), the family oracle's verdict cache, and output sinks are free.
-The cache is simulator machinery, keyed by what an oracle pass showed and
-read only after that pass and its charges, so it never changes an answer,
-a pass or a charge.  A consumer pays for what it keeps of a block.  The
+class index), the family oracle's verdict cache, a1's per-frame table of
+picks, and output sinks are free.  The cache is simulator machinery, keyed
+by what an oracle pass showed and read only after that pass and its
+charges, so it never changes an answer, a pass or a charge.  So is the pick
+table: a pick's members are kept once its pass has read them, every later
+use still spends its pass under the same charge, and the table goes when
+its frame returns.  A consumer pays for what it keeps of a block.  The
 kernels skip a twin only when an earlier twin fixed its outcome and a later
 visited one takes at least its charge.  State is charged as it grows, one
 allocation per item found, so a budget trips at the first word past it.

@@ -7,6 +7,8 @@ candidate occurrences as (cover subset, multiset of equivalence classes) and
 delete whole class surpluses at a time.  Every oracle call costs one full
 pass of the outer stream per declared oracle pass, because the oracle input
 substream is re-generated on the fly from the outer stream (`KeptStream`).
+Picks are the (key, count) pairs that `multisets` yields; a1 reads a pick's
+members once per search frame and keeps them, one counted pass per use.
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ def compute_equivalence_classes(h: StreamHandle, Y, exclude=frozenset(),
     return dict(sorted(counts.items()))
 
 
-def _first_members(index: ClassIndex, picks: dict[int, int], skip) -> list[int]:
-    """Per class key, its first `picks[key]` members not in `skip`, all in
-    stream order."""
+def _first_members(index: ClassIndex, picks, skip) -> list[int]:
+    """Per (key, count) pair of `picks`, the class's first `count` members not
+    in `skip`, all in stream order."""
     order = index.order
     chosen: list[int] = []  # stream positions
-    for key, want in picks.items():
+    for key, want in picks:
         for pos in index.classes.get(key, ()):
             if want <= 0:
                 break
@@ -67,14 +69,15 @@ def _first_members(index: ClassIndex, picks: dict[int, int], skip) -> list[int]:
     return [order[pos] for pos in chosen]
 
 
-def _materialize_from_classes(h: StreamHandle, index: ClassIndex, picks: dict[int, int],
+def _materialize_from_classes(h: StreamHandle, index: ClassIndex, picks,
                               excluded) -> tuple[int, ...]:
-    """One pass choosing, per class key of `index`, a class index of h, its
-    first `picks[key]` members not in `excluded`, in stream order.  No cover
-    vertex needs excluding beyond that: a1's `excluded` holds the deleted
-    cover part, and the cover's own index files no cover vertex in a class."""
+    """One pass choosing, per (key, count) pair of `picks`, a class key of
+    `index` (a class index of h), its first `count` members not in
+    `excluded`, in stream order.  No cover vertex needs excluding beyond
+    that: a1's `excluded` holds the deleted cover part, and the cover's own
+    index files no cover vertex in a class."""
     chosen = h.run_pass(lambda: _first_members(index, picks, excluded))
-    if len(chosen) < sum(picks.values()):
+    if len(chosen) < sum(count for _, count in picks):
         raise OracleFault("class table out of sync with the stream")
     return tuple(chosen)
 
@@ -129,26 +132,36 @@ def _any_subset_hit(h, oracle, y_order, bound, fixed, meter) -> bool:
 def _search_a1(h, a1, y_order, index, deletions, ec, ell, nu, meter):
     """Returns the completed deletion set on success, None on failure.  Every
     pick is read off `index`, the class index of `y_order`, held for the
-    whole search."""
-    classes = tuple(sorted(ec.items()))
+    whole search.  `deletions` holds still until the frame returns, so the
+    frame walks its picks once, as a table ordered by total: a cover subset
+    J takes the prefix of total at most nu - |J|.  Each row keeps its pick's
+    members once read, with the out-of-sync check; a later use still spends
+    its counted pass.  The table is free, like the verdict cache."""
+    walk = [[sum(count for _, count in picks), picks, None if picks else ()]
+            for picks in multisets(tuple(sorted(ec.items())), nu)]
     for j_part in map(frozenset, subsets(y_order, nu, AT_MOST)):
-        for picks in map(dict, multisets(classes, max(0, nu - len(j_part)))):
+        room = nu - len(j_part)
+        for row in walk:
+            total, picks, chosen = row
+            if total > room:
+                break
             with meter.scope(3 * nu + 2):
-                if picks:
-                    chosen = _materialize_from_classes(h, index, picks, deletions.items)
-                else:
-                    chosen = ()
+                if chosen is None:
+                    chosen = row[2] = _materialize_from_classes(h, index, picks,
+                                                                deletions.items)
+                elif picks:
+                    h.run_pass(lambda: chosen)
                 hit = _checked_answer(a1, h, j_part.union(chosen), meter)
             if hit:
                 if len(deletions) >= ell:
                     return None
-                for key, count in sorted(picks.items()):
+                for key, count in picks:
                     val = ec[key]
                     need = val - (count - 1)
                     if len(deletions) + need > ell:
                         continue
                     with meter.scope(nu + 1):
-                        removed = _materialize_from_classes(h, index, {key: need},
+                        removed = _materialize_from_classes(h, index, ((key, need),),
                                                             deletions.items)
                     ec_next = dict(ec)
                     if count - 1 > 0:
@@ -219,11 +232,12 @@ def solve_with_a2(h: StreamHandle, X: VertexCover, ell: int, nu: int,
     return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
 
 
-def _residual(h: StreamHandle, cover, picks: dict[int, int], drop_cover) -> frozenset[int]:
+def _residual(h: StreamHandle, cover, picks, drop_cover) -> frozenset[int]:
     """The residual graph's vertices: all but a chosen cover subset and, per
-    picked class (a key over the whole cover), its first `count` members in
-    stream order.  The classes are read off the cover's class index, which
-    the oracle's own pass over the kept blocks is charged for."""
+    (key, count) pair of `picks` (a key over the whole cover), its first
+    `count` members in stream order.  The classes are read off the cover's
+    class index, which the oracle's own pass over the kept blocks is charged
+    for."""
     index = h.class_index(cover)
     return frozenset(index.order).difference(drop_cover, _first_members(index, picks, ()))
 
@@ -248,7 +262,7 @@ def solve_equivclass_enum(h: StreamHandle, X: VertexCover, a2: StreamOracle,
         table = tables[0]
         remaining_budget = ell - len(drop_cover)
         classes = tuple((key, min(count, remaining_budget)) for key, count in table.items())
-        for picks in map(dict, multisets(classes, remaining_budget)):
+        for picks in multisets(classes, remaining_budget):
             with meter.scope(2 * K + 2):
                 free = _checked_answer(a2, h, _residual(h, cover_set, picks, drop_cover),
                                        meter)

@@ -1,6 +1,7 @@
 import pytest
 
 from corpus import all_covers, atlas_graphs, disconnected_sample, minimum_cover
+from vcstream import solve_oracle
 from vcstream.brute import brute_is_pi_free, brute_min_deletion
 from vcstream.errors import BadParams, MemoryBudgetExceeded, NotALModel, OracleFault
 from vcstream.graph import (
@@ -37,9 +38,11 @@ class CountingOracle:
         self.kind = inner.kind
         self.declared_passes = inner.declared_passes
         self.calls = 0
+        self.keeps: list[frozenset[int]] = []
 
     def answer(self, handle, meter=None):
         self.calls += 1
+        self.keeps.append(handle.keep)
         return self.inner.answer(handle, meter)
 
 
@@ -157,17 +160,43 @@ def test_oracle_fault_detected():
 P4C4_FAM = ExplicitFamily.from_graphs([path_graph(4), cycle_graph(4)])
 
 
-@pytest.mark.parametrize("ell, verdict, calls, passes", [
-    (1, "NO", 3029, 5964),
-    (2, "YES", 2957, 5843),
+@pytest.mark.parametrize("ell, verdict, solution, calls, passes, peak_words", [
+    (1, "NO", (), 3029, 5964, 48),
+    (2, "YES", (10, 25), 2957, 5843, 49),
 ])
-def test_a1_call_and_pass_counts_at_n40(ell, verdict, calls, passes):
+def test_a1_call_and_pass_counts_at_n40(ell, verdict, solution, calls, passes, peak_words):
     # the n = 40, K = 4 planted instance of the CLI checks: every oracle call
-    # is made and every pass is read, however often an input repeats
+    # is made and every pass is read, however often an input repeats or a
+    # pick's members are already known
     g, X = gen_planted(PlantedSpec(40, 4, 0.15, 1, ell))
     a1 = CountingOracle(family_oracle(P4C4_FAM, "a1"))
     out = solve_with_a1(stream(g), X, ell, P4C4_FAM.nu, a1)
-    assert (out.verdict, a1.calls, out.passes) == (verdict, calls, passes)
+    assert (out.verdict, out.solution, a1.calls, out.passes, out.peak_words) == (
+        verdict, solution, calls, passes, peak_words)
+
+
+def test_a1_class_table_out_of_sync(monkeypatch):
+    # the star 0-{1, 2, 3} with cover {0} has one class of three leaves toward
+    # Y = {0}; once the class pass has counted them, the held class index is
+    # cut to two
+    g = star_graph(3)
+    X = VertexCover.validated(g, [0])
+    count_classes = solve_oracle.compute_equivalence_classes
+
+    def count_then_cut(h, Y, exclude=frozenset(), meter=None):
+        ec = count_classes(h, Y, exclude, meter)
+        h.class_index(Y).classes[1].pop()
+        return ec
+
+    monkeypatch.setattr(solve_oracle, "compute_equivalence_classes", count_then_cut)
+    a1 = CountingOracle(family_oracle(P3_FAM, "a1"))
+    with pytest.raises(OracleFault, match="class table out of sync"):
+        solve_with_a1(stream(g), X, 0, 3, a1)
+    # the rejection step asks about {} and {0}; then J = {} reads the picks of
+    # no leaf, one and two, and the pick of three faults on its first read,
+    # before the oracle is asked about it
+    assert a1.keeps == [frozenset(), frozenset({0}), frozenset(), frozenset({1}),
+                        frozenset({1, 2})]
 
 
 @pytest.mark.parametrize("kind, solve", [
