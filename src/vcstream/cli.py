@@ -30,6 +30,7 @@ from .instances import (
     gen_planted,
     load_family,
     load_instance,
+    load_patterns,
 )
 from .kernel_adjacency import (
     kernel_largest_induced,
@@ -42,6 +43,7 @@ from .meters import MemoryMeter
 from .properties import (
     AdjacencyCharacterization,
     ExplicitFamily,
+    PatternGraph,
     family_oracle,
     parse_pfun,
 )
@@ -94,7 +96,7 @@ class Route(NamedTuple):
 
 
 def _gen_double_fan(r):
-    pattern = load_family(r.family).members[0]
+    pattern = PatternGraph(load_patterns(r.family)[0])
     spec = DoubleFanSpec(pattern, r.split, r.centers, r.x, r.y, attach_all_neighbors=r.attach_all)
     g, cover, expected = gen_double_fan(spec)
     return g, cover, 0, [
@@ -273,7 +275,8 @@ def _cmd_kernelize(given: dict) -> int:
     wall_ms = 1000 * (time.perf_counter() - started)
 
     kernel_graph, old_ids = out.kernel_graph()
-    kept_cover = [i for i, v in enumerate(old_ids) if v in r.cover.member_set()]
+    cover_set = r.cover.member_set()
+    kept_cover = [i for i, v in enumerate(old_ids) if v in cover_set]
     instance = _instance_hash(r.inst)
     comments = [f"kernel-of {instance}", *row.header]
     budget = row.budget(r) if row.budget else None
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=_probability)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--ell", type=_non_negative_int)
-    p_gen.add_argument("--family", help="pattern file (doublefan: first member is split)")
+    p_gen.add_argument("--family", help="pattern file (doublefan splits its first pattern)")
     p_gen.add_argument("--split", type=_non_negative_int, help="degree-2 vertex to expand")
     p_gen.add_argument("--centers", type=_positive_int)
     p_gen.add_argument("--x", help="fan-A bit string")

@@ -203,7 +203,8 @@ def _int_pair(line: str, rest: str, what: str) -> tuple[int, int]:
     return a, b
 
 
-def parse_family(text: str) -> ExplicitFamily:
+def parse_patterns(text: str) -> list[Graph]:
+    """A family file's patterns as written: file order, duplicates kept."""
     graphs: list[Graph] = []
     n = None
     expected = 0
@@ -233,11 +234,19 @@ def parse_family(text: str) -> ExplicitFamily:
     flush()
     if not graphs:
         raise ParseError("family file contains no patterns")
-    return ExplicitFamily.from_graphs(graphs)
+    return graphs
+
+
+def parse_family(text: str) -> ExplicitFamily:
+    return ExplicitFamily.from_graphs(parse_patterns(text))
+
+
+def load_patterns(path: str | Path) -> list[Graph]:
+    return parse_patterns(_read_text(path))
 
 
 def load_family(path: str | Path) -> ExplicitFamily:
-    return parse_family(_read_text(path))
+    return ExplicitFamily.from_graphs(load_patterns(path))
 
 
 @dataclass(frozen=True)

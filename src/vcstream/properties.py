@@ -60,14 +60,8 @@ class ExplicitFamily:
         return max((p.h for p in self.members), default=0)
 
     @staticmethod
-    def from_graphs(graphs: Iterable[Graph | PatternGraph], names: Iterable[str] | None = None) -> "ExplicitFamily":
-        patterns = []
-        names = list(names) if names is not None else None
-        for i, g in enumerate(graphs):
-            if isinstance(g, PatternGraph):
-                patterns.append(g)
-            else:
-                patterns.append(PatternGraph(g, names[i] if names else ""))
+    def from_graphs(graphs: Iterable[Graph | PatternGraph]) -> "ExplicitFamily":
+        patterns = [g if isinstance(g, PatternGraph) else PatternGraph(g) for g in graphs]
         # the first of each isomorphism class is kept: keyed by canonical form
         # up to CANONICAL_LIMIT vertices, compared by `are_isomorphic` beyond
         small: dict[tuple, PatternGraph] = {}

@@ -41,65 +41,52 @@ def _pair_scan(index, b1: int, b2: int, rest: int):
 def solve_cvd(h: StreamHandle, X: VertexCover, ell: int,
               meter: MemoryMeter | None = None,
               cache_cover: bool = False) -> SolveOutcome:
+    members = X.members
+    bits = cover_bits(members)
+
     def branch(s_branch, y_set, meter):
-        return _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover)
+        y_mask = sum(bits[y] for y in y_set)
+        y_sorted = tuple(sorted(y_set))
+        edges = ()
+        with MeteredSet(meter, s_branch) as deletions:
+            try:
+                if cache_cover:
+                    edges = cover_edges(h, X, y_set, meter)
+                    if _p3_within(y_set, edges):
+                        return None
+
+                # Phases 0 and 1, per unordered pair of Y.
+                with meter.scope(2):
+                    for y1, y2 in subsets(y_sorted, 2, EXACTLY):
+                        b1, b2 = bits[y1], bits[y2]
+                        if cache_cover:
+                            pair_edge = (y1, y2) in edges
+                        else:
+                            p3_in_y, pair_edge = h.run_class_pass(
+                                members,
+                                lambda index: _pair_scan(index, b1, b2, y_mask & ~(b1 | b2)))
+                            if p3_in_y:
+                                return None
+                        h.run_class_pass(
+                            members,
+                            lambda index: _phase1_pass(index, b1, b2, pair_edge, deletions, ell),
+                        )
+                        if len(deletions) > ell:
+                            return None
+
+                # Phase 2: per y, keep the first outside neighbour, delete the rest.
+                for y in y_sorted:
+                    h.run_class_pass(
+                        members, lambda index: _phase2_pass(index, bits[y], deletions, ell)
+                    )
+                    if len(deletions) > ell:
+                        return None
+                return deletions.snapshot()
+            finally:
+                meter.release(len(edges))
 
     # X, the current S, Y
     return branch_on_cover(h, X, ell, 3 * X.K, branch, meter)
-
-
-def _run_branch(h, meter, X, y_set, s_branch, ell, cache_cover):
-    members = X.members
-    bits = cover_bits(members)
-    y_mask = sum(bits[y] for y in y_set)
-    deletions = MeteredSet(meter, s_branch)
-    cached_words = 0
-    try:
-        if cache_cover:
-            edge_bits = cover_edges(h, X, y_set, meter)
-            cached_words = len(edge_bits)
-            if _p3_within(y_set, edge_bits):
-                return None
-            pair_results = edge_bits
-        else:
-            pair_results = None
-
-        y_sorted = tuple(sorted(y_set))
-
-        # Phases 0 and 1, per unordered pair of Y.
-        with meter.scope(2):
-            for y1, y2 in subsets(y_sorted, 2, EXACTLY):
-                b1, b2 = bits[y1], bits[y2]
-                if pair_results is None:
-                    p3_in_y, pair_edge = h.run_class_pass(
-                        members, lambda index: _pair_scan(index, b1, b2, y_mask & ~(b1 | b2))
-                    )
-                    if p3_in_y:
-                        return None
-                else:
-                    pair_edge = (y1, y2) in pair_results
-
-                h.run_class_pass(
-                    members,
-                    lambda index: _phase1_pass(index, b1, b2, pair_edge, deletions, ell),
-                )
-                if len(deletions) > ell:
-                    return None
-
-        # Phase 2: per y, keep the first outside neighbour, delete the rest.
-        for y in y_sorted:
-            h.run_class_pass(
-                members, lambda index: _phase2_pass(index, bits[y], deletions, ell)
-            )
-            if len(deletions) > ell:
-                return None
-
-        if len(deletions) <= ell:
-            return deletions.snapshot()
-        return None
-    finally:
-        meter.release(cached_words)
-        deletions.close()
 
 
 def _phase1_pass(index, b1, b2, pair_edge, deletions, ell):

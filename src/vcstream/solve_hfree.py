@@ -6,9 +6,11 @@ then searched with an escalating number i of vertices outside the cover.
 The i outside vertices of an occurrence must be pairwise non-adjacent in the
 pattern (outside-cover vertices are independent), the rest must embed into
 the kept cover part Y as an induced subgraph, and outside candidates are
-matched by their exact adjacency profile toward the placed part.  Branch
-sets are recomputed when returning out of recursion instead of stored, which
-keeps each recursion frame at O(1) words.
+matched by their exact adjacency profile toward the placed part.  Every
+placement test, the i = 0 check of G[Y] included, is one class pass of
+`_find_pass` from one walk, `_placement_passes`.  Branch sets are
+recomputed when returning out of recursion instead of stored, which keeps
+each recursion frame at O(1) words.
 
 `solve_hfree_fpt` is the in-memory reference for one pattern, and shares
 none of this search: a plain h^ell search tree over induced copies.
@@ -31,7 +33,7 @@ from .properties import (
     vertex_minimal_members,
 )
 from .results import SolveOutcome, branch_on_cover
-from .streams import StreamHandle, cover_bits, cover_edges, induced_edges
+from .streams import StreamHandle, cover_bits, induced_edges
 
 
 def _independent_role_sets(H: PatternGraph, i: int) -> list[tuple[int, ...]]:
@@ -53,19 +55,6 @@ def _placement_pairs(H: PatternGraph, inside_roles: tuple[int, ...]):
     ]
 
 
-def _role_requirements(H: PatternGraph, outside_roles: tuple[int, ...],
-                       inside_roles: tuple[int, ...], placement: tuple[int, ...]):
-    """For each outside role, the exact set of placed vertices it must see."""
-    g = H.graph
-    reqs = []
-    for w in outside_roles:
-        needed = frozenset(
-            placement[idx] for idx, r in enumerate(inside_roles) if g.has_edge(w, r)
-        )
-        reqs.append(needed)
-    return reqs
-
-
 def _placements(y_sorted: tuple[int, ...], size: int):
     """Every sequence of `size` distinct members of `y_sorted`: the
     permutations of each subset, subsets in dictionary order; nothing when
@@ -74,67 +63,75 @@ def _placements(y_sorted: tuple[int, ...], size: int):
         yield from permutations(chosen)
 
 
+def _placement_passes(source: StreamHandle, X: VertexCover, H: PatternGraph, Y,
+                      i: int, s_set):
+    """One class pass of `_find_pass` per placement: for each set of i
+    independent roles left outside the cover, each placement of the other
+    roles in Y, in `_placements` order.  Yields (outside roles, inside roles,
+    placement, the pass's assignment or None); the walk stops when the
+    caller does."""
+    g, y_sorted, bits = H.graph, tuple(sorted(Y)), cover_bits(X.members)
+    for outside_roles in _independent_role_sets(H, i):
+        inside_roles = tuple(r for r in range(H.h) if r not in outside_roles)
+        pairs = _placement_pairs(H, inside_roles)
+        seen = [[idx for idx, r in enumerate(inside_roles) if g.has_edge(w, r)]
+                for w in outside_roles]  # per outside role, the placed indices it sees
+        for placement in _placements(y_sorted, len(inside_roles)):
+            placed = [bits[v] for v in placement]
+            profiles = [sum(placed[idx] for idx in need) for need in seen]
+            found = source.run_class_pass(
+                X.members, lambda index: _find_pass(index, placed, profiles, pairs, s_set))
+            yield outside_roles, inside_roles, placement, found
+
+
 def check_h_in_y(h: StreamHandle, X: VertexCover, H: PatternGraph, Y) -> bool:
     """Does G[Y], Y inside the cover X, contain the pattern as an induced
-    subgraph?  One class pass per candidate placement."""
-    pairs = _placement_pairs(H, tuple(range(H.h)))
-    for placement in _placements(tuple(sorted(Y)), H.h):
-        observed = cover_edges(h, X, placement)
-        if all((canonical_edge(placement[a], placement[b]) in observed) == want
-               for (a, b), want in pairs):
-            return True
-    return False
+    subgraph?  The i = 0 case of the placement passes: one class pass per
+    placement of every role, up to the first that matches."""
+    return any(found is not None
+               for *_, found in _placement_passes(h, X, H, Y, 0, frozenset()))
 
 
 def find_h(source: StreamHandle, X: VertexCover, S, Y, i: int,
            H: PatternGraph, meter: MemoryMeter | None = None) -> tuple[int, ...]:
     """Find one induced occurrence of H avoiding S and X - Y, with exactly i
-    vertices outside the cover; returns those outside vertices, or ()."""
+    vertices outside the cover; returns those outside vertices, or ().  Each
+    placement that the class pass matches is confirmed by one witness pass."""
     h = H.h
     if i < 1 or i > h:
         raise BadI(f"i must be in 1..{h}")
-    s_set = frozenset(S)
-    y_sorted = tuple(sorted(Y))
-    bits = cover_bits(X.members)
     meter = meter if meter is not None else MemoryMeter()
 
     with meter.scope(3 * h * h + 4 * h + 4):  # placement, profiles, scratch
-        for outside_roles in _independent_role_sets(H, i):
-            inside_roles = tuple(r for r in range(h) if r not in outside_roles)
-            pairs = _placement_pairs(H, inside_roles)
-            for placement in _placements(y_sorted, h - i):
-                reqs = _role_requirements(H, outside_roles, inside_roles, placement)
-                assignment = source.run_class_pass(
-                    X.members,
-                    lambda index: _find_pass(index, bits, s_set, placement, pairs, reqs),
-                )
-                if assignment and _witness_is_induced(
-                    source, H, outside_roles, inside_roles, placement, assignment
-                ):
-                    return tuple(v for v, _ in assignment)
+        for outside_roles, inside_roles, placement, found in _placement_passes(
+                source, X, H, Y, i, frozenset(S)):
+            if found and _witness_is_induced(
+                    source, H, outside_roles, inside_roles, placement, found):
+                return tuple(v for v, _ in found)
     return ()
 
 
-def _find_pass(index, bits, s_set, placement, pairs, reqs):
+def _find_pass(index, placed, profiles, pairs, s_set):
     """Single pass: match each outside role to the first vertices outside
-    `s_set`, in stream order, whose profile toward the placement is the
-    role's (roles of one profile in role order), then validate the placement
-    inside the cover."""
-    placed = [bits[v] for v in placement]
+    `s_set`, in stream order, whose mask toward the `placed` bits is the
+    role's profile (roles of one profile in role order), then validate the
+    placement inside the cover against `pairs`.  Returns the (vertex, role)
+    pairs in stream order, empty when there is no outside role, or None
+    when the placement fails."""
     placed_mask = sum(placed)
     roles_of: dict[int, list[int]] = {}  # wanted profile -> its role indices
-    for role_idx, req in enumerate(reqs):
-        roles_of.setdefault(sum(bits[v] for v in req), []).append(role_idx)
+    for role_idx, profile in enumerate(profiles):
+        roles_of.setdefault(profile, []).append(role_idx)
     assigned: list[tuple[int, int]] = []  # (stream position, role index)
     for profile, roles in roles_of.items():
         found = index.first(lambda m: m & placed_mask == profile, len(roles), s_set)
         if len(found) < len(roles):
-            return ()
+            return None
         assigned += zip(found, roles)
     placed_nbrs = {bit: m for _, bit, m in index.members if bit & placed_mask}
     for (a, b), want in pairs:
         if bool(placed_nbrs[placed[a]] & placed[b]) != want:
-            return ()
+            return None
     return tuple((index.order[pos], role) for pos, role in sorted(assigned))
 
 
@@ -143,17 +140,11 @@ def _witness_is_induced(source: StreamHandle, H, outside_roles, inside_roles, pl
     """Full-occurrence check: the placed and matched vertices together induce
     exactly H.  Outside-outside non-edges hold automatically under a valid
     cover; this pass re-verifies the whole occurrence anyway."""
-    mapping = {}
-    for idx, role in enumerate(inside_roles):
-        mapping[role] = placement[idx]
-    for v, role_idx in assignment:
-        mapping[outside_roles[role_idx]] = v
+    mapping = dict(zip(inside_roles, placement))
+    mapping.update((outside_roles[role_idx], v) for v, role_idx in assignment)
     observed = induced_edges(source, mapping.values())
-    g = H.graph
-    return all(
-        (canonical_edge(mapping[a], mapping[b]) in observed) == g.has_edge(a, b)
-        for a, b in combinations(range(g.n), 2)
-    )
+    return all((canonical_edge(mapping[a], mapping[b]) in observed) == H.graph.has_edge(a, b)
+               for a, b in combinations(range(H.h), 2))
 
 
 def solve_hfree_fpt(g: Graph, X: VertexCover, ell: int, H: PatternGraph) -> SolveOutcome:

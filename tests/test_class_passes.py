@@ -457,9 +457,12 @@ def test_find_pass_matches_per_block(case, rnd):
         pairs = [((a, b), rnd.random() < 0.5)
                  for a in range(len(placement)) for b in range(a + 1, len(placement))]
         args = (bits, frozenset(prefill), placement, pairs, reqs)
+        placed = [bits[v] for v in placement]
+        profiles = [sum(bits[v] for v in req) for req in reqs]
         _agree(g, order,
                _view_run(X.members, lambda v, d: _frozen_find_pass(v, *args)),
-               _class_run(X.members, lambda i, d: _find_pass(i, *args)))
+               _class_run(X.members, lambda i, d: _find_pass(
+                   i, placed, profiles, pairs, frozenset(prefill)) or ()))
 
 
 @settings(max_examples=150, deadline=None)

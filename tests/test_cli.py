@@ -195,6 +195,20 @@ def test_gen_doublefan(tmp_path, capsys):
     assert any("expected=YES" in c for c in inst.comments)
 
 
+def test_gen_doublefan_splits_the_files_first_pattern(tmp_path, capsys):
+    # the family's canonical order puts P4 before C4; the file's order decides
+    c4 = "h 4 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n"
+    texts = {"both": c4 + "h 4 3\ne 0 1\ne 1 2\ne 2 3\n", "c4": c4}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.fam").write_text(text)
+        assert main(["gen", "doublefan", "--family", str(tmp_path / f"{name}.fam"),
+                     "--split", "1", "--centers", "2", "--x", "10", "--y", "01",
+                     "-o", str(tmp_path / f"{name}.vcs")]) == 0
+    both = (tmp_path / "both.vcs").read_bytes()
+    assert both == (tmp_path / "c4.vcs").read_bytes()
+    assert both.startswith(b"p vcstream 5 4 2 0\n")
+
+
 @pytest.mark.parametrize("flags", [
     ["--ell", "-1"], ["--n", "-1"], ["--k", "-2"], ["--p", "1.5"], ["--p", "-0.1"],
     ["--p", "nan"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import all_covers, atlas_graphs, disconnected_sample, planted_covers
+from corpus import all_covers, atlas_graphs, disconnected_sample, planted_covers, twin_classes
 from vcstream.brute import brute_min_deletion
 from vcstream.errors import BadI, NotALModel, PreconditionViolated
 from vcstream.graph import (
@@ -103,6 +103,26 @@ def test_check_h_in_y_pass_count():
                 assert handle.pass_meter.passes == comb(len(cover), H.h) * factorial(H.h)
                 absent += len(cover) >= H.h
     assert absent >= 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(planted_covers(max_n=40), twin_classes(max_n=40)),
+       st.randoms(use_true_random=False))
+def test_check_h_in_y_stops_at_the_first_matching_placement(case, rnd):
+    # past desk scale: the verdict is G[Y]'s, and the passes are the 1-based
+    # index of the first placement that matches in `_placements` order, or
+    # all of them when none does, found in memory
+    g, X, order = case
+    y = [x for x in X.members if rnd.random() < 0.8]
+    g_y, _ = g.induced(y)
+    for H in PATTERNS:
+        placements = list(_placements(tuple(sorted(y)), H.h))
+        first = next((idx for idx, p in enumerate(placements, 1)
+                      if all(g.has_edge(p[a], p[b]) == H.graph.has_edge(a, b)
+                             for a, b in combinations(range(H.h), 2))), len(placements))
+        handle = stream(g, order)
+        assert check_h_in_y(handle, X, H, set(y)) == is_induced_subgraph(g_y, H)
+        assert handle.pass_meter.passes == first
 
 
 def test_find_h_pass_budget():
