@@ -34,7 +34,9 @@ def _entry_words(K: int) -> int:
 def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                meter: MemoryMeter | None = None) -> KernelOutput:
     """Single-pass kernel; output could equally be produced by the in-memory
-    rule with marking order equal to stream order."""
+    rule with marking order equal to stream order.  Once every split holds
+    r marks (at once when r = 0), no later block can mark, so the pass stops
+    matching; its visits still make every charge."""
     if r < 0 or c < 0:
         raise BadParams("r and c must be non-negative")
     h.require_cover(X.members)
@@ -45,6 +47,7 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     # none of Q and all of R; counts[i] is split i's marks so far (capped at r)
     splits = pair_masks(X, incidence_pair_index(X, c))
     counts = [0] * len(splits)
+    open_splits = len(splits) if r else 0  # splits with fewer than r marks
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
@@ -55,15 +58,15 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
             # earlier twins have filled, so it never marks.  Of those blocks
             # only the last is visited, for its charge: kept state only grows,
             # so the class's largest charge falls there.
+            nonlocal open_splits
             visits = [(pos, None) for pos in index.member_positions]
             for m, positions in index.classes.items():
-                hits = matching_splits(m, splits)
-                visits += [(pos, hits) for pos in
+                visits += [(pos, m) for pos in
                            positions[:r] + positions[max(r, len(positions) - 1):]]
             visits.sort()
             order, members, blocks = index.order, index.members, h.blocks
-            for pos, hits in visits:
-                if hits is None:
+            for pos, m in visits:
+                if m is None:
                     # the members seen so far are the first ones in stream order
                     v, _, m = members[len(seen_cover)]
                     out_edges.extend(canonical_edge(v, w)
@@ -74,10 +77,12 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                 nbrs = blocks[v]
                 meter.allocate(len(nbrs))  # the block's buffered edges
                 hit = False
-                for i in hits:
+                for i in matching_splits(m, splits) if open_splits else ():
                     if counts[i] < r:
                         counts[i] += 1
                         hit = True
+                        if counts[i] == r:
+                            open_splits -= 1
                 if hit:
                     marked.append(v)
                     out_edges.extend(canonical_edge(v, w) for w in nbrs)

@@ -138,7 +138,11 @@ def _basis_words(b: F2Basis) -> int:
 def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                         meter: MemoryMeter | None = None) -> KernelOutput:
     """ell scanning passes (fresh basis each), one output pass; keeps the
-    cover plus every round's chosen vertices."""
+    cover plus every round's chosen vertices.  The mask vectors span the
+    GF(2) polynomials of degree at most c on K bits, so a round's basis
+    reaches rank at most one per cover subset; from there no vertex is
+    independent and the round stops inserting, while every visit still
+    makes its charges."""
     if ell < 1:
         raise BadParams("ell must be at least 1")
     h.require_cover(X.members)
@@ -147,14 +151,13 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
 
     cover_set = X.member_set()
     splits = pair_masks(X, incidence_pair_index(X, c))
-    dim = len(splits)
+    dim, full_rank = len(splits), len(splits.subsets)
     vec_words = max(1, words_for_bits(dim))
     index = h.class_index(X.members)
     order = index.order
-    # per class: its incidence vector, and how many of its blocks the rounds
-    # have kept.  Only a round's first unskipped twin can be independent, so
-    # the kept blocks of a class are always its first ones.
-    vectors = {m: mask_vector(m, splits) for m in index.classes}
+    # per class: how many of its blocks the rounds have kept.  Only a round's
+    # first unskipped twin can be independent, so the kept blocks of a class
+    # are always its first ones.
     taken = dict.fromkeys(index.classes, 0)
     kept_positions: list[int] = []
 
@@ -180,7 +183,8 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                 try:
                     meter.allocate(vec_words)
                     try:
-                        independent = head and basis_insert(basis, vectors[m], v)[1]
+                        independent = (head and basis.rank < full_rank and
+                                       basis_insert(basis, mask_vector(m, splits), v)[1])
                     finally:
                         meter.release(vec_words)
                     if independent:

@@ -6,14 +6,16 @@ block of `reference_view`, and a per-mask memo stands in for the class.  The
 class-index kernels must keep the same vertices, emit the same edges in the
 same order, and take the same passes and peak words.  Under every word budget
 from 0 to the peak they must trip, or not, in the same pass, and leave no
-word live.
+word live.  `saturating_graphs` draws streams on which the kernels stop
+matching part way through a pass: every split fills, or the basis reaches
+full rank, before the last blocks.
 """
 
 from __future__ import annotations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_kernel_memos import covered_graphs
+from test_kernel_memos import covered_graphs, neighbours_of
 
 from corpus import reference_view
 from vcstream.errors import MemoryBudgetExceeded
@@ -194,4 +196,55 @@ def test_reduce_str_matches_per_block(instance, r, c):
 @example(LAST_TWIN_PEAKS, 1, 0)
 def test_low_rank_reduce_str_matches_per_block(instance, ell, c):
     g, X, order = instance
+    _agree(g, X, order, _frozen_low_rank_reduce_str, low_rank_reduce_str, ell, c)
+
+
+@st.composite
+def saturating_graphs(draw, least):
+    """K in 1..3, a in least..3 and c in 0..K+1.  Every cover mask lies on
+    a + 1 or a + 2 outside vertices.  By the a-th twin of every mask,
+    reduce_str at r = a has filled every split, and each round of
+    low_rank_reduce_str at ell = a has reached full rank; a later twin of
+    some mask and a member's block come after that point.  Returns
+    (g, X, order, a, c)."""
+    K = draw(st.integers(1, 3))
+    a = draw(st.integers(least, 3))
+    c = draw(st.integers(0, K + 1))
+    copies = [draw(st.integers(a + 1, a + 2)) for _ in range(1 << K)]
+    n = K + sum(copies)
+    cover = draw(st.lists(st.integers(0, n - 1), min_size=K, max_size=K, unique=True))
+    X = VertexCover(tuple(cover))
+    outside = [v for v in range(n) if v not in set(cover)]
+    masks = dict(zip(outside, [mask for mask, k in enumerate(copies) for _ in range(k)]))
+    edges = [(v, w) for v, mask in masks.items() for w in neighbours_of(mask, X)]
+    members = X.members
+    inner = [(members[i], members[j]) for i in range(K) for j in range(i + 1, K)]
+    edges += [e for e, k in zip(inner, draw(st.lists(st.booleans(), min_size=len(inner),
+                                                     max_size=len(inner)))) if k]
+    stream = draw(st.permutations(sorted(masks)))
+    seen = [0] * (1 << K)
+    settled = 0  # blocks of the stream up to the a-th twin of every mask
+    for i, v in enumerate(stream):
+        seen[masks[v]] += 1
+        if seen[masks[v]] == a:
+            settled = i + 1
+    late = draw(st.sampled_from(members))
+    for v in sorted(members, key=lambda v: v != late):  # later inserts keep `late` late
+        slot = draw(st.integers(settled if v == late else 0, len(stream)))
+        stream.insert(slot, v)
+    g = Graph(n, edges)
+    return g, VertexCover.validated(g, cover), tuple(stream), a, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(saturating_graphs(0))
+def test_reduce_str_stops_matching_when_splits_fill(instance):
+    g, X, order, r, c = instance
+    _agree(g, X, order, _frozen_reduce_str, reduce_str, r, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(saturating_graphs(1))
+def test_low_rank_reduce_str_stops_inserting_at_full_rank(instance):
+    g, X, order, ell, c = instance
     _agree(g, X, order, _frozen_low_rank_reduce_str, low_rank_reduce_str, ell, c)

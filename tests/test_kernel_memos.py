@@ -15,6 +15,8 @@ from vcstream.errors import MemoryBudgetExceeded
 from vcstream.graph import Graph, VertexCover
 from vcstream.kernel_adjacency import reduce_in_memory, reduce_str
 from vcstream.kernel_lowrank import (
+    F2Basis,
+    basis_insert,
     incidence_pair_index,
     incidence_vector,
     low_rank_reduce_in_memory,
@@ -105,6 +107,18 @@ def test_matching_splits_one_per_cover_subset(K, c):
         assert len(hits) == len(subsets)
         assert {frozenset(index[i][0] + index[i][1]) for i in hits} == subsets
         assert hits == _frozen_matching_splits(mask, frozen)
+
+
+@pytest.mark.parametrize("K, c", [(K, c) for K in range(7) for c in range(K + 2)])
+def test_mask_vectors_rank_one_per_cover_subset(K, c):
+    """The rank at which low_rank_reduce_str stops inserting: the vectors of
+    all 2^K masks span one dimension per cover subset of size at most c."""
+    X = spread_cover(K)
+    splits = pair_masks(X, incidence_pair_index(X, c))
+    basis = F2Basis(len(splits))
+    for mask in range(1 << K):
+        basis_insert(basis, mask_vector(mask, splits), mask)
+    assert basis.rank == len(splits.subsets) == sum(comb(K, i) for i in range(min(c, K) + 1))
 
 
 @st.composite
