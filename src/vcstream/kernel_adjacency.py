@@ -48,6 +48,7 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
     splits = pair_masks(X, incidence_pair_index(X, c))
     counts = [0] * len(splits)
     open_splits = len(splits) if r else 0  # splits with fewer than r marks
+    matches: dict[int, list[int]] = {}  # per class, filled at its first open visit
     marked: list[int] = []
     out_edges: list[tuple[int, int]] = []
 
@@ -77,12 +78,16 @@ def reduce_str(h: StreamHandle, X: VertexCover, r: int, c: int,
                 nbrs = blocks[v]
                 meter.allocate(len(nbrs))  # the block's buffered edges
                 hit = False
-                for i in matching_splits(m, splits) if open_splits else ():
-                    if counts[i] < r:
-                        counts[i] += 1
-                        hit = True
-                        if counts[i] == r:
-                            open_splits -= 1
+                if open_splits:
+                    hits = matches.get(m)
+                    if hits is None:
+                        hits = matches[m] = matching_splits(m, splits)
+                    for i in hits:
+                        if counts[i] < r:
+                            counts[i] += 1
+                            hit = True
+                            if counts[i] == r:
+                                open_splits -= 1
                 if hit:
                     marked.append(v)
                     out_edges.extend(canonical_edge(v, w) for w in nbrs)

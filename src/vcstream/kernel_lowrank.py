@@ -155,9 +155,11 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
     vec_words = max(1, words_for_bits(dim))
     index = h.class_index(X.members)
     order = index.order
-    # per class: how many of its blocks the rounds have kept.  Only a round's
-    # first unskipped twin can be independent, so the kept blocks of a class
-    # are always its first ones.
+    # per class: its incidence vector, filled at its first insertion, and how
+    # many of its blocks the rounds have kept.  Only a round's first unskipped
+    # twin can be independent, so the kept blocks of a class are always its
+    # first ones.
+    vectors: dict[int, IncidenceVector] = {}
     taken = dict.fromkeys(index.classes, 0)
     kept_positions: list[int] = []
 
@@ -183,8 +185,12 @@ def low_rank_reduce_str(h: StreamHandle, X: VertexCover, ell: int, c: int,
                 try:
                     meter.allocate(vec_words)
                     try:
-                        independent = (head and basis.rank < full_rank and
-                                       basis_insert(basis, mask_vector(m, splits), v)[1])
+                        independent = False
+                        if head and basis.rank < full_rank:
+                            vec = vectors.get(m)
+                            if vec is None:
+                                vec = vectors[m] = mask_vector(m, splits)
+                            independent = basis_insert(basis, vec, v)[1]
                     finally:
                         meter.release(vec_words)
                     if independent:

@@ -13,11 +13,8 @@ its frame returns.  A consumer pays for what it keeps of a block.  The
 kernels skip a twin's block only when an earlier twin fixed its outcome and
 a later visited one takes at least its charge.  That keeps the peak and the
 pass in which a budget trips, but not always the live figure that the trip
-names: on the 4-cycle 0-2-1-3 with X = (0, 1), order (0, 2, 1, 3) and
-r = c = 0, `reduce_str` at budget 7 trips at `live 8` on member 1, where a
-per-block scan trips at `live 9` on vertex 2.  Once every split is full, or
-a round's basis has full rank, a kernel stops matching, but its visits make
-the same calls to the meter.  State is charged as it grows, one allocation
+names.  Once every split is full, or a round's basis has full rank, a
+kernel stops matching, but its visits make the same calls to the meter.  State is charged as it grows, one allocation
 per item found, so a budget trips at the first word past it.
 """
 

@@ -8,7 +8,8 @@ same order, and take the same passes and peak words.  Under every word budget
 from 0 to the peak they must trip, or not, in the same pass, and leave no
 word live.  `saturating_graphs` draws streams on which the kernels stop
 matching part way through a pass: every split fills, or the basis reaches
-full rank, before the last blocks.
+full rank, before the last blocks.  On those and on the smaller draws, which
+seldom saturate, each kernel matches a class at most once in all its passes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from test_kernel_memos import covered_graphs, neighbours_of
 
 from corpus import reference_view
 from vcstream.errors import MemoryBudgetExceeded
+from vcstream import kernel_adjacency, kernel_lowrank
 from vcstream.graph import Graph, VertexCover, canonical_edge
 from vcstream.kernel_adjacency import _entry_words, reduce_str
 from vcstream.kernel_lowrank import (
@@ -248,3 +250,36 @@ def test_reduce_str_stops_matching_when_splits_fill(instance):
 def test_low_rank_reduce_str_stops_inserting_at_full_rank(instance):
     g, X, order, ell, c = instance
     _agree(g, X, order, _frozen_low_rank_reduce_str, low_rank_reduce_str, ell, c)
+
+
+def _either_draw(least):
+    """A `covered_graphs` draw with a in least..3 and c in 0..3, or a
+    `saturating_graphs` one; as (g, X, order, a, c)."""
+    return st.one_of(st.tuples(covered_graphs(), st.integers(least, 3), st.integers(0, 3))
+                     .map(lambda t: (*t[0], t[1], t[2])), saturating_graphs(least))
+
+
+def _masks_matched(module, name, kernel, instance):
+    """The masks that `kernel` passes to `module.name`, in call order."""
+    g, X, order, a, c = instance
+    real, masks = getattr(module, name), []
+    setattr(module, name, lambda m, splits: masks.append(m) or real(m, splits))
+    try:
+        kernel(make_stream(g, AL, order), X, a, c)
+    finally:
+        setattr(module, name, real)
+    return masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_either_draw(0))
+def test_reduce_str_matches_each_class_at_most_once(instance):
+    masks = _masks_matched(kernel_adjacency, "matching_splits", reduce_str, instance)
+    assert len(masks) == len(set(masks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_either_draw(1))
+def test_low_rank_reduce_str_builds_each_vector_at_most_once(instance):
+    masks = _masks_matched(kernel_lowrank, "mask_vector", low_rank_reduce_str, instance)
+    assert len(masks) == len(set(masks))
